@@ -22,17 +22,6 @@ from .quad import is_fundamental
 CHECKS = ("on", "recursion", "rhs", "lhs", "fields-pic", "prop6", "scholz", "oracle")
 
 
-def _shard_ranges(max_abs: int, shards: int):
-    """Deterministic partition of 1..max_abs into contiguous shards."""
-    size = max(1, -(-max_abs // shards))
-    out = []
-    lo = 1
-    while lo <= max_abs:
-        out.append((lo, min(lo + size - 1, max_abs)))
-        lo += size
-    return out
-
-
 def cmd_table(args) -> int:
     if args.max <= 0:
         payload = "[]\n" if args.format == "json" else "delta,h_num,h_den,hhat_num,hhat_den\n"
@@ -41,16 +30,9 @@ def cmd_table(args) -> int:
     if args.format == "json":
         _emit(args.out, counting.table_json(args.max, budget=args.budget) + "\n")
         return 0
-    all_lines = counting.table_csv_lines(args.max, budget=args.budget)
-    # shards partition rows by |delta| range and are merged back sorted by
-    # delta; output is byte-identical for every shard count
-    body = []
-    for lo, hi in _shard_ranges(args.max, args.shards):
-        body.extend(
-            ln for ln in all_lines[1:] if lo <= abs(int(ln.split(",")[0])) <= hi
-        )
-    body.sort(key=lambda ln: int(ln.split(",")[0]))
-    _emit(args.out, "\n".join([all_lines[0]] + body) + "\n")
+    # --shards is validated but does not change the work: the output is one
+    # table, byte-identical for every shard count
+    _emit(args.out, "\n".join(counting.table_csv_lines(args.max, budget=args.budget)) + "\n")
     return 0
 
 

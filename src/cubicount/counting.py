@@ -6,8 +6,11 @@ each weighted by 1/|stabilizer|; hhat(D) does the same over forms with
 fractions.Fraction, enumeration is integer-only.
 
 The primary enumeration scans the reduced domains of `forms` directly with
-proven coefficient bounds; a secondary coefficient-box method (canonicalize
-and deduplicate everything in a box) exists purely as a correctness oracle.
+proven coefficient bounds.  It keeps a scanned form when it is the largest
+reduced form of its orbit; boundary forms learn that, and their
+stabilizers, from the boundary-matrix table of `forms`.  A secondary
+coefficient-box method (reduce everything in a box, close each form's orbit
+by breadth-first search, deduplicate) exists purely as a correctness oracle.
 Also here: the local subring-count sequence s_n with its seed table, closed
 form and three-term recursion, the induced subring counter for maximal
 forms, the discriminant recursions relating h(p^6 D) to h(p^4 D), h(D),
@@ -20,15 +23,19 @@ import json
 import os
 from fractions import Fraction
 from math import isqrt
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .forms import (
+    INTERIOR,
     BinaryCubicForm,
-    canonicalize,
+    InvariantError,
+    boundary_signature,
     disc,
-    is_ambiguous_reduced,
     is_reduced_neg,
     is_reduced_pos,
     orbit_closure,
+    reduced_orbit,
 )
 from .rings import BudgetExceeded, is_maximal_at_p, splitting_type
 
@@ -59,12 +66,16 @@ def _i4root(n):
 
 
 def _icbrt(n):
+    """Largest r with r**3 <= n (0 for n <= 0), by integer Newton steps
+    from 2**ceil(bits/3), which is above the root."""
     if n <= 0:
         return 0
-    x = int(round(n ** (1.0 / 3))) + 2
-    while x * x * x > n:
-        x -= 1
-    return x
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 def _ceil_div(a, b):
@@ -201,23 +212,16 @@ def _lexmax_keep(f):
     return b > 0 and c >= 0
 
 
-class Orbit:
+class Orbit(NamedTuple):
     """One GL2(Z)-orbit: canonical form, stabilizer data."""
 
-    __slots__ = ("form", "stabilizer_order", "proper_stabilizer_order")
-
-    def __init__(self, form, stab, proper):
-        self.form = BinaryCubicForm(*form)
-        self.stabilizer_order = stab
-        self.proper_stabilizer_order = proper
+    form: BinaryCubicForm
+    stabilizer_order: int
+    proper_stabilizer_order: int
 
     @property
     def weight(self) -> Fraction:
         return Fraction(1, self.stabilizer_order)
-
-    @property
-    def has_orientation_reversing_automorphism(self) -> bool:
-        return self.proper_stabilizer_order != self.stabilizer_order
 
     def __repr__(self):
         return "Orbit(%s, stab=%d)" % (self.form, self.stabilizer_order)
@@ -227,41 +231,37 @@ _ORBIT_CACHE = {}
 
 
 def orbit_table(X: int, zmat_only: bool = False, budget=None):
-    """dict disc -> sorted list of Orbit, for all 0 < |disc| <= X."""
+    """Read-only mapping disc -> tuple of Orbit sorted by form, for all
+    0 < |disc| <= X."""
     _check_budget(X, budget)
     cached = _ORBIT_CACHE.get(zmat_only)
     if cached is not None and cached[0] >= X:
         if cached[0] == X:
             return cached[1]
-        return {
-            D: orbs for D, orbs in cached[1].items() if abs(D) <= X
-        }
+        return MappingProxyType(
+            {D: orbs for D, orbs in cached[1].items() if abs(D) <= X}
+        )
     table = {}
-    pending = {}
     for forms in (_scan_pos(X, zmat_only), _scan_neg(X, zmat_only)):
         for f in forms:
             D = disc(f)
-            assert 0 < abs(D) <= X
+            if not 0 < abs(D) <= X:
+                raise InvariantError("scanned %r has disc %d outside 0 < |disc| <= %d" % (f, D, X))
+            # the sign variants are among the images, so this is a cheap
+            # first test of being the largest reduced form of the orbit
             if not _lexmax_keep(f):
                 continue
-            if is_ambiguous_reduced(f):
-                pending.setdefault(D, []).append(f)
+            if boundary_signature(f) == INTERIOR:
+                orb = Orbit(BinaryCubicForm(*f), 1, 1)
             else:
-                table.setdefault(D, []).append(Orbit(f, 1, 1))
-    for D, forms in pending.items():
-        done = set()
-        for f in forms:
-            if f in done:
-                continue
-            cl = orbit_closure(f)
-            done |= cl.forms
-            table.setdefault(D, []).append(
-                Orbit(max(cl.forms), cl.stabilizer_order, cl.proper_stabilizer_order)
-            )
-    for D in table:
-        table[D].sort(key=lambda o: o.form)
-    _ORBIT_CACHE[zmat_only] = (X, table)
-    return table
+                cl = reduced_orbit(f)
+                if max(cl.forms) != f:
+                    continue
+                orb = Orbit(BinaryCubicForm(*f), cl.stabilizer_order, cl.proper_stabilizer_order)
+            table.setdefault(D, []).append(orb)
+    view = MappingProxyType({D: tuple(sorted(orbs)) for D, orbs in table.items()})
+    _ORBIT_CACHE[zmat_only] = (X, view)
+    return view
 
 
 def enumerate_orbits(X: int, zmat_only: bool = False, budget=None):
@@ -305,12 +305,14 @@ def class_numbers(X: int, budget=None):
 
 
 # ---------------------------------------------------------------------------
-# Secondary enumeration oracle: coefficient box + canonicalize-dedup
+# Secondary enumeration oracle: coefficient box + orbit-closure dedup
 
 def box_orbit_counts(X: int):
     """Independent re-enumeration for cross-checking: scan a coefficient box
     guaranteed to contain every reduced form with |disc| <= X, keep reduced
-    forms, canonicalize, deduplicate.  Returns dict disc -> orbit count."""
+    forms, take the largest form of each one's breadth-first orbit closure
+    (not the boundary-matrix table the primary scan uses), deduplicate.
+    Returns dict disc -> orbit count."""
     amax = max(_i4root((16 * X) // 27) + 1, isqrt((4 * isqrt(X)) // 27) + 2)
     T = _i4root(X // 3) + 1
     M2 = _icbrt(X // 4) + 1
@@ -334,7 +336,7 @@ def box_orbit_counts(X: int):
                     red = is_reduced_pos(f) if D > 0 else is_reduced_neg(f)
                     if not red:
                         continue
-                    reps.setdefault(D, set()).add(canonicalize(f))
+                    reps.setdefault(D, set()).add(max(orbit_closure(f).forms))
     return {D: len(s) for D, s in reps.items()}
 
 

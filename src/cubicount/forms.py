@@ -15,10 +15,18 @@ its Gauss-reduced domain |Q| <= P <= R.  For disc < 0 the form has one real
 root and a conjugate pair w, wbar; we call the form reduced when w lies in
 the classical fundamental domain |Re w| <= 1/2, |w| >= 1.  Both conditions
 are decided in exact integer arithmetic (the position of the real root
-against a rational is the sign of a single form evaluation).  The set of
-reduced forms in one orbit is closed under matrices with entries in
-{-1, 0, 1}, so a breadth-first closure yields canonical representatives
-and stabilizers with no floating point anywhere.
+against a rational is the sign of a single form evaluation).
+
+The matrices carrying a reduced form to the reduced forms of its orbit
+depend only on its boundary signature: which of the lines Re = 0,
+Re = -1/2, Re = +1/2 and the arc |z| = 1 its point (the Hessian root for
+disc > 0, w for disc < 0) lies on, each read off one integer equality.
+The constant table BOUNDARY_MATRICES lists them per signature, so
+canonical representatives (the lexicographically largest reduced form of
+the orbit) and stabilizers come from one lookup.  `orbit_closure`, a breadth-first
+closure under the matrices with entries in {-1, 0, 1}, finds the same sets
+independently and is kept as the oracle for that table.  No floating point
+enters anywhere.
 """
 
 from __future__ import annotations
@@ -187,31 +195,72 @@ def is_reduced(form) -> bool:
     return is_reduced_pos(form) if D > 0 else is_reduced_neg(form)
 
 
-def _is_boundary_pos(form) -> bool:
-    t, s, r, _ = hessian(form)
-    return s == 0 or abs(s) == t or t == r
+class InvariantError(RuntimeError):
+    """A mathematical invariant of the enumeration failed; raised
+    explicitly so the check survives `python -O`."""
 
 
-def _is_boundary_neg(form) -> bool:
-    a, b, c, d = _norm_sign(form)
-    f = (a, b, c, d)
-    if a == 0:
-        return abs(c) == b or d == b or c == 0
-    if evaluate(f, a - b, a) == 0 or evaluate(f, -a - b, a) == 0:
-        return True
-    if evaluate(f, -b, a) == 0:  # Re w = 0 (rational real root at -b/a)
-        return True
-    if d == 0:
-        return c == a
-    return evaluate(f, -d, a) == 0
+# Building blocks of BOUNDARY_MATRICES, in +-pairs.  _SIGNS are the four
+# sign variants +-1, +-diag(1, -1); diag(1, -1) is the reflection
+# z -> -conj z, which fixes the line Re = 0 pointwise.  _ARC adds z -> -1/z
+# and the reflection in the arc |z| = 1; _LEFT and _RIGHT add z -> z + 1 and
+# z -> z - 1, which carry the edge Re = -1/2 or +1/2 onto its mirror edge.
+# _LEFT_CORNER and _RIGHT_CORNER complete the 24 matrices at the corner on
+# that edge: its stabilizer, of order 12, times its two reduced points.
+_SIGNS = ((1, 0, 0, 1), (-1, 0, 0, -1), (1, 0, 0, -1), (-1, 0, 0, 1))
+_ARC = ((0, 1, -1, 0), (0, -1, 1, 0), (0, 1, 1, 0), (0, -1, -1, 0))
+_LEFT = ((1, 0, -1, 1), (-1, 0, 1, -1), (1, 0, 1, -1), (-1, 0, -1, 1))
+_RIGHT = ((1, 0, -1, -1), (-1, 0, 1, 1), (1, 0, 1, 1), (-1, 0, -1, -1))
+_LEFT_CORNER = (
+    (1, -1, -1, 0), (-1, 1, 1, 0), (1, -1, 1, 0), (-1, 1, -1, 0),
+    (1, -1, 0, -1), (-1, 1, 0, 1), (1, -1, 0, 1), (-1, 1, 0, -1),
+    (0, 1, -1, 1), (0, -1, 1, -1), (0, 1, 1, -1), (0, -1, -1, 1),
+)
+_RIGHT_CORNER = (
+    (1, 1, -1, 0), (-1, -1, 1, 0), (1, 1, 1, 0), (-1, -1, -1, 0),
+    (1, 1, 0, -1), (-1, -1, 0, 1), (1, 1, 0, 1), (-1, -1, 0, -1),
+    (0, 1, -1, -1), (0, -1, 1, 1), (0, 1, 1, 1), (0, -1, -1, -1),
+)
+
+# Boundary signature (re0, half, unit) of a reduced form -> every matrix g
+# with act(g, f) reduced.  re0: the point lies on Re = 0; half: -1 or +1 on
+# the edge Re = -1/2 or Re = +1/2, else 0; unit: on the arc |z| = 1.  The
+# point is the Hessian root for disc > 0 and w for disc < 0, and one table
+# serves both signs.  The line Re = 0 adds no matrix, but a form on it may
+# equal one of its sign variants; it is in the key so that exactly the
+# INTERIOR forms are known to have a trivial stabilizer without a lookup.
+BOUNDARY_MATRICES = {
+    key: tuple(UnimodularMatrix(*m) for m in mats)
+    for key, mats in {
+        (False, 0, False): _SIGNS,
+        (True, 0, False): _SIGNS,
+        (False, -1, False): _SIGNS + _LEFT,
+        (False, 1, False): _SIGNS + _RIGHT,
+        (False, 0, True): _SIGNS + _ARC,
+        (True, 0, True): _SIGNS + _ARC,
+        (False, -1, True): _SIGNS + _ARC + _LEFT + _LEFT_CORNER,
+        (False, 1, True): _SIGNS + _ARC + _RIGHT + _RIGHT_CORNER,
+    }.items()
+}
+INTERIOR = (False, 0, False)
 
 
-def is_ambiguous_reduced(form) -> bool:
-    """True when the complex-pair point sits on the fundamental domain
-    boundary, i.e. the orbit may hold reduced forms beyond the four sign
-    variants.  Only these forms need the breadth-first closure."""
+def boundary_signature(form) -> tuple:
+    """(re0, half, unit) of a reduced form, the key of BOUNDARY_MATRICES."""
     D = disc(form)
-    return _is_boundary_pos(form) if D > 0 else _is_boundary_neg(form)
+    if D > 0:
+        t, s, r, _ = hessian(form)
+        return s == 0, (s == -t) - (s == t), t == r
+    f = _norm_sign(form)
+    a, b, c, d = f
+    if a == 0:  # w = (-c +- sqrt(c^2 - 4bd)) / 2b
+        return c == 0, (c == -b) - (c == b), d == b
+    # the roots sum to -b/a, so Re w = -k/2 exactly when f(k a - b, a) = 0
+    re0 = evaluate(f, -b, a) == 0
+    half = (evaluate(f, -a - b, a) == 0) - (evaluate(f, a - b, a) == 0)
+    if d == 0:
+        return re0, half, c == a
+    return re0, half, evaluate(f, -d, a) == 0
 
 
 def _reduce_pos(form):
@@ -355,23 +404,44 @@ def orbit_closure(form) -> OrbitClosure:
     return OrbitClosure(frozenset(seen.values()), seen, stab, proper)
 
 
+def reduced_orbit(form) -> OrbitClosure:
+    """The same data as `orbit_closure`, read from BOUNDARY_MATRICES: every
+    matrix carrying the reduced form `form` to a reduced form, with the
+    images and the stabilizer orders.  Raises InvariantError if an image is
+    not reduced."""
+    f0 = tuple(form)
+    pred = is_reduced_pos if disc(f0) > 0 else is_reduced_neg
+    if not pred(f0):
+        raise ValueError("reduced_orbit wants a reduced form")
+    images = {}
+    for g in BOUNDARY_MATRICES[boundary_signature(f0)]:
+        image = act(g, f0)
+        if not pred(image):
+            raise InvariantError(
+                "%r maps reduced %r to unreduced %r" % (tuple(g), f0, tuple(image))
+            )
+        images[g] = image
+    stab = sum(1 for ff in images.values() if ff == f0)
+    proper = sum(1 for g, ff in images.items() if ff == f0 and g.det == 1)
+    return OrbitClosure(frozenset(images.values()), images, stab, proper)
+
+
 def canonicalize(form) -> BinaryCubicForm:
     """Deterministic orbit representative: the lexicographically largest
     reduced form in the orbit.  Two forms are GL2(Z)-equivalent iff their
     canonical representatives coincide."""
     f, _ = reduce_form(form)
-    return BinaryCubicForm(*max(orbit_closure(f).forms))
+    return max(reduced_orbit(f).forms)
 
 
 def stabilizer_matrices(form) -> list:
     """The full stabilizer of `form` in GL2(Z) (conjugated computation via
     the reduced representative)."""
     f, g = reduce_form(form)
-    cl = orbit_closure(f)
     ginv = _mat_inverse(g)
     out = []
-    for m, image in cl.matrices.items():
-        if image == tuple(f):
+    for m, image in reduced_orbit(f).matrices.items():
+        if image == f:
             out.append(mat_mul(ginv, mat_mul(m, g)))
     return out
 
@@ -385,17 +455,10 @@ def _mat_inverse(g) -> UnimodularMatrix:
 def stabilizer_order(form) -> int:
     """|Aut C| of the associated cubic ring; always in {1, 2, 3, 6}."""
     f, _ = reduce_form(form)
-    n = orbit_closure(f).stabilizer_order
-    assert n in (1, 2, 3, 6), (form, n)
+    n = reduced_orbit(f).stabilizer_order
+    if n not in (1, 2, 3, 6):
+        raise InvariantError("stabilizer of %r has order %d" % (tuple(form), n))
     return n
-
-
-def stabilizer_signs(form):
-    """(order, proper_order): proper = index-2 subgroup fixing orientation
-    when an orientation-reversing automorphism exists."""
-    f, _ = reduce_form(form)
-    cl = orbit_closure(f)
-    return cl.stabilizer_order, cl.proper_stabilizer_order
 
 
 def random_unimodular(rng, steps: int = 8) -> UnimodularMatrix:

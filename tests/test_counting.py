@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from cubicount import counting
 from cubicount.counting import (
     BudgetExceeded,
+    _icbrt,
     box_orbit_counts,
     check_recursion,
     class_numbers,
@@ -18,7 +23,14 @@ from cubicount.counting import (
     table_csv_lines,
     zeta_coefficients,
 )
-from cubicount.forms import canonicalize, disc, is_zmat
+from cubicount.forms import (
+    BOUNDARY_MATRICES,
+    InvariantError,
+    UnimodularMatrix,
+    canonicalize,
+    disc,
+    is_zmat,
+)
 from cubicount.rings import ring_from_form, splitting_type, subrings_of_index
 
 
@@ -59,6 +71,73 @@ def test_enumeration_matches_box_oracle_200():
     assert set(table) == set(box)
     for D in box:
         assert len(table[D]) == box[D], D
+
+
+def test_orbit_table_is_read_only(monkeypatch):
+    monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
+    X = 120
+    table = orbit_table(X)
+    smaller = orbit_table(X // 2)  # filtered view of the cached table
+    before = {D: list(orbs) for D, orbs in table.items()}
+    for view in (table, smaller):
+        D = next(iter(view))
+        with pytest.raises(TypeError):
+            view[D] = ()
+        with pytest.raises(AttributeError):
+            view[D].append(view[D][0])
+        with pytest.raises(AttributeError):
+            view[D][0].stabilizer_order = 6
+    assert {D: list(orbs) for D, orbs in orbit_table(X).items()} == before
+    assert h_value(-23) == Fraction(3, 2)
+
+
+def test_orbit_table_rejects_out_of_range_scan(monkeypatch):
+    # a scan yielding a form beyond the bound is an invariant breach
+    monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
+    monkeypatch.setattr(counting, "_scan_pos", lambda X, zmat: [(1, 0, -40, 0)])
+    with pytest.raises(InvariantError):
+        orbit_table(100)
+
+
+def test_orbit_table_rejects_wrong_boundary_matrix(monkeypatch):
+    # a matrix that maps reduced forms off the domain must raise, not
+    # silently produce a wrong table
+    monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
+    key = (False, 0, True)
+    bad = BOUNDARY_MATRICES[key] + (UnimodularMatrix(1, 0, 2, 1),)
+    monkeypatch.setitem(BOUNDARY_MATRICES, key, bad)
+    with pytest.raises(InvariantError):
+        orbit_table(300)
+
+
+def test_invariant_checks_survive_optimize():
+    code = (
+        "from cubicount import counting, forms\n"
+        "key = (False, 0, True)\n"
+        "forms.BOUNDARY_MATRICES[key] += (forms.UnimodularMatrix(1, 0, 2, 1),)\n"
+        "try:\n"
+        "    counting.orbit_table(300)\n"
+        "except forms.InvariantError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.stdout.strip() == "raised", out.stderr
+
+
+def test_icbrt_is_exact():
+    k = 10 ** 25
+    assert _icbrt(k ** 3) == k
+    assert _icbrt(k ** 3 - 1) == k - 1
+    assert _icbrt(0) == 0 and _icbrt(-8) == 0
+    r = 0
+    for n in range(1, 10 ** 6):
+        if (r + 1) ** 3 <= n:
+            r += 1
+        assert _icbrt(n) == r, n
 
 
 def test_all_discs_are_discriminants():

@@ -4,17 +4,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicount import forms
+from cubicount.counting import _scan_neg, _scan_pos
 from cubicount.forms import (
+    BOUNDARY_MATRICES,
+    INTERIOR,
     BinaryCubicForm,
     MAT_ID,
     UnimodularMatrix,
     act,
+    boundary_signature,
     canonicalize,
     disc,
     hessian,
     is_zmat,
     mat_mul,
+    orbit_closure,
     random_unimodular,
+    reduced_orbit,
     stabilizer_matrices,
     stabilizer_order,
 )
@@ -224,6 +230,73 @@ def test_stabilizer_is_a_group():
 @settings(max_examples=150, deadline=None)
 def test_stabilizer_order_divides_six(f):
     assert 6 % stabilizer_order(f) == 0
+
+
+# ---------------------------------------------------------------------------
+# boundary-matrix table against the breadth-first orbit closure
+
+
+def _scanned_forms():
+    for X, zmat in ((3000, False), (27 * 200, True)):
+        for scan in (_scan_pos, _scan_neg):
+            yield from scan(X, zmat)
+
+
+def _assert_table_matches_bfs(f):
+    table, bfs = reduced_orbit(f), orbit_closure(f)
+    assert table.forms == bfs.forms, f
+    assert set(table.matrices) == set(bfs.matrices), f
+    assert table.stabilizer_order == bfs.stabilizer_order, f
+    assert table.proper_stabilizer_order == bfs.proper_stabilizer_order, f
+
+
+def test_boundary_table_matches_orbit_closure():
+    # every boundary form of both scans, and every 40th interior one
+    seen = set()
+    interior = 0
+    for f in _scanned_forms():
+        sig = boundary_signature(f)
+        seen.add(sig)
+        if sig == INTERIOR:
+            interior += 1
+            if interior % 40:
+                continue
+        _assert_table_matches_bfs(f)
+    # all seven boundary signatures occur, plus the interior
+    assert seen == set(BOUNDARY_MATRICES)
+    assert len(seen - {INTERIOR}) == 7
+
+
+def test_boundary_signature_reads_each_edge():
+    cases = {
+        # disc > 0: the root of the Hessian (t, s, r) has Re = -s/2t
+        (0, 1, 0, -1): (True, 0, False),  # (1, 0, 3)
+        (0, 1, 1, -1): (False, -1, False),  # (1, 1, 4)
+        (0, 1, -1, -1): (False, 1, False),  # (1, -1, 4)
+        (0, 3, 0, -1): (True, 0, True),  # (9, 0, 9)
+        (1, 1, -2, -1): (False, -1, True),  # (7, 7, 7)
+        (1, -1, -3, 1): INTERIOR,  # (10, -6, 12)
+        # disc < 0, a = 0: w = (-c + sqrt(c^2 - 4bd)) / 2b
+        (0, 1, 0, 2): (True, 0, False),  # i sqrt 2
+        (0, 1, 1, 2): (False, -1, False),  # (-1 + i sqrt 7) / 2
+        (0, 2, -1, 2): (False, 0, True),  # |w| = 1, Re w = 1/4
+        (0, 1, -1, 1): (False, 1, True),  # e^(pi i/3)
+        # disc < 0, a >= 1: f = (x - theta)(x - w)(x - wbar)
+        (1, 0, 2, 0): (True, 0, False),  # theta = 0, w = i sqrt 2
+        (1, 0, 1, 0): (True, 0, True),  # theta = 0, w = i
+        (1, 1, 1, 0): (False, -1, True),  # theta = 0, w = e^(2 pi i/3)
+        (1, -2, 3, -2): (False, 1, False),  # theta = 1, w = (1 + i sqrt 7) / 2
+        (1, -2, 2, -1): (False, 1, True),  # theta = 1, w = e^(pi i/3)
+        (1, -1, 2, -1): INTERIOR,  # the disc -23 field
+    }
+    for f, want in cases.items():
+        assert forms.is_reduced(f), f
+        assert boundary_signature(f) == want, f
+
+
+def test_reduced_orbit_rejects_unreduced():
+    with pytest.raises(ValueError):
+        reduced_orbit((0, 1, 5, 1))
 
 
 def test_random_unimodular_is_unimodular():
