@@ -307,7 +307,7 @@ def _triple_from_alpha(ring: CubicRing, D: int, alpha, tr2: int, det: int):
     # choose the sign of tau so that [1, alpha, c(tau)] is positively
     # oriented; this pins which of +-(t, s, r) the ring is assigned
     ctau = tuple(tau[0] * alpha[i] + tau[1] * vs[i] for i in range(3))
-    dd = _det3_cols_frac((1, 0, 0), alpha, ctau)
+    dd = _det3_cols((1, 0, 0), alpha, ctau)
     assert abs(dd) == 1
     if dd != ring.orientation:
         tau = (-tau[0], -tau[1])
@@ -333,15 +333,6 @@ def _triple_from_alpha(ring: CubicRing, D: int, alpha, tr2: int, det: int):
     assert trip.norm_condition(), "balance norm condition failed"
     assert trip.containment_condition(), "gamma I^3 not inside the order"
     return trip
-
-
-def _det3_cols_frac(v0, v1, v2):
-    m = [v0, v1, v2]
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[1][0] * (m[0][1] * m[2][2] - m[0][2] * m[2][1])
-        + m[2][0] * (m[0][1] * m[1][2] - m[0][2] * m[1][1])
-    )
 
 
 def _solve_in_plane(alpha, vs, w):

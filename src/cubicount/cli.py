@@ -4,7 +4,8 @@ output.
 
 Exit codes: 0 all requested checks pass, 1 a mathematical identity failed
 (the first counterexample is printed), 2 operational failure (budget, IO,
-bad arguments).
+bad arguments or config), 3 an internal invariant of the computation broke
+(forms.InvariantError: a bug, not a counterexample).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 from . import bridge, counting, quad
 from .counting import BudgetExceeded, frac_str
+from .forms import InvariantError
 from .quad import is_fundamental
 
 
@@ -260,21 +262,46 @@ def _apply_config(argv):
     del argv[i : i + 2]
     with open(path) as fh:
         cfg = json.load(fh)
+    _check_config(cfg)
     return argv, cfg
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# config key -> (test of its value, what the value must be)
+_CONFIG_TYPES = {
+    "max": (_is_int, "an integer"),
+    "shards": (_is_int, "an integer"),
+    "budget": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "format": (lambda v: v in ("csv", "json"), '"csv" or "json"'),
+    "out": (lambda v: isinstance(v, str), "a string"),
+    "primes": (lambda v: isinstance(v, list) and all(_is_int(p) for p in v), "a list of integers"),
+}
+
+
+def _check_config(cfg):
+    """ValueError unless cfg is a JSON object whose known keys have values
+    of the type the matching flag takes; other keys are ignored."""
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object, not %s" % type(cfg).__name__)
+    for key, (ok, want) in _CONFIG_TYPES.items():
+        if key in cfg and not ok(cfg[key]):
+            raise ValueError("config %r must be %s, got %r" % (key, want, cfg[key]))
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     try:
         argv, cfg = _apply_config(argv)
-    except (OSError, json.JSONDecodeError, IndexError) as exc:
+    except (OSError, ValueError, IndexError) as exc:
         print("bad config: %s" % exc, file=sys.stderr)
         return 2
     args = ap.parse_args(argv)
     if cfg:
-        known = {"max", "format", "shards", "out", "budget", "primes"}
         for key, val in cfg.items():
-            if key in known and "--" + key not in argv and hasattr(args, key):
+            if key in _CONFIG_TYPES and "--" + key not in argv and hasattr(args, key):
                 setattr(args, key, val)
     if getattr(args, "p", None):
         args.primes = [args.p]
@@ -292,6 +319,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print("internal invariant failed: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .forms import (
     orbit_closure,
     reduced_orbit,
 )
+from .quad import factorize, in_discs
 from .rings import BudgetExceeded, is_maximal_at_p, splitting_type
 
 DEFAULT_MAX_DISC = 1_000_000
@@ -54,11 +55,6 @@ def _check_budget(x, budget=None):
     cap = disc_budget() if budget is None else budget
     if x > cap:
         raise BudgetExceeded("requested |disc| <= %d over budget %d" % (x, cap))
-
-
-def in_discs(n: int) -> bool:
-    """Membership in (4Z \\ 0) + (1 + 4Z), the possible nonzero discriminants."""
-    return n != 0 and n % 4 in (0, 1)
 
 
 def _i4root(n):
@@ -387,20 +383,6 @@ def subring_count(form, m: int) -> int:
             raise ValueError("form not maximal at %d" % p)
         total *= s_sequence(splitting_type(form, p), p, v)
     return total
-
-
-def factorize(n: int):
-    n = abs(n)
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Quadratic orders O_D for every discriminant D = 0, 1 mod 4 and their
-ideal theory, computed by bounded brute force over exact integers.
+ideal theory, in exact integer arithmetic.
 
 One uniform generator handles all cases (maximal, non-maximal, real,
 imaginary, and split orders inside Z x Z): O_D = Z[xi] with
@@ -10,12 +10,20 @@ so an element x + y*xi has norm x^2 + r*x*y + ((r^2 - D)/4) y^2 and
 conjugate (x + r*y) - y*xi.  Ideals are stored in the triangular normal
 form <g*a, g*(b + xi)> with 0 <= b < a and a | N(b + xi).
 
-The Picard group of an order is computed by enumerating primitive
-invertible ideals up to a generation bound, separating classes with an
-exact principality search (normalized by the fundamental unit in the real
-case), and closing the class list under multiplication.  Characters with
-values in Z/3, their conductors, and the extension maps between orders of
-the same fundamental discriminant are built on top of the group table.
+An invertible ideal <a, b + xi> has the primitive binary quadratic form
+(a, 2b + r, N(b + xi)/a) of discriminant D, and its Picard class is read
+from the reduction theory of that form as an exact class key: the reduced
+form for D < 0, the least form on the rho-cycle of reduced forms (over both
+orientations, as Pic is the wide class group) for D > 0 not a square, and
+(0, m, +-c mod m) for D = m^2.  The Picard group is computed by keying the
+primitive invertible ideals up to a norm bound that reaches every class;
+the first ideal of each key is the class representative.  The exact
+principality search `is_principal` (elements of a given norm, normalized by
+the fundamental unit in the real case) is not used to separate classes; it
+stays as the independent oracle the class keys are tested against.
+Characters with values in Z/3, their conductors, and the extension maps
+between orders of the same fundamental discriminant are built on top of the
+group table.
 """
 
 from __future__ import annotations
@@ -24,10 +32,12 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
+from .forms import InvariantError
 from .rings import BudgetExceeded
 
 
 def in_discs(n: int) -> bool:
+    """Membership in (4Z \\ 0) + (1 + 4Z), the possible nonzero discriminants."""
     return n != 0 and n % 4 in (0, 1)
 
 
@@ -291,17 +301,18 @@ def ideals_of_norm(D: int, n: int, invertible_only: bool = False, max_norm: int 
     if n > max_norm:
         raise BudgetExceeded("ideal norm %d over budget" % n)
     o = order(D)
+    r, nu = o.r, o.xi_norm
     out = []
     g = 1
     while g * g <= n:
         if n % (g * g) == 0:
             a = n // (g * g)
             for b in range(a):
-                if o.norm((b, 1)) % a == 0:
-                    I = QuadIdeal(D, g, a, b)
-                    if invertible_only and not is_invertible(I):
-                        continue
-                    out.append(I)
+                c, rem = divmod(b * (b + r) + nu, a)  # N(b + xi) / a
+                # invertible iff the form (a, 2b + r, c) is primitive
+                if rem or (invertible_only and gcd(gcd(a, 2 * b + r), c) != 1):
+                    continue
+                out.append(QuadIdeal(D, g, a, b))
         g += 1
     return out
 
@@ -359,34 +370,6 @@ def _embed_even(D, x1, y1):
     # x1 + y1*sqrt(D) as (x, y) in basis (1, xi), xi = (1 + sqrt(D))/2
     assert D % 2 == 1
     return (x1 - y1, 2 * y1)
-
-
-def unit_group_finite(D: int):
-    """Torsion units for D < 0 or D a square, as element pairs."""
-    o = order(D)
-    out = [(1, 0), (-1, 0)]
-    if D == -4:
-        out += [(0, 1), (0, -1)]
-    if D == -3:
-        out += [(0, 1), (0, -1), (1, -1), (-1, 1)]
-    if D > 0 and is_square(D):
-        m = isqrt(D)
-        # units of {x + y*xi} mapping to (+-1, +-1) under the two projections
-        r = D % 2
-        for e1 in (1, -1):
-            for e2 in (1, -1):
-                # x + y*(r+m)/2 = e1, x + y*(r-m)/2 = e2
-                num = e1 - e2
-                if num % m:
-                    continue
-                y = num // m
-                x2 = e1 + e2 - y * r
-                if x2 % 2:
-                    continue
-                cand = (x2 // 2, y)
-                if o.norm(cand) in (1, -1) and cand not in out:
-                    out.append(cand)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -459,7 +442,8 @@ def _solve_x(o, y, n):
 
 def is_principal(I: QuadIdeal):
     """(flag, witness): witness lambda = (x, y) with I = lambda * O_D.
-    Requires I invertible."""
+    Requires I invertible.  An exhaustive element search, independent of
+    the class keys; tests use it as the reference for them."""
     if not is_invertible(I):
         raise ValueError("principality test wants an invertible ideal")
     o = I.order
@@ -482,6 +466,104 @@ def unit_cube_classes(D: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Class keys from reduced binary quadratic forms
+
+def class_key(I: QuadIdeal):
+    """Exact invariant of the Picard class of an invertible ideal: two
+    invertible ideals of O_D have the same key iff their quotient is
+    principal.  Read from the form (t, s, r) of the primitive part:
+
+    D < 0: the reduced form (Gauss);
+    D > 0 not a square: the least reduced form on the rho-cycle of (t, s, r)
+      or of (-t, s, -r), whichever is smaller -- a generator of negative
+      norm reverses the orientation, so the wide class is the union of the
+      two proper classes;
+    D = m^2: (0, m, c) with 0 <= c < m the least of the two residues +-c
+      of the forms (0, m, c) properly equivalent to (t, s, r).
+
+    ValueError if I is not invertible, i.e. (t, s, r) is not primitive."""
+    t, s, r = ideal_form_coefficients(I)
+    if gcd(gcd(t, s), r) != 1:
+        raise ValueError("non-invertible ideal has no Picard class")
+    D = I.D
+    if D < 0:
+        return _reduce_definite(t, s, r)
+    m = isqrt(D)
+    if m * m == D:
+        c = _split_residue(m, t, s, r)
+        return 0, m, min(c, -c % m)
+    return min(_least_on_cycle(D, m, t, s, r), _least_on_cycle(D, m, -t, s, -r))
+
+
+def _reduce_definite(a, b, c):
+    """The reduced form properly equivalent to the positive definite form
+    (a, b, c): |b| <= a <= c, and b >= 0 if |b| = a or a = c."""
+    while True:
+        if not -a < b <= a:
+            k = (a - b) // (2 * a)  # x -> x + k y puts b into (-a, a]
+            b, c = b + 2 * a * k, a * k * k + b * k + c
+        if a > c:
+            a, b, c = c, -b, a  # (x, y) -> (-y, x)
+            continue
+        if a == c and b < 0:
+            b = -b
+        return a, b, c
+
+
+def _rho(D, sq, a, b, c):
+    """The reduction operator on indefinite forms of non-square
+    discriminant D (Cohen, GTM 138, Def. 5.6.4), sq = isqrt(D): the image of
+    (a, b, c) under (x, y) -> (-y, x + k y) whose middle coefficient
+    r = -b mod 2|c| lies in (-|c|, |c|] if c^2 > D, else in
+    (sqrt D - 2|c|, sqrt D)."""
+    w = 2 * abs(c)
+    top = abs(c) if c * c > D else sq
+    r = top - (top + b) % w
+    return c, r, (r * r - D) // (4 * c)
+
+
+def _is_reduced_indefinite(D, sq, a, b):
+    """|sqrt D - 2|a|| < b < sqrt D, in integers (sqrt D is irrational)."""
+    a2 = 2 * abs(a)
+    return 0 < b <= sq and (a2 + b) ** 2 > D and (a2 <= b or (a2 - b) ** 2 < D)
+
+
+def _least_on_cycle(D, sq, a, b, c):
+    """The least reduced form properly equivalent to (a, b, c): rho carries
+    every form to a reduced one, and the reduced forms of one proper class
+    are exactly one rho-cycle (Buchmann & Vollmer, Binary Quadratic Forms,
+    ch. 6)."""
+    f = (a, b, c)
+    while not _is_reduced_indefinite(D, sq, f[0], f[1]):
+        f = _rho(D, sq, *f)
+    least = start = f
+    f = _rho(D, sq, *f)
+    while f != start:
+        least = min(least, f)
+        f = _rho(D, sq, *f)
+    return least
+
+
+def _split_residue(m, a, b, c):
+    """The c0, 0 <= c0 < m, with (0, m, c0) properly equivalent to the
+    primitive form (a, b, c) of discriminant m^2.  No two of these forms
+    are equivalent: a transformation between them fixes the zero (1, 0)."""
+    if a:
+        # move the primitive zero (p, q) of the form to (1, 0) by the
+        # matrix (p u; q v) of determinant 1
+        p, q = m - b, 2 * a
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        v = pow(p, -1, abs(q)) if abs(q) > 1 else 0
+        u = (p * v - 1) // q
+        a, b, c = 0, 2 * a * p * u + b * (p * v + q * u) + 2 * c * q * v, a * u * u + b * u * v + c * v * v
+    if b == m:
+        return c % m
+    # (0, -m, c) goes to (0, m, v) under (c u; m v), c v - u m = 1
+    return pow(c, -1, m)
+
+
+# ---------------------------------------------------------------------------
 # Picard groups
 
 class PicGroup:
@@ -490,13 +572,15 @@ class PicGroup:
     reps: canonical primitive invertible ideals, identity first.
     table[i][j]: index of the product class.
     coprime_reps: per class, a representative of norm coprime to the
-    conductor (needed for extension maps between orders)."""
+    conductor (needed for extension maps between orders).
+    index: class key -> class index."""
 
-    def __init__(self, D, reps, table, coprime_reps):
+    def __init__(self, D, reps, table, coprime_reps, index):
         self.D = D
         self.reps = reps
         self.table = table
         self.coprime_reps = coprime_reps
+        self.index = index
 
     def __len__(self):
         return len(self.reps)
@@ -517,14 +601,7 @@ class PicGroup:
     def class_of(self, I: QuadIdeal) -> int:
         if I.D != self.D:
             raise ValueError("ideal of a different order")
-        if not is_invertible(I):
-            raise ValueError("non-invertible ideal has no Picard class")
-        J = I.primitive_part()
-        for i, R in enumerate(self.reps):
-            flag, _ = is_principal(J.mul(R.conj()))
-            if flag:
-                return i
-        raise AssertionError("class list incomplete for D=%d" % self.D)
+        return _classify(self.index, I)
 
     def cube_classes(self):
         return sorted({self.power(i, 3) for i in range(len(self))})
@@ -547,87 +624,76 @@ def _pic_bound(D: int) -> int:
     return max(6, 2 * (isqrt(abs(D)) + 1))
 
 
-@lru_cache(maxsize=None)
 def picard_group(D: int, bound: int | None = None) -> PicGroup:
-    """Bounded brute-force Picard group: enumerate primitive invertible
-    ideals of norm <= bound, separate classes by principality, close under
-    multiplication."""
+    """Pic(O_D) from the primitive invertible ideals of norm <= bound
+    (default _pic_bound(D)), one representative per class key: the first
+    ideal of the key in order of norm, then b.  The budget is checked on
+    every call, also when the group is cached."""
     from .counting import disc_budget
 
     if abs(D) > disc_budget():
         raise BudgetExceeded("|D| = %d over budget" % abs(D))
-    o = order(D)
-    f = o.conductor
-    if bound is None:
-        bound = _pic_bound(D)
-    pool = []
+    return _picard_group(D, _pic_bound(D) if bound is None else bound)
+
+
+@lru_cache(maxsize=None)
+def _picard_group(D: int, bound: int) -> PicGroup:
+    # every class holds a primitive ideal of norm <= sqrt(|D|/3) (D < 0),
+    # < sqrt(D) (D > 0 not a square) or < m (D = m^2): the first
+    # coefficient of a reduced form, or c in (c, -m, 0) ~ (0, m, c)
+    if bound < isqrt(abs(D)):
+        raise ValueError("norm bound %d does not reach every class of D=%d" % (bound, D))
+    reps = [unit_ideal(D)]
+    index = {class_key(reps[0]): 0}
     for n in range(1, bound + 1):
         for I in ideals_of_norm(D, n, invertible_only=True):
             if I.g == 1:
-                pool.append(I)
-    reps = [unit_ideal(D)]
-    for I in pool:
-        if all(not is_principal(I.mul(R.conj()))[0] for R in reps):
-            reps.append(I)
-    # close under multiplication (products may expose missed classes)
-    changed = True
-    while changed:
-        changed = False
-        k = len(reps)
-        for i in range(k):
-            for j in range(i, k):
-                P = reps[i].mul(reps[j]).primitive_part()
-                if all(not is_principal(P.mul(R.conj()))[0] for R in reps):
-                    reps.append(P)
-                    changed = True
-    reps = [reps[0]] + sorted(reps[1:], key=lambda I: (I.norm, I.a, I.b))
+                key = class_key(I)
+                if key not in index:
+                    index[key] = len(reps)
+                    reps.append(I)
     n = len(reps)
     table = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            if table[i][j] is not None:
-                continue
-            P = reps[i].mul(reps[j])
-            k = _classify(reps, P)
-            table[i][j] = table[j][i] = k
-    coprime = _coprime_reps(reps, table, f)
-    return PicGroup(D, reps, table, coprime)
+        for j in range(i, n):
+            table[i][j] = table[j][i] = _classify(index, reps[i].mul(reps[j]))
+    coprime = _coprime_reps(D, reps, index, order(D).conductor)
+    return PicGroup(D, reps, table, coprime, index)
 
 
-def _classify(reps, I):
-    J = I.primitive_part()
-    for i, R in enumerate(reps):
-        if is_principal(J.mul(R.conj()))[0]:
-            return i
-    raise AssertionError("product escaped the class list")
+def _classify(index, I):
+    try:
+        return index[class_key(I)]
+    except KeyError:
+        raise InvariantError("class list incomplete for D=%d" % I.D) from None
 
 
-def _coprime_reps(reps, table, f):
-    out = []
-    D = reps[0].D
-    for i, R in enumerate(reps):
-        if gcd(R.norm, f) == 1:
-            out.append(R)
+def _coprime_reps(D, reps, index, f):
+    """Per class, the first primitive invertible ideal of norm coprime to
+    the conductor f (norm, then b): the rep itself when its norm is."""
+    out = [R if gcd(R.norm, f) == 1 else None for R in reps]
+    missing = out.count(None)
+    for n in range(1, 20 * _pic_bound(D)):
+        if not missing:
+            return out
+        if gcd(n, f) != 1:
             continue
-        found = None
-        for n in range(1, 20 * _pic_bound(D)):
-            if gcd(n, f) != 1:
+        for I in ideals_of_norm(D, n, invertible_only=True):
+            if I.g > 1:
                 continue
-            for I in ideals_of_norm(D, n, invertible_only=True):
-                if I.g == 1 and _classify(reps, I) == i:
-                    found = I
-                    break
-            if found:
-                break
-        if found is None:
-            raise AssertionError("no conductor-coprime representative found")
-        out.append(found)
+            i = _classify(index, I)
+            if out[i] is None:
+                out[i] = I
+                missing -= 1
+    if missing:
+        raise InvariantError("no conductor-coprime representative found")
     return out
 
 
 def pic_3_torsion(D: int) -> int:
     t = picard_group(D).three_torsion()
-    assert t in (1, 3, 9, 27, 81)
+    if t not in (1, 3, 9, 27, 81):
+        raise InvariantError("|Pic(O_%d)[3]| = %d is not a small power of 3" % (D, t))
     return t
 
 
@@ -678,7 +744,8 @@ def mu3_characters(D: int):
             seen.add(vals)
             out.append(Mu3Char(D, vals))
     out.sort(key=lambda c: c.values)
-    assert len(out) == G.three_torsion()
+    if len(out) != G.three_torsion():
+        raise InvariantError("%d cubic characters but |Pic(O_%d)[3]| = %d" % (len(out), D, G.three_torsion()))
     return out
 
 
@@ -721,7 +788,8 @@ def order_change_map(D0: int, from_f: int, to_f: int):
     # homomorphism check on the full table
     for i in range(len(Gf)):
         for j in range(len(Gf)):
-            assert out[Gf.mul(i, j)] == Gt.mul(out[i], out[j])
+            if out[Gf.mul(i, j)] != Gt.mul(out[i], out[j]):
+                raise InvariantError("order change map %d -> %d is not a homomorphism" % (Dfrom, Dto))
     return out
 
 
@@ -778,9 +846,10 @@ def factored_char(chi: Mu3Char, c: int) -> Mu3Char:
     for i, im in enumerate(pi):
         if vals[im] is None:
             vals[im] = chi.values[i]
-        else:
-            assert vals[im] == chi.values[i]
-    assert None not in vals, "extension map not surjective"
+        elif vals[im] != chi.values[i]:
+            raise InvariantError("character is not constant on the fibres of the extension map")
+    if None in vals:
+        raise InvariantError("extension map not surjective")
     return Mu3Char(Dt, tuple(vals))
 
 

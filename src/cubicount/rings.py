@@ -89,18 +89,6 @@ class CubicRing:
     def norm(self, x) -> int:
         return _det3(self.mult_matrix(x))
 
-    def char_poly(self, x):
-        """Coefficients (e1, e2, e3) with x^3 - e1 x^2 + e2 x - e3 = 0."""
-        m = self.mult_matrix(x)
-        e1 = m[0][0] + m[1][1] + m[2][2]
-        e2 = (
-            m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            + m[0][0] * m[2][2] - m[0][2] * m[2][0]
-            + m[1][1] * m[2][2] - m[1][2] * m[2][1]
-        )
-        e3 = _det3(m)
-        return e1, e2, e3
-
     def trace_pairing_disc(self) -> int:
         basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         m = [[self.trace(self.mul(u, v)) for v in basis] for u in basis]

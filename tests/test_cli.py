@@ -136,3 +136,32 @@ def test_verify_summary_flag():
 def test_bad_shards():
     code, _, _ = run_cli(["table", "--max", "1", "--shards", "0"])
     assert code == 2
+
+
+def test_config_list_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([1, 2]))
+    code, _, err = run_cli(["table", "--config", str(cfg)])
+    assert code == 2
+    assert "JSON object" in err
+
+
+def test_config_wrong_value_type_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"max": "abc"}, {"shards": 1.5}, {"budget": True}, {"primes": [2, "3"]}, {"format": "xml"}):
+        cfg.write_text(json.dumps(bad))
+        code, _, err = run_cli(["verify", "on", "--config", str(cfg)])
+        assert code == 2, bad
+        assert "bad config" in err
+
+
+def test_invariant_error_exits_3(monkeypatch):
+    # an uncached Picard build whose class keys lose every scaled product
+    import cubicount.quad as quad
+
+    key = quad.class_key
+    monkeypatch.setattr(quad, "_picard_group", quad._picard_group.__wrapped__)
+    monkeypatch.setattr(quad, "class_key", lambda I: key(I) if I.g == 1 else "escaped")
+    code, out, err = run_cli(["dump-pic", "--delta", "-23"])
+    assert code == 3
+    assert "internal invariant failed" in err and out == ""

@@ -1,14 +1,19 @@
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicount.quad import (
+    BudgetExceeded,
     Mu3Char,
     QuadIdeal,
     conductor_of_char,
-    elements_of_norm,
     extend_ideal,
     factored_char,
     fundamental_part,
@@ -16,6 +21,7 @@ from cubicount.quad import (
     ideal_form_coefficients,
     ideal_from_generators,
     ideals_of_norm,
+    in_discs,
     is_cube_class,
     is_fundamental,
     is_invertible,
@@ -26,6 +32,7 @@ from cubicount.quad import (
     order,
     order_change_map,
     pic_3_torsion,
+    picard_dump,
     picard_group,
     unit_cube_classes,
     unit_ideal,
@@ -111,6 +118,8 @@ def test_invertibility_matches_form_gcd():
 
             assert is_invertible(I) == (gcd(gcd(t, s), r) == 1), I
             checked += 1
+        want = [I for I in ideals_of_norm(D, n) if is_invertible(I)]
+        assert ideals_of_norm(D, n, invertible_only=True) == want, (D, n)
 
 
 def test_norm_multiplicative_for_invertible():
@@ -312,6 +321,80 @@ def test_picard_stable_under_bound_doubling():
         G1 = picard_group(D)
         G2 = picard_group(D, 2 * max(6, 2 * (int(abs(D) ** 0.5) + 1)))
         assert len(G1) == len(G2)
+
+
+# real discriminants whose fundamental unit is 2^14 .. 2^22, some with
+# class number 2 or 4; units near 2^65 (D = 889) put the exhaustive search
+# out of reach
+LARGE_UNIT_DISCS = (421, 481, 561, 661, 793, 945, 1105)
+
+
+def test_class_keys_match_principality_oracle():
+    # the reduced-form class keys against the exhaustive element search:
+    # the reps are pairwise inequivalent, and every pooled ideal is
+    # principal iff it has class 0, and equivalent to the rep of its class
+    for D in [D for D in range(-300, 301) if in_discs(D)] + list(LARGE_UNIT_DISCS):
+        G = picard_group(D)
+        for i, R in enumerate(G.reps):
+            for j, S in enumerate(G.reps):
+                if i != j:
+                    assert not is_principal(R.mul(S.conj()))[0], (D, i, j)
+        for n in range(1, max(6, 2 * (int(abs(D) ** 0.5) + 1)) + 1):
+            for I in ideals_of_norm(D, n, invertible_only=True):
+                if I.g > 1:
+                    continue
+                k = G.class_of(I)
+                assert (k == 0) == is_principal(I)[0], (D, I)
+                assert is_principal(I.mul(G.reps[k].conj()))[0], (D, I)
+
+
+def test_picard_dump_matches_brute_force_digest():
+    # digest of `cubicount dump-pic --max 300` as computed by the former
+    # pairwise principality search: same reps, order and product table
+    payload = [picard_dump(D) for D in range(-300, 301) if in_discs(D)]
+    text = json.dumps(payload, indent=0) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "e4efa2592ad7777c9cc6851242651284e890c45abd389589eceb5c4744256dbc"
+
+
+def test_picard_group_rejects_bound_below_every_class():
+    with pytest.raises(ValueError):
+        picard_group(-10007, 50)
+
+
+def test_class_of_rejects_non_invertible_ideal():
+    # the ideals of norm 2 of Z[sqrt -23] lie over the conductor
+    [I] = ideals_of_norm(-92, 2)
+    assert not is_invertible(I)
+    with pytest.raises(ValueError):
+        picard_group(-92).class_of(I)
+
+
+def test_picard_budget_checked_on_cached_groups(monkeypatch):
+    assert len(picard_group(-23)) == 3
+    monkeypatch.setenv("CUBICOUNT_BUDGET", "10")
+    with pytest.raises(BudgetExceeded):
+        picard_group(-23)
+
+
+def test_quad_invariant_checks_survive_optimize():
+    # products of reps that scale by an integer get a key no rep has, so
+    # the table fill must report an incomplete class list, also under -O
+    code = (
+        "from cubicount import forms, quad\n"
+        "key = quad.class_key\n"
+        "quad.class_key = lambda I: key(I) if I.g == 1 else 'escaped'\n"
+        "try:\n"
+        "    quad.picard_group(-23)\n"
+        "except forms.InvariantError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.stdout.strip() == "raised", out.stderr
 
 
 def test_pic_3_torsion_examples():
