@@ -12,6 +12,14 @@ parametrization.  Scaling I by g = gcd of its form coefficients yields an
 invertible ideal J = gamma I^3 / g of norm g in the order of discriminant
 D/g^2 whose class is a cube.
 
+The extraction runs in integer arithmetic: gamma and c(sqrt D) have
+integer numerators over the denominators 2 and e, and every lattice in
+Q(sqrt D) is a `RatLattice`, an integer Hermite normal form over one
+denominator reduced by the same kernel `quad.hnf2` as quadratic ideals.
+The checks on a triple (char poly, resolvent, orientation, the balance
+conditions, the integrality and invertibility of J) raise
+`forms.InvariantError`, so they hold under `python -O` too.
+
 On top of the triple extraction sit the two global counts: the ideal-side
 count (invertible cube-class ideals weighted by 3-torsion) equals
 2 w eta hhat, and the character-side count (subring counts with splitting
@@ -24,10 +32,10 @@ ideal count for 3 not dividing D, and the field count against
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .forms import BinaryCubicForm, disc, is_zmat
+from .forms import BinaryCubicForm, InvariantError, disc, is_zmat
 from .rings import ring_from_form, CubicRing
 from .counting import h_value, factorize, s_sequence
 from . import quad
@@ -35,9 +43,11 @@ from .quad import (
     Mu3Char,
     QuadIdeal,
     conductor_of_char,
+    divisors,
     extend_ideal,
     factored_char,
     fundamental_part,
+    hnf2,
     ideal_from_generators,
     ideals_of_norm,
     in_discs,
@@ -61,7 +71,7 @@ def weight_eta(D: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Rational lattices in Q(sqrt(D)), coordinates (x, y) meaning x + y sqrt(D)
+# Lattices in Q(sqrt(D)), coordinates (x, y) meaning x + y sqrt(D)
 
 def k2_mul(D, u, v):
     return (u[0] * v[0] + u[1] * v[1] * D, u[0] * v[1] + u[1] * v[0])
@@ -82,109 +92,72 @@ def k2_inv(D, u):
     return (Fraction(u[0], 1) / n, Fraction(-u[1], 1) / n)
 
 
+def _over_common_den(vec):
+    """(numerators, den): a rational vector (ints or Fractions) as integer
+    numerators over the least common denominator."""
+    den = lcm(*(v.denominator for v in vec))
+    return tuple(v.numerator * (den // v.denominator) for v in vec), den
+
+
 class RatLattice(NamedTuple):
-    """Rank-2 lattice in Q(sqrt(D)): rows (x1, 0), (x2, y2) over Q with
-    y2 > 0, 0 <= x2 < x1 after normalization."""
+    """Rank-2 lattice in Q(sqrt(D)) with the rows (a, 0)/den and
+    (b, c)/den: an integer Hermite normal form over one denominator,
+    normalized to a, c, den > 0, 0 <= b < a and gcd(den, a, b, c) = 1, so
+    that equal lattices are equal tuples."""
 
     D: int
-    x1: Fraction
-    x2: Fraction
-    y2: Fraction
+    den: int
+    a: int
+    b: int
+    c: int
 
-    def basis(self):
-        return [(self.x1, Fraction(0)), (self.x2, self.y2)]
+    def rows(self):
+        """The integer numerators of the two rows."""
+        return ((self.a, 0), (self.b, self.c))
 
 
-def rat_lattice(D, gens) -> RatLattice:
-    """Hermite-normalize rational generators (pairs of Fractions)."""
-    gens = [(Fraction(x), Fraction(y)) for x, y in gens if (x, y) != (0, 0)]
-    if not gens:
-        raise ValueError("zero lattice")
-    den = 1
-    for x, y in gens:
-        den = den * x.denominator // gcd(den, x.denominator)
-        den = den * y.denominator // gcd(den, y.denominator)
-    ivecs = [(int(x * den), int(y * den)) for x, y in gens]
-    # integer HNF on (x, y), y-column as pivot
-    while True:
-        nz = [v for v in ivecs if v[1]]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda v: abs(v[1]))
-        x0, y0 = nz[0]
-        out = [nz[0]]
-        for v in ivecs:
-            if v is nz[0]:
-                continue
-            if v[1]:
-                q = v[1] // y0
-                w = (v[0] - q * x0, v[1] - q * y0)
-            else:
-                w = v
-            if w != (0, 0):
-                out.append(w)
-        ivecs = out
-    pivot = next((v for v in ivecs if v[1]), None)
-    if pivot is None:
-        raise ValueError("rank-deficient lattice")
-    if pivot[1] < 0:
-        pivot = (-pivot[0], -pivot[1])
-    ax = 0
-    for x, y in ivecs:
-        if not y:
-            ax = gcd(ax, x)
-    if ax == 0:
-        raise ValueError("rank-deficient lattice")
-    x2 = pivot[0] % ax
-    return RatLattice(D, Fraction(ax, den), Fraction(x2, den), Fraction(pivot[1], den))
+def int_lattice(D, den, vecs) -> RatLattice:
+    """The lattice spanned by the integer pairs vecs, divided by den > 0."""
+    a, b, c = hnf2(vecs)
+    k = gcd(gcd(den, a), gcd(b, c))
+    return RatLattice(D, den // k, a // k, b // k, c // k)
 
 
 def lat_mul(L: RatLattice, M: RatLattice) -> RatLattice:
-    gens = [k2_mul(L.D, u, v) for u in L.basis() for v in M.basis()]
-    return rat_lattice(L.D, gens)
+    gens = [k2_mul(L.D, u, v) for u in L.rows() for v in M.rows()]
+    return int_lattice(L.D, L.den * M.den, gens)
 
 
 def lat_scale(L: RatLattice, el) -> RatLattice:
-    gens = [k2_mul(L.D, el, v) for v in L.basis()]
-    return rat_lattice(L.D, gens)
+    """el * L for a rational pair el (ints or Fractions)."""
+    num, den = _over_common_den(el)
+    return int_lattice(L.D, L.den * den, [k2_mul(L.D, num, v) for v in L.rows()])
 
 
 def lat_norm(L: RatLattice) -> Fraction:
     """Index-norm against O_D: twice the covolume in (1, sqrt D) coords."""
-    return abs(L.x1 * L.y2) * 2
+    return Fraction(2 * L.a * L.c, L.den * L.den)
 
 
 def lat_contains(L: RatLattice, el) -> bool:
-    x, y = Fraction(el[0]), Fraction(el[1])
-    if L.y2 == 0:
-        return False
-    k = y / L.y2
-    if k.denominator != 1:
-        return False
-    rem = x - k * L.x2
-    q = rem / L.x1
-    return q.denominator == 1
+    """el = k (b, c)/den + j (a, 0)/den with integers k, j."""
+    (x, y), den = _over_common_den(el)
+    k, rem = divmod(y * L.den, den * L.c)
+    return rem == 0 and (x * L.den - k * L.b * den) % (den * L.a) == 0
 
 
 def lat_subset_order(L: RatLattice) -> bool:
-    """L contained in O_D: each basis vector (x, y) needs 2y integral and
+    """L contained in O_D: each row (x, y) needs 2y integral and
     x - (D mod 2) y integral."""
     r = L.D % 2
-    for x, y in L.basis():
-        if (2 * y).denominator != 1:
-            return False
-        if (x - r * y).denominator != 1:
-            return False
-    return True
+    return L.a % L.den == 0 and 2 * L.c % L.den == 0 and (L.b - r * L.c) % L.den == 0
 
 
 def lat_to_ideal(L: RatLattice) -> QuadIdeal:
     """Convert an integral sublattice of O_D to normal form."""
     assert lat_subset_order(L)
     r = L.D % 2
-    gens = []
-    for x, y in L.basis():
-        gens.append((int(x - r * y), int(2 * y)))
+    gens = [((x - r * y) // L.den, 2 * y // L.den) for x, y in L.rows()]
     return ideal_from_generators(L.D, gens)
 
 
@@ -208,8 +181,10 @@ class SelfBalancedTriple(NamedTuple):
         return gcd(gcd(abs(self.t), abs(self.s)), abs(self.r))
 
     def norm_condition(self) -> bool:
-        ng = k2_norm(self.D, self.gamma)
-        return abs(ng) * lat_norm(self.I) ** 3 == 1
+        """|N(gamma)| N(I)^3 = 1, cleared of denominators."""
+        num, den = _over_common_den(self.gamma)
+        I = self.I
+        return abs(k2_norm(self.D, num)) * (2 * I.a * I.c) ** 3 == den ** 2 * I.den ** 6
 
     def containment_condition(self) -> bool:
         cube = lat_mul(lat_mul(self.I, self.I), self.I)
@@ -276,74 +251,87 @@ def _det3_cols(v0, v1, v2):
 
 
 def _triple_from_alpha(ring: CubicRing, D: int, alpha, tr2: int, det: int):
-    assert tr2 % 6 == 0
+    if tr2 % 6:
+        raise InvariantError("tr(alpha^2) = %d is not divisible by 6" % tr2)
     t = -tr2 // 6
     e = det * ring.orientation  # Levi form value at alpha
     alpha2 = ring.mul(alpha, alpha)
     alpha3 = ring.mul(alpha2, alpha)
     u = -(alpha3[0] + 3 * t * alpha[0])
-    # char poly: alpha^3 + 3t alpha + u = 0
-    assert alpha3 == tuple(-3 * t * alpha[i] - u * (1, 0, 0)[i] for i in range(3))
-    assert u * u + 4 * t ** 3 == e * e * D, "resolvent discriminant mismatch"
-    A = Fraction(-u, 2)
-    B = Fraction(e, 2)
-    gamma = (A, B)
-    assert k2_norm(D, gamma) == -Fraction(t) ** 3
+    if alpha3 != (-3 * t * alpha[0] - u, -3 * t * alpha[1], -3 * t * alpha[2]):
+        raise InvariantError("alpha is not a root of x^3 + 3t x + u")
+    # the resolvent discriminant u^2 + 4t^3 = e^2 D says that
+    # gamma = (-u + e sqrt D)/2 has N(gamma) = (u^2 - e^2 D)/4 = -t^3
+    if u * u + 4 * t ** 3 != e * e * D:
+        raise InvariantError("resolvent discriminant mismatch: N(gamma) != -t^3")
+    gamma = (Fraction(-u, 2), Fraction(e, 2))
     # image of sqrt(D) under the lattice identification:
-    # c(sqrt D) = (t alpha^2 + 2 t^2 + A alpha)/B
-    vs = tuple(
-        (t * alpha2[i] + A * alpha[i] + (2 * t * t if i == 0 else 0)) / B
-        for i in range(3)
+    # c(sqrt D) = (t alpha^2 + 2 t^2 + gamma_x alpha)/gamma_y
+    #           = (2t alpha^2 - u alpha + 4t^2)/e, numerators vs over e
+    vs = (
+        2 * t * alpha2[0] - u * alpha[0] + 4 * t * t,
+        2 * t * alpha2[1] - u * alpha[1],
+        2 * t * alpha2[2] - u * alpha[2],
     )
-    a_, b_, c_, _ = ring.form
-    assert 3 * vs[0] - b_ * vs[1] + c_ * vs[2] == 0  # c(sqrt D) has trace zero
+    if ring.trace(vs):
+        raise InvariantError("c(sqrt D) does not have trace zero")
     # express the trace-zero basis in terms of alpha, c(sqrt D)
     w1, w2 = _trace_zero_basis(ring.form)
-    gens = [_solve_in_plane(alpha, vs, w) for w in (w1, w2)]
-    I = rat_lattice(D, gens)
-    assert lat_contains(I, (1, 0)), "1 must lie in the extracted lattice"
-    assert I.x1 == 1, "1 must be primitive in the extracted lattice"
-    tau = (I.x2, I.y2)
-    # choose the sign of tau so that [1, alpha, c(tau)] is positively
-    # oriented; this pins which of +-(t, s, r) the ring is assigned
-    ctau = tuple(tau[0] * alpha[i] + tau[1] * vs[i] for i in range(3))
+    x1, den = _solve_in_plane(alpha, vs, e, w1)
+    x2, _ = _solve_in_plane(alpha, vs, e, w2)
+    I = int_lattice(D, den, [x1, x2])
+    if I.a != I.den:
+        raise InvariantError("1 must be a primitive vector of the extracted lattice")
+    # tau = (b + c sqrt D)/den; choose its sign so that [1, alpha, c(tau)]
+    # is positively oriented; this pins which of +-(t, s, r) the ring is
+    # assigned.  c(tau) = (b e alpha + c vs)/(den e), so the orientation
+    # is dd/(den e) for the determinant dd of the numerators.
+    ctau = tuple(I.b * e * alpha[i] + I.c * vs[i] for i in range(3))
     dd = _det3_cols((1, 0, 0), alpha, ctau)
-    assert abs(dd) == 1
-    if dd != ring.orientation:
-        tau = (-tau[0], -tau[1])
-    # tau = (s + sqrt D)/q with q = +-2t
-    q = 1 / tau[1]
-    assert q.denominator == 1 and abs(int(q)) == 2 * abs(t)
-    q = int(q)
-    s = tau[0] * q
-    assert s.denominator == 1
-    s = int(s)
-    assert (s - D) % 2 == 0
+    if abs(dd) != abs(I.den * e):
+        raise InvariantError("[1, alpha, c(tau)] is not a basis")
+    sign = 1 if dd // (I.den * e) == ring.orientation else -1
+    # tau = (s + sqrt D)/q with q = +-2t, so q = sign den/c and s = b/c
+    if I.den % I.c or I.den // I.c != 2 * abs(t) or I.b % I.c:
+        raise InvariantError("tau is not (s + sqrt D)/(+-2t) with s integral")
+    q = sign * (I.den // I.c)
+    s = I.b // I.c
+    if (s - D) % 2:
+        raise InvariantError("s and D differ in parity")
     t_att = q // (-2)  # attached triple (t, s, r) read from the denominator
     # orientation normalization realizes the converse convention
     # sgn(t) = sgn(N(gamma)), i.e. N(gamma) = t^3 on the nose
-    assert k2_norm(D, gamma) == Fraction(t_att) ** 3
+    if u * u - e * e * D != 4 * t_att ** 3:
+        raise InvariantError("N(gamma) != t^3 for the attached triple")
     # r completes t x^2 + s x y + r y^2 to the attached quadratic form of
     # discriminant exactly D; its content is the conductor ratio of the
     # multiplier ring of I
     num = s * s - D
-    assert num % (4 * t_att) == 0
+    if num % (4 * t_att):
+        raise InvariantError("4t does not divide s^2 - D")
     r = num // (4 * t_att)
-    trip = SelfBalancedTriple(D, I, gamma, t_att, s, r, u, e, tuple(alpha), vs)
-    assert trip.norm_condition(), "balance norm condition failed"
-    assert trip.containment_condition(), "gamma I^3 not inside the order"
+    sqrt_image = tuple(Fraction(v, e) for v in vs)
+    trip = SelfBalancedTriple(D, I, gamma, t_att, s, r, u, e, tuple(alpha), sqrt_image)
+    if not trip.norm_condition():
+        raise InvariantError("balance norm condition failed")
+    if not trip.containment_condition():
+        raise InvariantError("gamma I^3 not inside the order")
     return trip
 
 
-def _solve_in_plane(alpha, vs, w):
-    """(x, y) with w = x*alpha + y*vs, solved on the last two coordinates."""
+def _solve_in_plane(alpha, vs, vden, w):
+    """((x, y), den) with den > 0 and w = (x alpha + y vs/vden)/den, solved
+    on the last two coordinates and checked on the first; alpha and w are
+    integer vectors, vs the integer numerators over vden."""
     det = alpha[1] * vs[2] - alpha[2] * vs[1]
     assert det != 0
-    x = (Fraction(w[1]) * vs[2] - Fraction(w[2]) * vs[1]) / det
-    y = (Fraction(alpha[1]) * w[2] - Fraction(alpha[2]) * w[1]) / det
-    # consistency on the constant coordinate
-    assert x * alpha[0] + y * vs[0] == w[0]
-    return x, y
+    x = w[1] * vs[2] - w[2] * vs[1]
+    y = (alpha[1] * w[2] - alpha[2] * w[1]) * vden
+    if det < 0:
+        det, x, y = -det, -x, -y
+    if x * alpha[0] * vden + y * vs[0] != w[0] * det * vden:
+        raise InvariantError("no solution on the constant coordinate")
+    return (x, y), det
 
 
 def triples_equivalent(t1: SelfBalancedTriple, t2: SelfBalancedTriple):
@@ -355,17 +343,15 @@ def triples_equivalent(t1: SelfBalancedTriple, t2: SelfBalancedTriple):
         return None
     D = t1.D
     # lambda = c2^{-1}(c1(1)) = c2^{-1}(alpha1)
-    lam = _solve_in_plane(t2.alpha, t2.sqrt_image, t1.alpha)
+    vs, vden = _over_common_den(t2.sqrt_image)
+    (x, y), den = _solve_in_plane(t2.alpha, vs, vden, t1.alpha)
+    lam = (Fraction(x, den), Fraction(y, den))
     if k2_norm(D, lam) == 0:
         return None
     if lat_scale(t1.I, lam) != t2.I:
         return None
     lam3 = k2_mul(D, k2_mul(D, lam, lam), lam)
-    g1_scaled = k2_mul(D, t1.gamma, k2_inv(D, lam3))
-    if (Fraction(g1_scaled[0]), Fraction(g1_scaled[1])) != (
-        Fraction(t2.gamma[0]),
-        Fraction(t2.gamma[1]),
-    ):
+    if k2_mul(D, t1.gamma, k2_inv(D, lam3)) != tuple(t2.gamma):
         return None
     return lam
 
@@ -378,18 +364,23 @@ def triple_to_J(trip: SelfBalancedTriple):
     norm g in the order of discriminant D' = D / g^2, of cube class."""
     g = trip.content
     D = trip.D
-    assert D % (g * g) == 0
+    if D % (g * g):
+        raise InvariantError("content %d: g^2 does not divide D = %d" % (g, D))
     Dp = D // (g * g)
-    assert in_discs(Dp)
+    if not in_discs(Dp):
+        raise InvariantError("D / g^2 = %d is not a discriminant" % Dp)
     cube = lat_mul(lat_mul(trip.I, trip.I), trip.I)
-    Jlat = lat_scale(lat_scale(cube, trip.gamma), (Fraction(1, g), Fraction(0)))
-    # rewrite in sqrt(D') coordinates: sqrt(D) = g sqrt(D')
-    gens = [(x, y * g) for x, y in Jlat.basis()]
-    Jp = rat_lattice(Dp, gens)
-    assert lat_subset_order(Jp), "J must be integral over the multiplier order"
+    L = lat_scale(cube, trip.gamma)
+    # divide by g and rewrite in sqrt(D') coordinates, sqrt(D) = g sqrt(D'):
+    # (x, y)/g becomes (x/g, y)
+    Jp = int_lattice(Dp, L.den * g, [(L.a, 0), (L.b, L.c * g)])
+    if not lat_subset_order(Jp):
+        raise InvariantError("J must be integral over the multiplier order")
     J = lat_to_ideal(Jp)
-    assert J.norm == g, (J, g)
-    assert is_invertible(J)
+    if J.norm != g:
+        raise InvariantError("N(J) = %d differs from g = %d" % (J.norm, g))
+    if not is_invertible(J):
+        raise InvariantError("J = %s is not invertible" % (J,))
     return Dp, g, J
 
 
@@ -477,7 +468,7 @@ def chi_term_sum(chi: Mu3Char, m1: int):
     D1 = chi.D
     D0, base = fundamental_part(D1)
     counts = [0, 0, 0]
-    for cp in sorted(d for d in range(1, m1 + 1) if m1 % d == 0):
+    for cp in divisors(m1):
         f = m1 // cp
         Dc = D1 * cp * cp
         for I in ideals_of_norm(Dc, f, invertible_only=True):
@@ -529,27 +520,15 @@ def is_irreducible(form) -> bool:
         return False
     if d == 0:
         return False
-    for p in _divisors_signed(d):
-        for q in _divisors_pos(a):
-            if gcd(p, q) != 1:
-                continue
-            if a * p ** 3 + b * p * p * q + c * p * q * q + d * q ** 3 == 0:
-                return False
+    qs = divisors(abs(a))
+    for k in divisors(abs(d)):
+        for p in (k, -k):
+            for q in qs:
+                if gcd(p, q) != 1:
+                    continue
+                if a * p ** 3 + b * p * p * q + c * p * q * q + d * q ** 3 == 0:
+                    return False
     return True
-
-
-def _divisors_signed(n):
-    n = abs(n)
-    out = []
-    for k in range(1, n + 1):
-        if n % k == 0:
-            out += [k, -k]
-    return out
-
-
-def _divisors_pos(n):
-    n = abs(n)
-    return [k for k in range(1, n + 1) if n % k == 0]
 
 
 def check_prop_3notdiv(D: int) -> dict:

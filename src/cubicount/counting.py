@@ -29,6 +29,7 @@ from typing import NamedTuple
 from .forms import (
     INTERIOR,
     BinaryCubicForm,
+    BudgetExceeded,
     InvariantError,
     boundary_signature,
     disc,
@@ -38,7 +39,7 @@ from .forms import (
     reduced_orbit,
 )
 from .quad import factorize, in_discs
-from .rings import BudgetExceeded, is_maximal_at_p, splitting_type
+from .rings import is_maximal_at_p, splitting_type
 
 DEFAULT_MAX_DISC = 1_000_000
 _BUDGET_ENV = "CUBICOUNT_BUDGET"
@@ -356,7 +357,8 @@ def s_sequence(sigma: str, p: int, n: int) -> int:
         # s_{k+3} = s_{k+2} + p (s_k - s_{k-1}) with k = m - 5
         seq.append(seq[m - 1] + p * (seq[m - 3] - seq[m - 4]))
     val = seq[n + 2]
-    assert val == s_closed_form(sigma, p, n)
+    if val != s_closed_form(sigma, p, n):
+        raise InvariantError("s_%d(%s, p=%d) = %d disagrees with the closed form" % (n, sigma, p, val))
     return val
 
 
@@ -368,7 +370,8 @@ def s_closed_form(sigma: str, p: int, n: int) -> int:
         + (s1 - 1) * (p ** ((n + 2) // 3) - 1)
         + (s2 - s1) * (p ** ((n + 1) // 3) - 1)
     )
-    assert num % (p - 1) == 0
+    if num % (p - 1):
+        raise InvariantError("closed form for s_%d(%s, p=%d) is not an integer" % (n, sigma, p))
     return num // (p - 1)
 
 

@@ -200,6 +200,10 @@ class InvariantError(RuntimeError):
     explicitly so the check survives `python -O`."""
 
 
+class BudgetExceeded(Exception):
+    """A requested size is over the enumeration budget."""
+
+
 # Building blocks of BOUNDARY_MATRICES, in +-pairs.  _SIGNS are the four
 # sign variants +-1, +-diag(1, -1); diag(1, -1) is the reflection
 # z -> -conj z, which fixes the line Re = 0 pointwise.  _ARC adds z -> -1/z

@@ -8,7 +8,9 @@ imaginary, and split orders inside Z x Z): O_D = Z[xi] with
 
 so an element x + y*xi has norm x^2 + r*x*y + ((r^2 - D)/4) y^2 and
 conjugate (x + r*y) - y*xi.  Ideals are stored in the triangular normal
-form <g*a, g*(b + xi)> with 0 <= b < a and a | N(b + xi).
+form <g*a, g*(b + xi)> with 0 <= b < a and a | N(b + xi), read off the
+integer Hermite normal form `hnf2` of any generating set (the bridge
+lattices in Q(sqrt D) share that kernel).
 
 An invertible ideal <a, b + xi> has the primitive binary quadratic form
 (a, 2b + r, N(b + xi)/a) of discriminant D, and its Picard class is read
@@ -30,10 +32,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
+from types import MappingProxyType
 from typing import NamedTuple
 
-from .forms import InvariantError
-from .rings import BudgetExceeded
+from .forms import BudgetExceeded, InvariantError
 
 
 def in_discs(n: int) -> bool:
@@ -59,6 +61,58 @@ def factorize(n: int):
     return out
 
 
+def divisors(n: int):
+    """The positive divisors of n >= 1, in increasing order."""
+    small, large = [], []
+    k = 1
+    while k * k < n:
+        if n % k == 0:
+            small.append(k)
+            large.append(n // k)
+        k += 1
+    if k * k == n:
+        small.append(k)
+    return small + large[::-1]
+
+
+def xgcd(a: int, b: int):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
+
+
+def hnf2(vecs):
+    """Hermite normal form (a, b, c) of the full-rank lattice in Z^2
+    spanned by the integer pairs vecs: the rows (a, 0) and (b, c) with
+    a, c > 0 and 0 <= b < a (Cohen, GTM 138, §2.4), so equal lattices give
+    equal triples.  Raises ValueError if the rank is below 2."""
+    a = b = c = 0
+    for x, y in vecs:
+        if c and y % c == 0:
+            # (x, y) - (y/c)(b, c) lies on the first axis
+            a = gcd(a, x - (y // c) * b)
+        elif y:
+            # unimodular change of the rows (b, c), (x, y) into a new pivot
+            # row (s b + t x, g) and a vector on the first axis
+            g, s, t = xgcd(c, y)
+            a = gcd(a, (c * x - y * b) // g)
+            b, c = s * b + t * x, g
+        else:
+            a = gcd(a, x)
+        if a:
+            b %= a
+    if not (a and c):
+        raise ValueError("rank-deficient lattice")
+    return a, b, c
+
+
 def fundamental_part(D: int):
     """D = D0 * f^2 with D0 a fundamental discriminant; returns (D0, f)."""
     if not in_discs(D):
@@ -66,7 +120,7 @@ def fundamental_part(D: int):
     fmax = 1
     for p, e in factorize(D).items():
         fmax *= p ** (e // 2)
-    for f in sorted((d for d in range(1, fmax + 1) if fmax % d == 0), reverse=True):
+    for f in reversed(divisors(fmax)):
         if is_fundamental(D // (f * f)):
             return D // (f * f), f
     raise AssertionError("no fundamental decomposition for %d" % D)
@@ -233,44 +287,11 @@ def ideal_from_generators(D: int, gens) -> QuadIdeal:
     xi-stable lattice into the normal form."""
     o = order(D)
     # close under multiplication by xi so arbitrary generating sets work
-    vecs = list(gens) + [o.mul((0, 1), v) for v in gens]
-    # HNF on (x, y): second coordinate first
-    vecs = [v for v in vecs if v != (0, 0)]
-    if not vecs:
-        raise ValueError("zero lattice")
-    while True:
-        nz = [v for v in vecs if v[1]]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda v: abs(v[1]))
-        x0, y0 = nz[0]
-        new = []
-        for v in vecs:
-            if v is nz[0]:
-                continue
-            if v[1]:
-                q = v[1] // y0
-                new.append((v[0] - q * x0, v[1] - q * y0))
-            else:
-                new.append(v)
-        vecs = [nz[0]] + [v for v in new if v != (0, 0)]
-    pivot = next((v for v in vecs if v[1]), None)
-    if pivot is None:
-        raise ValueError("rank-deficient lattice")
-    if pivot[1] < 0:
-        pivot = (-pivot[0], -pivot[1])
-    xs = [v[0] for v in vecs if not v[1]]
-    ax = 0
-    for x in xs:
-        ax = gcd(ax, x)
-    if ax == 0:
-        raise ValueError("rank-deficient lattice")
-    g = pivot[1]
+    ax, bx, g = hnf2(list(gens) + [o.mul((0, 1), v) for v in gens])
     if ax % g:
         raise AssertionError("lattice is not an O-ideal (g does not divide a)")
     a = ax // g
-    b = (pivot[0] // g) % a
-    return make_ideal(D, g, a, b)
+    return make_ideal(D, g, a, (bx // g) % a)
 
 
 def unit_ideal(D: int) -> QuadIdeal:
@@ -395,8 +416,8 @@ def elements_of_norm(D: int, n: int):
     elif is_square(D):
         m = isqrt(D)
         r = D % 2
-        for l1 in _signed_divisors(n):
-            for l2 in (n // abs(l1), -(n // abs(l1))):
+        for k in divisors(n):
+            for l1, l2 in ((k, n // k), (k, -(n // k)), (-k, n // k), (-k, -(n // k))):
                 # lambda has split-algebra coordinates (l1, l2), |l1*l2| = n
                 num = l1 - l2
                 if num % m:
@@ -413,14 +434,6 @@ def elements_of_norm(D: int, n: int):
         for y in range(-ybound, ybound + 1):
             out += _solve_x(o, y, n)
     return tuple(sorted(set(out)))
-
-
-def _signed_divisors(n):
-    out = []
-    for d in range(1, n + 1):
-        if n % d == 0:
-            out += [d, -d]
-    return out
 
 
 def _solve_x(o, y, n):
@@ -573,14 +586,17 @@ class PicGroup:
     table[i][j]: index of the product class.
     coprime_reps: per class, a representative of norm coprime to the
     conductor (needed for extension maps between orders).
-    index: class key -> class index."""
+    index: class key -> class index.
+
+    Groups are cached and shared by every caller, so all four are stored
+    read-only: tuples, a tuple of tuples and a mapping proxy."""
 
     def __init__(self, D, reps, table, coprime_reps, index):
         self.D = D
-        self.reps = reps
-        self.table = table
-        self.coprime_reps = coprime_reps
-        self.index = index
+        self.reps = tuple(reps)
+        self.table = tuple(tuple(row) for row in table)
+        self.coprime_reps = tuple(coprime_reps)
+        self.index = MappingProxyType(index)
 
     def __len__(self):
         return len(self.reps)
@@ -818,7 +834,7 @@ def extend_ideal(I: QuadIdeal, Dto: int) -> QuadIdeal:
 def conductor_of_char(chi: Mu3Char) -> int:
     """Smallest c | f such that chi factors through Pic(O_{D0 c^2})."""
     D0, f = fundamental_part(chi.D)
-    for c in sorted(d for d in range(1, f + 1) if f % d == 0):
+    for c in divisors(f):
         pi = order_change_map(D0, f, c)
         # chi factors iff it kills the kernel of pi
         kernel = [i for i, im in enumerate(pi) if im == 0]

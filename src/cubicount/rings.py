@@ -11,16 +11,21 @@ coordinate triples (x0, x1, x2).  The orientation sign fixes a generator
 of the top exterior power (basis wedge times the sign).
 
 Also here: the maximal subring with all traces divisible by 3, local
-maximality of a form at a prime, splitting types of maximal forms, and a
-brute-force enumeration of finite-index subrings via triangular sublattice
-bases (the oracle that backs the counting recursions).
+maximality of a form at a prime, splitting types of maximal forms, and an
+exhaustive enumeration of finite-index subrings (the oracle that backs the
+counting recursions `counting.s_sequence`).  The enumeration tries every
+triangular sublattice basis Z*1 + Z*(e*alpha + f*beta) + Z*(g*beta) with
+e*g = n and 0 <= f < g; only its closure test is closed-form, reading the
+alpha and beta parts of the three generator products straight off the
+form.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .forms import BinaryCubicForm, disc, evaluate
+from .forms import BinaryCubicForm, BudgetExceeded, disc, evaluate
+from .quad import divisors, xgcd
 
 SPLITTING_TYPES = ("111", "12", "3", "1^2 1", "1^3")
 
@@ -203,34 +208,26 @@ def subrings_of_index(ring: CubicRing, n: int, max_index: int = 1000):
         raise BudgetExceeded("subring index %d over budget %d" % (n, max_index))
     if n < 1:
         raise ValueError("index must be positive")
+    a, b, c, d = ring.form
     out = []
-    for e in _divisors(n):
+    for e in divisors(n):
         g = n // e
         for f in range(g):
-            # lattice Z*1 + Z*(e*alpha + f*beta) + Z*(g*beta)
-            basis = [(1, 0, 0), (0, e, f), (0, 0, g)]
-            if _closed_under_mul(ring, basis):
-                out.append(tuple(basis))
+            # lattice Z*1 + Z*u + Z*v with u = e*alpha + f*beta, v = g*beta.
+            # It is a ring iff the (alpha, beta) parts (x1, x2) of u*u, u*v
+            # and v*v lie in Z*u + Z*v (their constant parts lie in Z*1),
+            # that is iff e | x1 and g | x2 - (x1/e)*f.
+            x1 = -b * e * e - d * f * f  # u*u
+            if x1 % e or (a * e * e + c * f * f - x1 // e * f) % g:
+                continue
+            x1 = -d * f * g  # u*v
+            if x1 % e or (c * f * g - x1 // e * f) % g:
+                continue
+            x1 = -d * g * g  # v*v
+            if x1 % e or (c * g * g - x1 // e * f) % g:
+                continue
+            out.append(((1, 0, 0), (0, e, f), (0, 0, g)))
     return out
-
-
-def _closed_under_mul(ring, basis) -> bool:
-    tri = [list(b) for b in basis]
-    gens = basis[1:]
-    for i, u in enumerate(gens):
-        for v in gens[i:]:
-            if not sublattice_members(tri, ring.mul(u, v)):
-                return False
-    return True
-
-
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-class BudgetExceeded(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +356,9 @@ def _isqrt_exact(m):
 def _complement(v):
     """(r, s) making [[x, y], [r, s]] unimodular for primitive (x, y)."""
     x, y = v
-    g, r, s = _xgcd(x, y)
+    g, r, s = xgcd(x, y)
     assert g == 1, "point not primitive"
     return -s, r
-
-
-def _xgcd(a, b):
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, x, y = _xgcd(b, a % b)
-    return g, y, x - (a // b) * y
 
 
 def is_maximal(form) -> bool:

@@ -1,4 +1,9 @@
+import hashlib
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,9 +15,14 @@ from cubicount.bridge import (
     check_scholz,
     chi_term_sum,
     extract_triple,
+    int_lattice,
     is_irreducible,
+    k2_mul,
     k2_norm,
+    lat_contains,
+    lat_mul,
     lat_norm,
+    lat_scale,
     lhs_count,
     lhs_identity_check,
     rhs_count,
@@ -112,6 +122,124 @@ def test_oriented_automorphism_iff_eisenstein_multiplier():
             t = extract_triple(orb.form, 1)
             has_rot = orb.proper_stabilizer_order == 3
             assert has_rot == (t.D // (t.content ** 2) == -3), orb
+
+
+def test_triples_match_digest():
+    # sha256 of every extracted triple and its J over |disc| <= 2700, taken
+    # with Fraction lattice arithmetic
+    table = orbit_table(2700, True)
+    h = hashlib.sha256()
+    lines = 0
+    for D in sorted(table):
+        for orb in table[D]:
+            for sign in (1, -1):
+                t = extract_triple(orb.form, sign)
+                Dp, g, J = triple_to_J(t)
+                h.update((
+                    "%s %+d %d %d %d %d %d %d %s %s %s %s %d %d %s\n" % (
+                        tuple(orb.form), sign, t.D, t.t, t.s, t.r, t.u, t.e, tuple(t.alpha),
+                        Fraction(t.gamma[0]), Fraction(t.gamma[1]), lat_norm(t.I), Dp, g, J,
+                    )
+                ).encode())
+                lines += 1
+    assert lines == 390
+    assert h.hexdigest() == "be895f3760a9cc721d6fe30649d13f2f02cab15a8946909cac692a937229b7b4"
+
+
+def test_triple_checks_survive_optimize():
+    code = (
+        "from cubicount import bridge, forms\n"
+        "bridge.lat_subset_order = lambda L: False\n"
+        "try:\n"
+        "    bridge.extract_triple((1, 0, 0, -1), 1)\n"
+        "except forms.InvariantError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.stdout.strip() == "raised", out.stderr
+
+
+# ---------------------------------------------------------------------------
+# integer lattices against a Fraction reference
+
+
+def _frac_gcd(x, y):
+    while y:
+        x, y = y, x % y
+    return abs(x)
+
+
+def _ref_hnf(gens):
+    """(x1, x2, y2): rows (x1, 0), (x2, y2) with x1, y2 > 0, 0 <= x2 < x1,
+    by Euclid on the Fraction generators."""
+    flat = [x for x, y in gens if y == 0]
+    tall = [(x, y) for x, y in gens if y != 0]
+    while len(tall) > 1:
+        tall.sort(key=lambda v: abs(v[1]))
+        (px, py), rest = tall[0], []
+        for x, y in tall[1:]:
+            q = math.floor(y / py)
+            if y - q * py:
+                rest.append((x - q * px, y - q * py))
+            else:
+                flat.append(x - q * px)
+        tall = [(px, py)] + rest
+    (x2, y2), = tall
+    if y2 < 0:
+        x2, y2 = -x2, -y2
+    x1 = Fraction(0)
+    for x in flat:
+        x1 = _frac_gcd(x1, x)
+    return x1, x2 % x1, y2
+
+
+def _ref_rows(h):
+    x1, x2, y2 = h
+    return [(x1, Fraction(0)), (x2, y2)]
+
+
+def _as_fractions(L):
+    return Fraction(L.a, L.den), Fraction(L.b, L.den), Fraction(L.c, L.den)
+
+
+def _random_lattice(rng, D):
+    """An integer lattice over a random denominator, with its Fraction
+    generators; retried until the rank is 2."""
+    while True:
+        den = rng.randint(1, 12)
+        vecs = [(rng.randint(-15, 15), rng.randint(-15, 15)) for _ in range(rng.randint(2, 4))]
+        if any(x * v - y * u for x, y in vecs for u, v in vecs):
+            gens = [(Fraction(x, den), Fraction(y, den)) for x, y in vecs]
+            return int_lattice(D, den, vecs), gens
+
+
+def test_integer_lattices_match_fraction_reference():
+    rng = random.Random(7)
+    for _ in range(300):
+        D = rng.choice((-23, -3, -4, 1, 4, 5, 12, 49, -108))
+        L, gens = _random_lattice(rng, D)
+        M, _ = _random_lattice(rng, D)
+        ref_L = _ref_hnf(gens)
+        assert _as_fractions(L) == ref_L
+        assert math.gcd(math.gcd(L.den, L.a), math.gcd(L.b, L.c)) == 1
+        ref_M = _as_fractions(M)
+        prods = [k2_mul(D, u, v) for u in _ref_rows(ref_L) for v in _ref_rows(ref_M)]
+        assert _as_fractions(lat_mul(L, M)) == _ref_hnf(prods)
+        el = (Fraction(rng.randint(-9, 9), rng.randint(1, 6)), Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+        if k2_norm(D, el) != 0:
+            scaled = [k2_mul(D, el, v) for v in _ref_rows(ref_L)]
+            assert _as_fractions(lat_scale(L, el)) == _ref_hnf(scaled)
+        x1, x2, y2 = ref_L
+        assert lat_norm(L) == 2 * x1 * y2
+        i, j = rng.randint(-5, 5), rng.randint(-5, 5)
+        assert lat_contains(L, (i * x1 + j * x2, j * y2))
+        k = el[1] / y2
+        want = k.denominator == 1 and ((el[0] - k * x2) / x1).denominator == 1
+        assert lat_contains(L, el) == want
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,23 @@ def test_invariant_checks_survive_optimize():
     assert out.stdout.strip() == "raised", out.stderr
 
 
+def test_s_sequence_check_survives_optimize():
+    code = (
+        "from cubicount import counting, forms\n"
+        "counting.s_closed_form = lambda sigma, p, n: -1\n"
+        "try:\n"
+        "    counting.s_sequence('111', 2, 3)\n"
+        "except forms.InvariantError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.stdout.strip() == "raised", out.stderr
+
+
 def test_icbrt_is_exact():
     k = 10 ** 25
     assert _icbrt(k ** 3) == k

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ from cubicount.quad import (
     Mu3Char,
     QuadIdeal,
     conductor_of_char,
+    divisors,
     extend_ideal,
     factored_char,
     fundamental_part,
@@ -36,6 +38,7 @@ from cubicount.quad import (
     picard_group,
     unit_cube_classes,
     unit_ideal,
+    xgcd,
 )
 
 discs = st.integers(min_value=-120, max_value=120).filter(lambda D: D != 0 and D % 4 in (0, 1))
@@ -395,6 +398,36 @@ def test_quad_invariant_checks_survive_optimize():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
     assert out.stdout.strip() == "raised", out.stderr
+
+
+def test_cached_picard_group_is_read_only():
+    G = picard_group(-23)
+    before = (G.reps, G.table, G.coprime_reps, dict(G.index))
+    with pytest.raises(TypeError):
+        G.reps[0] = unit_ideal(-23)
+    with pytest.raises(TypeError):
+        G.table[1][1] = 0
+    with pytest.raises(TypeError):
+        G.coprime_reps[0] = unit_ideal(-23)
+    with pytest.raises(TypeError):
+        G.index["key"] = 0
+    with pytest.raises(AttributeError):
+        G.reps.append(unit_ideal(-23))
+    H = picard_group(-23)
+    assert (H.reps, H.table, H.coprime_reps, dict(H.index)) == before
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 501):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+def test_xgcd_bezout():
+    rng = random.Random(3)
+    for _ in range(500):
+        a, b = rng.randint(-300, 300), rng.randint(-300, 300)
+        g, x, y = xgcd(a, b)
+        assert g == math.gcd(a, b) and a * x + b * y == g
 
 
 def test_pic_3_torsion_examples():

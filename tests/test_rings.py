@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,9 +12,12 @@ from cubicount.rings import (
     ring_from_form,
     roots_in_p1,
     splitting_type,
+    sublattice_members,
     subrings_of_index,
     superrings_of_index_p,
 )
+from cubicount.bridge import is_irreducible
+from cubicount.counting import enumerate_orbits
 
 Z3 = (0, 1, 1, 0)
 T3M1 = (1, 0, 0, -1)  # Z[t]/(t^3 - 1)
@@ -261,3 +265,51 @@ def test_subrings_are_rings_with_scaled_disc():
             S = lattice_ring(C, basis)
             assert S.is_associative()
             assert S.discriminant == n * n * C.discriminant
+
+
+def _subrings_by_generic_closure(ring, n):
+    """Every triangular basis of index n whose generator products pass the
+    generic membership test, in the order subrings_of_index lists them."""
+    out = []
+    for e in (k for k in range(1, n + 1) if n % k == 0):
+        g = n // e
+        for f in range(g):
+            basis = ((1, 0, 0), (0, e, f), (0, 0, g))
+            tri = [list(v) for v in basis]
+            gens = basis[1:]
+            if all(
+                sublattice_members(tri, ring.mul(u, v))
+                for i, u in enumerate(gens)
+                for v in gens[i:]
+            ):
+                out.append(basis)
+    return out
+
+
+def test_closed_form_subrings_match_generic_closure():
+    rng = random.Random(40)
+    pool = [Z3, T3M1, (1, 0, -7, 6), (0, 1, -1, 3), (0, 2, -1, -1)]
+    while len(pool) < 30:
+        f = tuple(rng.randint(-6, 6) for _ in range(4))
+        if len(pool) % 3 == 0:
+            f = (0,) + f[1:]
+        if disc(f) != 0 and f not in pool:
+            pool.append(f)
+    assert sum(f[0] == 0 for f in pool) >= 8
+    assert sum(f[0] != 0 and not is_irreducible(f) for f in pool) >= 3
+    for f in pool:
+        C = ring_from_form(f)
+        for n in range(1, 41):
+            assert subrings_of_index(C, n) == _subrings_by_generic_closure(C, n), (f, n)
+
+
+def test_subring_lists_match_digest():
+    # sha256 of the subring lists, taken with the generic closure test
+    h = hashlib.sha256()
+    lines = 0
+    for f in enumerate_orbits(300):
+        for m in (2, 3, 4, 5, 6, 8, 9, 12, 25, 27):
+            h.update(("%s %d %r\n" % (tuple(f), m, subrings_of_index(ring_from_form(f), m))).encode())
+            lines += 1
+    assert lines == 4270
+    assert h.hexdigest() == "2ce63b0e6098900ba7e128486541f60c6d1160081fb41fb8b5dcf0062ab6621e"
