@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .forms import BinaryCubicForm, InvariantError, disc, is_zmat
 from .rings import ring_from_form, CubicRing
-from .counting import h_value, factorize, s_sequence
+from .counting import _orbits_at, h_value, factorize, s_sequence
 from . import quad
 from .quad import (
     Mu3Char,
@@ -193,7 +193,8 @@ class SelfBalancedTriple(NamedTuple):
 
 def _trace_zero_basis(form):
     a, b, c, d = form
-    assert b % 3 == 0 and c % 3 == 0
+    if b % 3 or c % 3:
+        raise InvariantError("trace-zero basis of %r needs 3 | b, c" % (tuple(form),))
     return ((b // 3, 1, 0), (-c // 3, 0, 1))
 
 
@@ -226,7 +227,8 @@ def extract_triple(form, orientation: int = 1, skip: int = 0) -> SelfBalancedTri
     Dring = disc(f)
     if Dring == 0:
         raise ValueError("degenerate ring")
-    assert Dring % 27 == 0
+    if Dring % 27:
+        raise InvariantError("trace-divisible %r has disc %d not divisible by 27" % (tuple(f), Dring))
     D = -(Dring // 27)
     ring = ring_from_form(f, orientation)
     for alpha in _alpha_candidates(f):
@@ -426,7 +428,8 @@ def splitting_type_from_char(chi: Mu3Char, p: int) -> str:
     if kronecker(D0, p) == -1:
         return "12"
     primes = [I for I in ideals_of_norm(chi.D, p, invertible_only=True)]
-    assert len(primes) == 2, "split prime should have two ideals above it"
+    if len(primes) != 2:
+        raise InvariantError("split prime %d has %d ideals above it in O_%d" % (p, len(primes), chi.D))
     return "111" if chi(primes[0]) == 0 else "3"
 
 
@@ -474,15 +477,14 @@ def chi_term_sum(chi: Mu3Char, m1: int):
         for I in ideals_of_norm(Dc, f, invertible_only=True):
             J = extend_ideal(I, D1)
             counts[chi(J)] += 1
-    assert counts[1] == counts[2], "character sum not rational"
+    if counts[1] != counts[2]:
+        raise InvariantError("character sum not rational: omega %d times, omega^2 %d times" % (counts[1], counts[2]))
     return counts[0] - counts[1]
 
 
 def check_fields_pic(D: int, budget=None) -> dict:
     """Count cubic fields whose discriminant squarely divides D against
     (|Pic(O_D)[3]| - 1)/2."""
-    from .counting import orbit_table
-
     if not in_discs(D):
         raise ValueError("not a discriminant")
     fields = 0
@@ -490,13 +492,13 @@ def check_fields_pic(D: int, budget=None) -> dict:
     while k * k <= abs(D):
         if D % (k * k) == 0 and in_discs(D // (k * k)):
             Dk = D // (k * k)
-            table = orbit_table(abs(Dk), False, budget)
-            for orb in table.get(Dk, []):
+            for orb in _orbits_at(Dk, False, budget):
                 if _is_field_form(orb.form):
                     fields += 1
         k += 1
     t3 = pic_3_torsion(D)
-    assert (t3 - 1) % 2 == 0
+    if t3 % 2 == 0:
+        raise InvariantError("|Pic(O_%d)[3]| = %d is even" % (D, t3))
     expected = (t3 - 1) // 2
     return {
         "check": "fields-pic",

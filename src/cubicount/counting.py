@@ -6,8 +6,10 @@ each weighted by 1/|stabilizer|; hhat(D) does the same over forms with
 fractions.Fraction, enumeration is integer-only.
 
 The primary enumeration scans the reduced domains of `forms` directly with
-proven coefficient bounds.  It keeps a scanned form when it is the largest
-reduced form of its orbit; boundary forms learn that, and their
+proven coefficient bounds and yields each sign class once: of the four
+sign variants f, -f, (-a, b, -c, d), (a, -b, c, -d) of a reduced form only
+the lexicographically largest.  Interior forms are then their orbit's
+largest reduced form; boundary forms learn whether they are, and their
 stabilizers, from the boundary-matrix table of `forms`.  A secondary
 coefficient-box method (reduce everything in a box, close each form's orbit
 by breadth-first search, deduplicate) exists purely as a correctness oracle.
@@ -81,7 +83,10 @@ def _ceil_div(a, b):
 
 # ---------------------------------------------------------------------------
 # Reduced-domain scans.  Each yields every reduced form with the requested
-# discriminant sign and 0 < |disc| <= X, with a >= 0 (and b > 0 when a = 0).
+# discriminant sign and 0 < |disc| <= X that is the largest of its four sign
+# variants: b >= 0, and d >= 0 when b = 0, for a >= 1; b > 0 and c >= 0 for
+# a = 0.  (Negation, and the reflection diag(1, -1), map reduced forms to
+# reduced forms.)
 
 def _scan_pos(X, zmat):
     step = 3 if zmat else 1
@@ -91,7 +96,7 @@ def _scan_pos(X, zmat):
     # a = 0: P = b^2, Q = bc, R = c^2 - 3bd
     for b in range(step, isqrt(Pmax) + 1, step):
         P = b * b
-        for c in range(-(b // step) * step, b + 1, step):
+        for c in range(0, b + 1, step):
             Q = b * c
             Rhi = (3 * X + Q * Q) // (4 * P)
             # P <= c^2 - 3 b d <= Rhi
@@ -109,7 +114,7 @@ def _scan_pos(X, zmat):
     for a in range(1, amax + 1):
         a9 = 9 * a
         bmax = isqrt(Pmax) + (3 * a) // 2 + 2
-        for b in range(-(bmax // step) * step, bmax + 1, step):
+        for b in range(0, bmax + 1, step):
             # 1 <= P = b^2 - 3ac <= Pmax
             cl = _ceil_div(b * b - Pmax, 3 * a)
             ch = (b * b - 1) // (3 * a)
@@ -121,6 +126,8 @@ def _scan_pos(X, zmat):
                     continue
                 bc = b * c
                 dl = _ceil_div(bc - P, a9)
+                if b == 0 and dl < 0:
+                    dl = 0
                 dh = (bc + P) // a9
                 cc = c * c
                 for d in range(dl, dh + 1):
@@ -139,11 +146,11 @@ def _scan_neg(X, zmat):
     step = 3 if zmat else 1
     out = []
     ap = out.append
-    # a = 0 family: (0, b, c, d), b >= 1, |c| <= b, d >= b
+    # a = 0 family: (0, b, c, d), b >= 1, 0 <= c <= b, d >= b
     bmax = _i4root(X // 3) + 2
     for b in range(step, bmax + 1, step):
         bb = b * b
-        for c in range(-(b // step) * step, b + 1, step):
+        for c in range(0, b + 1, step):
             dhi = (X // bb + c * c) // (4 * b)
             for d in range(b, dhi + 1):
                 D = bb * (c * c - 4 * b * d)
@@ -162,7 +169,7 @@ def _scan_neg(X, zmat):
         capd = a * tmax * vmax + 1
         bmax = a * (tmax + 1) + 1
         cmax = a * (vmax + tmax) + 1
-        for b in range(-(bmax // step) * step, bmax + 1, step):
+        for b in range(0, bmax + 1, step):
             amb = a - b
             apb = a + b
             K1base = a * amb ** 3 + a * b * amb * amb
@@ -175,38 +182,44 @@ def _scan_neg(X, zmat):
                 dh = (-K2) // a3
                 if dl > dh:
                     continue
-                # d window from disc >= -X (quadratic in d, opens downward)
+                if b == 0 and dl < 0:
+                    dl = 0
+                # disc D(d) = -27 a^2 d^2 + bq d + gq, and with
+                # e = bq^2 + 108 a^2 gq, -108 a^2 D(d) = (54 a^2 d - bq)^2 - e.
+                # d window from disc >= -X:
                 bq = 18 * a * b * c - 4 * b ** 3
                 gq = b * b * c * c - 4 * a * c ** 3
-                dq = bq * bq + 108 * a2 * (gq + X)
+                a54 = 54 * a2
+                e = bq * bq + 108 * a2 * gq
+                dq = e + 108 * a2 * X
                 if dq < 0:
                     continue
                 rt = isqrt(dq)
-                dl = max(dl, (bq - rt) // (54 * a2) - 1, -capd)
-                dh = min(dh, (bq + rt) // (54 * a2) + 1, capd)
-                for d in range(dl, dh + 1):
-                    D = -27 * a2 * d * d + bq * d + gq
-                    if D > -1 or D < -X:
-                        continue
-                    # |w| >= 1
-                    if d == 0:
-                        if c < a:
+                dl = max(dl, (bq - rt) // a54 - 1, -capd)
+                dh = min(dh, (bq + rt) // a54 + 1, capd)
+                # D(d) >= 0 exactly on |54 a^2 d - bq| <= isqrt(e): scan the
+                # two flanks of that band
+                if e >= 0:
+                    rb = isqrt(e)
+                    flanks = ((dl, min(dh, _ceil_div(bq - rb, a54) - 1)),
+                              (max(dl, (bq + rb) // a54 + 1), dh))
+                else:
+                    flanks = ((dl, dh),)
+                for lo, hi in flanks:
+                    for d in range(lo, hi + 1):
+                        D = -27 * a2 * d * d + bq * d + gq
+                        if D > -1 or D < -X:
                             continue
-                    else:
-                        val = -a * d ** 3 + a * b * d * d - a2 * c * d + a3 * d
-                        if (val < 0) if d < 0 else (val > 0):
-                            continue
-                    ap((a, b, c, d))
+                        # |w| >= 1
+                        if d == 0:
+                            if c < a:
+                                continue
+                        else:
+                            val = -a * d ** 3 + a * b * d * d - a2 * c * d + a3 * d
+                            if (val < 0) if d < 0 else (val > 0):
+                                continue
+                        ap((a, b, c, d))
     return out
-
-
-def _lexmax_keep(f):
-    # keep exactly one of the four sign variants (a,b,c,d), -(a,b,c,d),
-    # (-a,b,-c,d), (a,-b,c,-d): the lexicographically largest
-    a, b, c, d = f
-    if a > 0:
-        return b > 0 or (b == 0 and d >= 0)
-    return b > 0 and c >= 0
 
 
 class Orbit(NamedTuple):
@@ -244,21 +257,37 @@ def orbit_table(X: int, zmat_only: bool = False, budget=None):
             D = disc(f)
             if not 0 < abs(D) <= X:
                 raise InvariantError("scanned %r has disc %d outside 0 < |disc| <= %d" % (f, D, X))
-            # the sign variants are among the images, so this is a cheap
-            # first test of being the largest reduced form of the orbit
-            if not _lexmax_keep(f):
-                continue
+            # an interior form's only other reduced forms are its sign
+            # variants, and the scan yields the largest of those
             if boundary_signature(f) == INTERIOR:
                 orb = Orbit(BinaryCubicForm(*f), 1, 1)
             else:
                 cl = reduced_orbit(f)
                 if max(cl.forms) != f:
                     continue
+                if cl.stabilizer_order not in (1, 2, 3, 6):
+                    raise InvariantError("stabilizer of %r has order %d" % (f, cl.stabilizer_order))
                 orb = Orbit(BinaryCubicForm(*f), cl.stabilizer_order, cl.proper_stabilizer_order)
             table.setdefault(D, []).append(orb)
     view = MappingProxyType({D: tuple(sorted(orbs)) for D, orbs in table.items()})
     _ORBIT_CACHE[zmat_only] = (X, view)
     return view
+
+
+def _orbits_at(D: int, zmat_only: bool = False, budget=None):
+    """orbit_table(abs(D), zmat_only, budget).get(D, ()), read straight from
+    the cached table when it reaches |D|, without a filtered copy."""
+    _check_budget(abs(D), budget)
+    cached = _ORBIT_CACHE.get(zmat_only)
+    if cached is not None and cached[0] >= abs(D):
+        return cached[1].get(D, ())
+    return orbit_table(abs(D), zmat_only, budget).get(D, ())
+
+
+def _weight_sum(orbs) -> Fraction:
+    """Sum of 1/|stabilizer| over orbs, added in sixths as an integer
+    (orbit_table checks every order divides 6)."""
+    return Fraction(sum(6 // o.stabilizer_order for o in orbs), 6)
 
 
 def enumerate_orbits(X: int, zmat_only: bool = False, budget=None):
@@ -277,12 +306,8 @@ def h_value(D: int, zmat_variant: bool = False, budget=None) -> Fraction:
     if D == 0 or not in_discs(D):
         return Fraction(0)
     if zmat_variant:
-        table = orbit_table(27 * abs(D), True, budget)
-        orbs = table.get(-27 * D, [])
-    else:
-        table = orbit_table(abs(D), False, budget)
-        orbs = table.get(D, [])
-    return sum((o.weight for o in orbs), Fraction(0))
+        return _weight_sum(_orbits_at(-27 * D, True, budget))
+    return _weight_sum(_orbits_at(D, False, budget))
 
 
 def class_numbers(X: int, budget=None):
@@ -294,8 +319,8 @@ def class_numbers(X: int, budget=None):
     for D in range(-X, X + 1):
         if D == 0:
             continue
-        h = sum((o.weight for o in h_table.get(D, [])), Fraction(0))
-        hh = sum((o.weight for o in hh_table.get(-27 * D, [])), Fraction(0))
+        h = _weight_sum(h_table.get(D, ()))
+        hh = _weight_sum(hh_table.get(-27 * D, ()))
         if h or hh or in_discs(D):
             out[D] = (h, hh)
     return out
@@ -305,11 +330,21 @@ def class_numbers(X: int, budget=None):
 # Secondary enumeration oracle: coefficient box + orbit-closure dedup
 
 def box_orbit_counts(X: int):
-    """Independent re-enumeration for cross-checking: scan a coefficient box
-    guaranteed to contain every reduced form with |disc| <= X, keep reduced
-    forms, take the largest form of each one's breadth-first orbit closure
-    (not the boundary-matrix table the primary scan uses), deduplicate.
-    Returns dict disc -> orbit count."""
+    """Independent re-enumeration for cross-checking: take the reduced forms
+    of `box_reduced_forms`, the largest form of each one's breadth-first
+    orbit closure (not the boundary-matrix table the primary scan uses),
+    deduplicate.  Returns dict disc -> orbit count."""
+    reps = {}
+    for D, f in box_reduced_forms(X):
+        reps.setdefault(D, set()).add(max(orbit_closure(f).forms))
+    return {D: len(s) for D, s in reps.items()}
+
+
+def box_reduced_forms(X: int, zmat_only: bool = False):
+    """Yield (disc, form) for every reduced form with 0 < |disc| <= X, a >= 0
+    and b > 0 when a = 0 (3 | b, c when zmat_only), by testing each form of
+    a coefficient box guaranteed to contain them all."""
+    step = 3 if zmat_only else 1
     amax = max(_i4root((16 * X) // 27) + 1, isqrt((4 * isqrt(X)) // 27) + 2)
     T = _i4root(X // 3) + 1
     M2 = _icbrt(X // 4) + 1
@@ -319,22 +354,18 @@ def box_orbit_counts(X: int):
     cmax = max(amax * (vmax + tmax) + 1, bmax)
     # the a = 0 families have d up to about X/4 (worst case b = 1)
     dmax = max(amax * tmax * vmax + 1, (X + 1) // 4 + 2, cmax)
-    reps = {}
     for a in range(0, amax + 1):
-        for b in range(-bmax, bmax + 1):
+        for b in range(-(bmax // step) * step, bmax + 1, step):
             if a == 0 and b <= 0:
                 continue
-            for c in range(-cmax, cmax + 1):
+            for c in range(-(cmax // step) * step, cmax + 1, step):
                 for d in range(-dmax, dmax + 1):
                     f = (a, b, c, d)
                     D = disc(f)
                     if D == 0 or abs(D) > X:
                         continue
-                    red = is_reduced_pos(f) if D > 0 else is_reduced_neg(f)
-                    if not red:
-                        continue
-                    reps.setdefault(D, set()).add(max(orbit_closure(f).forms))
-    return {D: len(s) for D, s in reps.items()}
+                    if is_reduced_pos(f) if D > 0 else is_reduced_neg(f):
+                        yield D, f
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,12 @@ The matrices carrying a reduced form to the reduced forms of its orbit
 depend only on its boundary signature: which of the lines Re = 0,
 Re = -1/2, Re = +1/2 and the arc |z| = 1 its point (the Hessian root for
 disc > 0, w for disc < 0) lies on, each read off one integer equality.
-The constant table BOUNDARY_MATRICES lists them per signature, so
-canonical representatives (the lexicographically largest reduced form of
-the orbit) and stabilizers come from one lookup.  `orbit_closure`, a breadth-first
+The constant table BOUNDARY_MATRICES lists them per signature, in blocks
+of four that differ by the four sign matrices, so the images of a block
+are the sign variants f, -f, (-a, b, -c, d), (a, -b, c, -d) of one image
+and one `act` per block finds them.  Canonical representatives (the
+lexicographically largest reduced form of the orbit) and stabilizers come
+from one lookup.  `orbit_closure`, a breadth-first
 closure under the matrices with entries in {-1, 0, 1}, finds the same sets
 independently and is kept as the oracle for that table.  No floating point
 enters anywhere.
@@ -233,6 +236,8 @@ _RIGHT_CORNER = (
 # serves both signs.  The line Re = 0 adds no matrix, but a form on it may
 # equal one of its sign variants; it is in the key so that exactly the
 # INTERIOR forms are known to have a trivial stabilizer without a lookup.
+# Each entry is a run of blocks of four, and element j of a block is
+# mat_mul(_SIGNS[j], block[0]); reduced_orbit relies on that.
 BOUNDARY_MATRICES = {
     key: tuple(UnimodularMatrix(*m) for m in mats)
     for key, mats in {
@@ -411,20 +416,32 @@ def orbit_closure(form) -> OrbitClosure:
 def reduced_orbit(form) -> OrbitClosure:
     """The same data as `orbit_closure`, read from BOUNDARY_MATRICES: every
     matrix carrying the reduced form `form` to a reduced form, with the
-    images and the stabilizer orders.  Raises InvariantError if an image is
-    not reduced."""
+    images and the stabilizer orders.  One `act` per block of four; the
+    other images of the block are the sign variants of that one, which are
+    reduced exactly when it is.  Raises InvariantError if an image is not
+    reduced."""
     f0 = tuple(form)
     pred = is_reduced_pos if disc(f0) > 0 else is_reduced_neg
     if not pred(f0):
         raise ValueError("reduced_orbit wants a reduced form")
     images = {}
-    for g in BOUNDARY_MATRICES[boundary_signature(f0)]:
-        image = act(g, f0)
+    mats = BOUNDARY_MATRICES[boundary_signature(f0)]
+    for i in range(0, len(mats), 4):
+        block = mats[i:i + 4]
+        image = act(block[0], f0)
         if not pred(image):
             raise InvariantError(
-                "%r maps reduced %r to unreduced %r" % (tuple(g), f0, tuple(image))
+                "%r maps reduced %r to unreduced %r" % (tuple(block[0]), f0, tuple(image))
             )
-        images[g] = image
+        a, b, c, d = image
+        variants = (
+            image,
+            BinaryCubicForm(-a, -b, -c, -d),
+            BinaryCubicForm(-a, b, -c, d),
+            BinaryCubicForm(a, -b, c, -d),
+        )
+        for g, ff in zip(block, variants):
+            images[g] = ff
     stab = sum(1 for ff in images.values() if ff == f0)
     proper = sum(1 for g, ff in images.items() if ff == f0 and g.det == 1)
     return OrbitClosure(frozenset(images.values()), images, stab, proper)

@@ -289,7 +289,7 @@ def ideal_from_generators(D: int, gens) -> QuadIdeal:
     # close under multiplication by xi so arbitrary generating sets work
     ax, bx, g = hnf2(list(gens) + [o.mul((0, 1), v) for v in gens])
     if ax % g:
-        raise AssertionError("lattice is not an O-ideal (g does not divide a)")
+        raise InvariantError("lattice is not an O-ideal (g does not divide a)")
     a = ax // g
     return make_ideal(D, g, a, (bx // g) % a)
 

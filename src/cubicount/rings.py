@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .forms import BinaryCubicForm, BudgetExceeded, disc, evaluate
+from .forms import BinaryCubicForm, BudgetExceeded, InvariantError, disc, evaluate
 from .quad import divisors, xgcd
 
 SPLITTING_TYPES = ("111", "12", "3", "1^2 1", "1^3")
@@ -250,10 +250,15 @@ def max_zmat_subring(ring: CubicRing):
                     gens.append(list(x))
     basis = _hnf_rows(gens, 3)
     idx = index_in([[1, 0, 0], [0, 1, 0], [0, 0, 1]], basis)
-    assert idx in (1, 3, 9)
+    if idx not in (1, 3, 9):
+        raise InvariantError("trace-divisible subring of %r has index %d" % (tuple(ring.form), idx))
     sub = lattice_ring(ring, basis)
-    assert is_zmat_ring(sub)
-    assert sub.discriminant == idx * idx * ring.discriminant
+    if not is_zmat_ring(sub):
+        raise InvariantError("subring %r of %r is not trace-divisible" % (tuple(sub.form), tuple(ring.form)))
+    if sub.discriminant != idx * idx * ring.discriminant:
+        raise InvariantError(
+            "index-%d subring of %r has disc %d, not %d" % (idx, tuple(ring.form), sub.discriminant, idx * idx * ring.discriminant)
+        )
     return sub, idx, [tuple(r) for r in basis]
 
 
@@ -281,7 +286,8 @@ def lattice_ring(ring: CubicRing, basis_rows) -> CubicRing:
     cu = _solve2_full(u, v, uu)
     cv = _solve2_full(u, v, vv)
     cm = _solve2_full(u, v, uv)
-    assert cm[1] == 0 and cm[2] == 0, "not a normal basis"
+    if cm[1] or cm[2]:
+        raise InvariantError("not a normal basis: alpha beta = %r" % (cm,))
     # alpha^2 = l - b alpha + a beta ; beta^2 = n - d alpha + c beta
     b = -cu[1]
     a = cu[2]
@@ -289,8 +295,9 @@ def lattice_ring(ring: CubicRing, basis_rows) -> CubicRing:
     c = cv[2]
     form = BinaryCubicForm(a, b, c, d)
     sub = CubicRing(form, ring.orientation)
-    # sanity: table constants match -ac, -ad, -bd
-    assert cu[0] == -a * c and cm[0] == -a * d and cv[0] == -b * d
+    # the table constants must be -ac, -ad, -bd
+    if (cu[0], cm[0], cv[0]) != (-a * c, -a * d, -b * d):
+        raise InvariantError("table constants %r do not match the form %r" % ((cu[0], cm[0], cv[0]), tuple(form)))
     return sub
 
 

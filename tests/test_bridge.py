@@ -163,6 +163,49 @@ def test_triple_checks_survive_optimize():
     assert out.stdout.strip() == "raised", out.stderr
 
 
+def test_bridge_and_ring_invariants_survive_optimize():
+    # each tampered helper breaks one invariant; under -O an assert would
+    # let the wrong value through, an InvariantError must still be raised
+    code = (
+        "from cubicount import bridge, forms, quad, rings\n"
+        "def check(name, fn):\n"
+        "    try:\n"
+        "        fn()\n"
+        "    except forms.InvariantError:\n"
+        "        print(name)\n"
+        "class Chi:\n"
+        "    D = -23\n"
+        "    def __call__(self, J):\n"
+        "        return 1\n"
+        "check('chi-sum', lambda: bridge.chi_term_sum(Chi(), 2))\n"
+        "trivial = quad.mu3_characters(-23)[0]\n"
+        "bridge.ideals_of_norm = lambda D, n, invertible_only=False: []\n"
+        "check('split-prime', lambda: bridge.splitting_type_from_char(trivial, 2))\n"
+        "bridge.pic_3_torsion = lambda D: 2\n"
+        "check('pic3-odd', lambda: bridge.check_fields_pic(-23))\n"
+        "bridge.disc = lambda f: 28\n"
+        "check('disc-27', lambda: bridge.extract_triple((1, 0, 0, -1)))\n"
+        "ring = rings.ring_from_form((1, 0, 0, -1))\n"
+        "solve = rings._solve2_full\n"
+        "rings._solve2_full = lambda u, v, w: (0, 1, 1)\n"
+        "check('normal-basis', lambda: rings.lattice_ring(ring, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))\n"
+        "rings._solve2_full = solve\n"
+        "rings.is_zmat_ring = lambda ring: False\n"
+        "check('zmat-subring', lambda: rings.max_zmat_subring(ring))\n"
+        "rings.index_in = lambda parent, sub: 2\n"
+        "check('zmat-index', lambda: rings.max_zmat_subring(ring))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.stdout.split() == [
+        "chi-sum", "split-prime", "pic3-odd", "disc-27", "normal-basis",
+        "zmat-subring", "zmat-index",
+    ], out.stderr
+
+
 # ---------------------------------------------------------------------------
 # integer lattices against a Fraction reference
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -10,7 +11,11 @@ from cubicount import counting
 from cubicount.counting import (
     BudgetExceeded,
     _icbrt,
+    _orbits_at,
+    _scan_neg,
+    _scan_pos,
     box_orbit_counts,
+    box_reduced_forms,
     check_recursion,
     class_numbers,
     enumerate_orbits,
@@ -89,6 +94,64 @@ def test_orbit_table_is_read_only(monkeypatch):
             view[D][0].stabilizer_order = 6
     assert {D: list(orbs) for D, orbs in orbit_table(X).items()} == before
     assert h_value(-23) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize(
+    "X, zmat, lines, sha",
+    [
+        (3000, False, 4804, "e0ab59f22c3386b931c4e3889bbaa5cf79ed0e200f15c0d4083e7b892f34938f"),
+        (54000, True, 4764, "deb280110f2a530508f6abb3bc6d87f9ec0f8cb2ea8a6127ec68f75425d709f8"),
+    ],
+)
+def test_orbit_table_digest(monkeypatch, X, zmat, lines, sha):
+    # taken from the scan that still yielded two sign variants per form
+    # and kept the largest; every representative and stabilizer must stay
+    monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
+    table = orbit_table(X, zmat)
+    text = [
+        "%d %s %d %d\n" % (D, o.form, o.stabilizer_order, o.proper_stabilizer_order)
+        for D in sorted(table)
+        for o in table[D]
+    ]
+    assert len(text) == lines
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == sha
+
+
+def _sign_variants(f):
+    a, b, c, d = f
+    return ((a, b, c, d), (-a, -b, -c, -d), (-a, b, -c, d), (a, -b, c, -d))
+
+
+@pytest.mark.parametrize("X, zmat", [(120, False), (27 * 13, True)])
+def test_scans_match_brute_force(X, zmat):
+    # each scan yields, once each, exactly the reduced forms of its disc
+    # sign in a coefficient box that are the largest of their sign variants
+    want = {1: set(), -1: set()}
+    for D, f in box_reduced_forms(X, zmat):
+        if f == max(_sign_variants(f)):
+            want[1 if D > 0 else -1].add(f)
+    assert want[1] and want[-1]
+    for sign, scan in ((1, _scan_pos), (-1, _scan_neg)):
+        got = [tuple(f) for f in scan(X, zmat)]
+        assert len(got) == len(set(got))
+        assert set(got) == want[sign]
+
+
+def test_orbits_at_reads_the_cached_table(monkeypatch):
+    monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
+    table = orbit_table(300)
+    real = counting.orbit_table
+    calls = []
+    monkeypatch.setattr(
+        counting, "orbit_table", lambda *args: calls.append(args) or real(*args)
+    )
+    for D in range(-300, 301):
+        assert _orbits_at(D) == table.get(D, ())
+    assert calls == []
+    with pytest.raises(BudgetExceeded):
+        _orbits_at(-23, budget=10)  # the budget holds on a cached table too
+    assert _orbits_at(-307) == real(307).get(-307, ())
+    assert calls == [(307, False, None)]
 
 
 def test_orbit_table_rejects_out_of_range_scan(monkeypatch):

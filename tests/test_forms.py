@@ -237,15 +237,18 @@ def test_stabilizer_order_divides_six(f):
 
 
 def _scanned_forms():
+    # the scans yield one form per sign class; all four sign variants are
+    # reduced, and each is checked
     for X, zmat in ((3000, False), (27 * 200, True)):
         for scan in (_scan_pos, _scan_neg):
-            yield from scan(X, zmat)
+            for a, b, c, d in scan(X, zmat):
+                yield from {(a, b, c, d), (-a, -b, -c, -d), (-a, b, -c, d), (a, -b, c, -d)}
 
 
 def _assert_table_matches_bfs(f):
     table, bfs = reduced_orbit(f), orbit_closure(f)
     assert table.forms == bfs.forms, f
-    assert set(table.matrices) == set(bfs.matrices), f
+    assert table.matrices == bfs.matrices, f
     assert table.stabilizer_order == bfs.stabilizer_order, f
     assert table.proper_stabilizer_order == bfs.proper_stabilizer_order, f
 
@@ -265,6 +268,17 @@ def test_boundary_table_matches_orbit_closure():
     # all seven boundary signatures occur, plus the interior
     assert seen == set(BOUNDARY_MATRICES)
     assert len(seen - {INTERIOR}) == 7
+
+
+def test_boundary_matrices_are_sign_blocks():
+    # reduced_orbit acts once per block of four and writes the other three
+    # images as sign variants, which holds only if block element j is
+    # _SIGNS[j] times the first
+    for key, mats in BOUNDARY_MATRICES.items():
+        assert len(mats) % 4 == 0, key
+        for i in range(0, len(mats), 4):
+            for j in range(4):
+                assert mats[i + j] == mat_mul(forms._SIGNS[j], mats[i]), (key, i, j)
 
 
 def test_boundary_signature_reads_each_edge():

@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubicount import quad
+from cubicount.forms import InvariantError
 from cubicount.quad import (
     BudgetExceeded,
     Mu3Char,
@@ -179,6 +181,16 @@ def test_ideal_from_generators_matches_products():
     assert P.norm == 4
     # I and J are the two primes over 2; their product is (2)
     assert P == make_ideal(-23, 2, 1, 0)
+
+
+def test_non_ideal_lattice_raises_invariant_error(monkeypatch):
+    # the generators are closed under xi first, so only a faulty Hermite
+    # form can give a lattice that is not an O-ideal: Z 3 + Z 2i is not
+    # i-stable in Z[i].  That is an internal fault (CLI exit 3), not an
+    # AssertionError that would read as a failed identity.
+    monkeypatch.setattr(quad, "hnf2", lambda vecs: (3, 0, 2))
+    with pytest.raises(InvariantError):
+        ideal_from_generators(-4, [(3, 0), (0, 2)])
 
 
 # ---------------------------------------------------------------------------
