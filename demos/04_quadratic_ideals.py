@@ -4,7 +4,9 @@ Every discriminant D = 0, 1 mod 4 has exactly one quadratic ring O_D,
 maximal or not, real or imaginary or split; all of them go through the
 same generator xi with xi^2 = r xi - (r^2 - D)/4.  Ideals are triangular
 lattices <g a, g(b + xi)>; invertible classes form the Picard group,
-computed here by bounded brute force with an exact principality search.
+computed from reduced binary quadratic forms as a product of cyclic groups
+(its invariant factors).  The exact principality search shown first is the
+independent check of those classes.
 """
 
 from cubicount.quad import (
@@ -37,8 +39,8 @@ for D in (5, 8, 20, 61, 229):
 # class groups, 3-torsion, unit cube classes
 for D in (-3, -23, -47, 49, -108, 229):
     G = picard_group(D)
-    print("\nPic(O_%d): order %d, 3-torsion %d, unit cube classes %d"
-          % (D, len(G), pic_3_torsion(D), unit_cube_classes(D)))
+    print("\nPic(O_%d): order %d, invariant factors %s, 3-torsion %d, unit cube classes %d"
+          % (D, len(G), list(G.invariants), pic_3_torsion(D), unit_cube_classes(D)))
 
 # cubic characters and their conductors: disc -4 * 13^2 has class number 12
 D = -4 * 169

@@ -155,7 +155,8 @@ def lat_subset_order(L: RatLattice) -> bool:
 
 def lat_to_ideal(L: RatLattice) -> QuadIdeal:
     """Convert an integral sublattice of O_D to normal form."""
-    assert lat_subset_order(L)
+    if not lat_subset_order(L):
+        raise InvariantError("lattice %r is not inside O_%d" % (L, L.D))
     r = L.D % 2
     gens = [((x - r * y) // L.den, 2 * y // L.den) for x, y in L.rows()]
     return ideal_from_generators(L.D, gens)
@@ -326,7 +327,8 @@ def _solve_in_plane(alpha, vs, vden, w):
     on the last two coordinates and checked on the first; alpha and w are
     integer vectors, vs the integer numerators over vden."""
     det = alpha[1] * vs[2] - alpha[2] * vs[1]
-    assert det != 0
+    if det == 0:
+        raise InvariantError("alpha and the image of sqrt D are dependent on the plane")
     x = w[1] * vs[2] - w[2] * vs[1]
     y = (alpha[1] * w[2] - alpha[2] * w[1]) * vden
     if det < 0:
@@ -394,17 +396,22 @@ def rhs_count(D: int) -> int:
     over all factorizations D' g^2 = D, weighted by |Pic(O_{D'})[3]|."""
     if not in_discs(D):
         raise ValueError("not a discriminant")
+    return _cube_ideal_sum(D)
+
+
+def _cube_ideal_sum(D: int, prime_to_3: bool = False) -> int:
+    """The ideal side shared by `rhs_count` and `check_prop_3notdiv`: over
+    all factorizations D' g^2 = D (only g prime to 3 if prime_to_3), the
+    number of invertible ideals of norm g of O_{D'} in cube classes, times
+    |Pic(O_{D'})[3]|."""
     total = 0
     g = 1
     while g * g <= abs(D):
-        if D % (g * g) == 0 and in_discs(D // (g * g)):
+        if (g % 3 or not prime_to_3) and D % (g * g) == 0 and in_discs(D // (g * g)):
             Dp = D // (g * g)
             G = picard_group(Dp)
-            cnt = 0
-            for J in ideals_of_norm(Dp, g, invertible_only=True):
-                if G.is_cube(G.class_of(J)):
-                    cnt += 1
-            total += cnt * G.three_torsion()
+            cubes = sum(1 for J in ideals_of_norm(Dp, g, invertible_only=True) if G.is_cube(G.class_of(J)))
+            total += cubes * G.three_torsion()
         g += 1
     return total
 
@@ -540,19 +547,7 @@ def check_prop_3notdiv(D: int) -> dict:
         raise ValueError("requires 3 coprime to the discriminant")
     if not in_discs(D):
         raise ValueError("not a discriminant")
-    X = -27 * D
-    total = 0
-    g = 1
-    while g * g <= abs(X):
-        if g % 3 and X % (g * g) == 0 and in_discs(X // (g * g)):
-            Dp = X // (g * g)
-            G = picard_group(Dp)
-            cnt = 0
-            for J in ideals_of_norm(Dp, g, invertible_only=True):
-                if G.is_cube(G.class_of(J)):
-                    cnt += 1
-            total += cnt * G.three_torsion()
-        g += 1
+    total = _cube_ideal_sum(-27 * D, prime_to_3=True)
     lhs = 6 * weight_w(-3 * D) * weight_eta(-3 * D) * h_value(D)
     return {
         "check": "prop6",

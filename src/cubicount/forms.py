@@ -287,11 +287,12 @@ def _reduce_pos(form):
         elif r < t:
             step = MAT_SWAP
         else:
-            assert is_reduced_pos(f)
+            if not is_reduced_pos(f):
+                raise InvariantError("reduction of %r stopped at unreduced %r" % (form, f))
             return f, g
         f = tuple(act(step, f))
         g = mat_mul(step, g)
-    raise RuntimeError("reduction did not terminate for %r" % (form,))
+    raise InvariantError("reduction did not terminate for %r" % (form,))
 
 
 def _reduce_neg(form):
@@ -310,7 +311,8 @@ def _reduce_neg(form):
             elif d < b:
                 step = MAT_SWAP
             else:
-                assert is_reduced_neg(f)
+                if not is_reduced_neg(f):
+                    raise InvariantError("reduction of %r stopped at unreduced %r" % (form, f))
                 return f, g
             f = tuple(act(step, f))
             g = mat_mul(step, g)
@@ -318,16 +320,18 @@ def _reduce_neg(form):
         # translate Re w into [-1/2, 1/2]
         if evaluate(f, -a - b, a) > 0 or evaluate(f, a - b, a) < 0:
             k = _round_re_w(f)
-            assert k != 0
+            if k == 0:
+                raise InvariantError("translation of %r by 0" % (f,))
             step = UnimodularMatrix(1, 0, k, 1)
         elif not _v_at_least_one(f):
             step = MAT_SWAP
         else:
-            assert is_reduced_neg(f)
+            if not is_reduced_neg(f):
+                raise InvariantError("reduction of %r stopped at unreduced %r" % (form, f))
             return f, g
         f = tuple(act(step, f))
         g = mat_mul(step, g)
-    raise RuntimeError("reduction did not terminate for %r" % (form,))
+    raise InvariantError("reduction did not terminate for %r" % (form,))
 
 
 def _v_at_least_one(f) -> bool:

@@ -14,23 +14,33 @@ lattices in Q(sqrt D) share that kernel).
 
 An invertible ideal <a, b + xi> has the primitive binary quadratic form
 (a, 2b + r, N(b + xi)/a) of discriminant D, and its Picard class is read
-from the reduction theory of that form as an exact class key: the reduced
-form for D < 0, the least form on the rho-cycle of reduced forms (over both
-orientations, as Pic is the wide class group) for D > 0 not a square, and
-(0, m, +-c mod m) for D = m^2.  The Picard group is computed by keying the
-primitive invertible ideals up to a norm bound that reaches every class;
-the first ideal of each key is the class representative.  The exact
-principality search `is_principal` (elements of a given norm, normalized by
-the fundamental unit in the real case) is not used to separate classes; it
-stays as the independent oracle the class keys are tested against.
-Characters with values in Z/3, their conductors, and the extension maps
-between orders of the same fundamental discriminant are built on top of the
-group table.
+from the reduction theory of that form (Cohen, GTM 138, §5.4 and §5.6):
+
+  D < 0: the classes are the primitive reduced forms |b| <= a <= c;
+  D > 0 not a square: the classes are the rho-cycles of primitive reduced
+    indefinite forms, the two orientations of one wide class merged, and
+    every form on them is a key of its class, so an ideal is classified by
+    applying rho until its form is reduced and one dict lookup;
+  D = m^2: the classes are the forms (0, m, c) with c up to sign mod m.
+
+Pic(O_D) is built from those keys with no ideal pool and no product
+table.  Its class count is the number of classes above; the representative
+of a class is its first primitive invertible ideal in order of norm, then
+b, from a norm scan that stops once every class is met.  Generators come
+from closing cyclic subgroups one class at a time, with one ideal product
+per class, and a Smith normal form of their relations gives the invariant
+factors and an exponent vector for every class (§2.4).  Products, inverses,
+3-torsion, cubes, the characters with values in Z/3 and the extension maps
+between orders of the same fundamental discriminant are read off those
+vectors.  The exact principality search `is_principal` (elements of a given
+norm, normalized by the fundamental unit in the real case) is not used to
+separate classes; it stays as the independent oracle the class keys are
+tested against.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from types import MappingProxyType
 from typing import NamedTuple
@@ -113,8 +123,10 @@ def hnf2(vecs):
     return a, b, c
 
 
+@lru_cache(maxsize=None)
 def fundamental_part(D: int):
-    """D = D0 * f^2 with D0 a fundamental discriminant; returns (D0, f)."""
+    """D = D0 * f^2 with D0 a fundamental discriminant; returns (D0, f).
+    Cached: orders ask for their conductor on every access."""
     if not in_discs(D):
         raise ValueError("%d is not a discriminant" % D)
     fmax = 1
@@ -123,7 +135,7 @@ def fundamental_part(D: int):
     for f in reversed(divisors(fmax)):
         if is_fundamental(D // (f * f)):
             return D // (f * f), f
-    raise AssertionError("no fundamental decomposition for %d" % D)
+    raise InvariantError("no fundamental decomposition for %d" % D)
 
 
 def is_fundamental(D: int) -> bool:
@@ -321,21 +333,25 @@ def ideals_of_norm(D: int, n: int, invertible_only: bool = False, max_norm: int 
         raise ValueError("norm must be positive")
     if n > max_norm:
         raise BudgetExceeded("ideal norm %d over budget" % n)
-    o = order(D)
-    r, nu = o.r, o.xi_norm
+    order(D)
     out = []
     g = 1
     while g * g <= n:
         if n % (g * g) == 0:
-            a = n // (g * g)
-            for b in range(a):
-                c, rem = divmod(b * (b + r) + nu, a)  # N(b + xi) / a
-                # invertible iff the form (a, 2b + r, c) is primitive
-                if rem or (invertible_only and gcd(gcd(a, 2 * b + r), c) != 1):
-                    continue
-                out.append(QuadIdeal(D, g, a, b))
+            out += (I.scale(g) for I in _primitive_ideals(D, n // (g * g), invertible_only))
         g += 1
     return out
+
+
+def _primitive_ideals(D: int, a: int, invertible_only: bool = True):
+    """The ideals <a, b + xi> of O_D (only the invertible ones if asked),
+    in order of b."""
+    r, nu = D % 2, (D % 2 - D) // 4
+    for b in range(a):
+        c, rem = divmod(b * (b + r) + nu, a)  # N(b + xi) / a
+        # invertible iff the form (a, 2b + r, c) is primitive
+        if not rem and not (invertible_only and gcd(gcd(a, 2 * b + r), c) != 1):
+            yield QuadIdeal(D, 1, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +405,8 @@ def fundamental_unit(D: int):
 
 def _embed_even(D, x1, y1):
     # x1 + y1*sqrt(D) as (x, y) in basis (1, xi), xi = (1 + sqrt(D))/2
-    assert D % 2 == 1
+    if D % 2 == 0:
+        raise InvariantError("odd-discriminant unit embedding asked for D=%d" % D)
     return (x1 - y1, 2 * y1)
 
 
@@ -482,17 +499,18 @@ def unit_cube_classes(D: int) -> int:
 # Class keys from reduced binary quadratic forms
 
 def class_key(I: QuadIdeal):
-    """Exact invariant of the Picard class of an invertible ideal: two
-    invertible ideals of O_D have the same key iff their quotient is
-    principal.  Read from the form (t, s, r) of the primitive part:
+    """A reduced form in the Picard class of an invertible ideal, read from
+    the form (t, s, r) of its primitive part:
 
-    D < 0: the reduced form (Gauss);
-    D > 0 not a square: the least reduced form on the rho-cycle of (t, s, r)
-      or of (-t, s, -r), whichever is smaller -- a generator of negative
-      norm reverses the orientation, so the wide class is the union of the
-      two proper classes;
+    D < 0: the reduced form (Gauss), the one key of its class;
+    D > 0 not a square: the first reduced form that rho reaches from
+      (t, s, r).  Every reduced form on the rho-cycles of a class is a key
+      of it -- the cycles of both orientations, as a generator of negative
+      norm reverses the orientation and Pic is the wide class group -- so
+      `PicGroup.index` maps them all to the class;
     D = m^2: (0, m, c) with 0 <= c < m the least of the two residues +-c
-      of the forms (0, m, c) properly equivalent to (t, s, r).
+      of the forms (0, m, c) properly equivalent to (t, s, r), the one key
+      of its class.
 
     ValueError if I is not invertible, i.e. (t, s, r) is not primitive."""
     t, s, r = ideal_form_coefficients(I)
@@ -505,7 +523,9 @@ def class_key(I: QuadIdeal):
     if m * m == D:
         c = _split_residue(m, t, s, r)
         return 0, m, min(c, -c % m)
-    return min(_least_on_cycle(D, m, t, s, r), _least_on_cycle(D, m, -t, s, -r))
+    while not _is_reduced_indefinite(D, m, t, s):
+        t, s, r = _rho(D, m, t, s, r)
+    return t, s, r
 
 
 def _reduce_definite(a, b, c):
@@ -541,22 +561,6 @@ def _is_reduced_indefinite(D, sq, a, b):
     return 0 < b <= sq and (a2 + b) ** 2 > D and (a2 <= b or (a2 - b) ** 2 < D)
 
 
-def _least_on_cycle(D, sq, a, b, c):
-    """The least reduced form properly equivalent to (a, b, c): rho carries
-    every form to a reduced one, and the reduced forms of one proper class
-    are exactly one rho-cycle (Buchmann & Vollmer, Binary Quadratic Forms,
-    ch. 6)."""
-    f = (a, b, c)
-    while not _is_reduced_indefinite(D, sq, f[0], f[1]):
-        f = _rho(D, sq, *f)
-    least = start = f
-    f = _rho(D, sq, *f)
-    while f != start:
-        least = min(least, f)
-        f = _rho(D, sq, *f)
-    return least
-
-
 def _split_residue(m, a, b, c):
     """The c0, 0 <= c0 < m, with (0, m, c0) properly equivalent to the
     primitive form (a, b, c) of discriminant m^2.  No two of these forms
@@ -576,64 +580,129 @@ def _split_residue(m, a, b, c):
     return pow(c, -1, m)
 
 
+def _class_labels(D: int):
+    """Every value class_key takes on O_D, mapped to a label 0, 1, ... of
+    its Picard class: the primitive reduced forms (D < 0), the primitive
+    reduced forms with the two orientations of one wide class sharing a
+    label (D > 0 not a square), or the keys (0, m, c) with gcd(c, m) = 1
+    (D = m^2)."""
+    labels = {}
+    if D < 0:
+        a = 1
+        while 3 * a * a <= -D:
+            for b in range(-a + 1 + (a + 1 + D) % 2, a + 1, 2):  # b = D mod 2
+                c, rem = divmod(b * b - D, 4 * a)
+                if not rem and c >= a and not (a == c and b < 0) and gcd(gcd(a, b), c) == 1:
+                    labels[a, b, c] = len(labels)
+            a += 1
+        return labels
+    m = isqrt(D)
+    if m * m == D:
+        for c in range(m):
+            if gcd(c, m) == 1:
+                labels.setdefault((0, m, min(c, m - c)), len(labels))
+        return labels
+    h = 0
+    for b in range(m - (m - D) % 2, 0, -2):  # b = D mod 2, 0 < b < sqrt D
+        n = (D - b * b) // 4  # = -ac
+        for a in range(max(1, (m - b) // 2), (m + b) // 2 + 1):
+            if n % a or not _is_reduced_indefinite(D, m, a, b) or gcd(gcd(a, b), n // a) != 1:
+                continue
+            for f in ((a, b, -n // a), (-a, b, n // a)):
+                if f in labels:
+                    continue
+                # the rho-cycle of f, then that of the opposite orientation
+                for e in (f, (-f[0], f[1], -f[2])):
+                    while e not in labels:
+                        labels[e] = h
+                        e = _rho(D, m, *e)
+                h += 1
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # Picard groups
 
 class PicGroup:
-    """Finite abelian group of invertible ideal classes of O_D.
+    """Pic(O_D) as a finite abelian group Z/d_1 x ... x Z/d_k,
+    d_1 | d_2 | ... | d_k, d_1 > 1 (Smith normal form).
 
-    reps: canonical primitive invertible ideals, identity first.
-    table[i][j]: index of the product class.
+    reps: per class, the first primitive invertible ideal in order of norm,
+    then b; the identity is class 0.
+    index: every class key (see class_key) -> class index.
+    invariants: the invariant factors (d_1, ..., d_k).
+    vectors: per class, its exponent vector over the invariant factors.
+    generators: per invariant factor, the class of its unit vector.
     coprime_reps: per class, a representative of norm coprime to the
-    conductor (needed for extension maps between orders).
-    index: class key -> class index.
+    conductor (needed for extension maps between orders); built on first
+    use.
+    table[i][j]: index of the product class; built on first use, for
+    `picard_dump` and the tests.
 
-    Groups are cached and shared by every caller, so all four are stored
-    read-only: tuples, a tuple of tuples and a mapping proxy."""
+    Groups are cached and shared by every caller, so all of these are
+    stored read-only: tuples and a mapping proxy."""
 
-    def __init__(self, D, reps, table, coprime_reps, index):
+    def __init__(self, D, reps, index, invariants, vectors):
         self.D = D
         self.reps = tuple(reps)
-        self.table = tuple(tuple(row) for row in table)
-        self.coprime_reps = tuple(coprime_reps)
         self.index = MappingProxyType(index)
+        self.invariants = tuple(invariants)
+        self.vectors = tuple(vectors)
+        self._by_vector = {v: i for i, v in enumerate(self.vectors)}
+        self.generators = tuple(
+            self._by_vector[tuple(int(k == l) for l in range(len(invariants)))]
+            for k in range(len(invariants))
+        )
 
     def __len__(self):
         return len(self.reps)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
+    def _class_at(self, v) -> int:
+        return self._by_vector[tuple(x % d for x, d in zip(v, self.invariants))]
 
-    def power(self, i: int, n: int) -> int:
-        out = 0
-        for _ in range(n):
-            out = self.mul(out, i)
-        return out
+    def mul(self, i: int, j: int) -> int:
+        return self._class_at([x + y for x, y in zip(self.vectors[i], self.vectors[j])])
 
     def inverse(self, i: int) -> int:
-        row = self.table[i]
-        return row.index(0)
+        return self._class_at([-x for x in self.vectors[i]])
 
     def class_of(self, I: QuadIdeal) -> int:
         if I.D != self.D:
             raise ValueError("ideal of a different order")
         return _classify(self.index, I)
 
-    def cube_classes(self):
-        return sorted({self.power(i, 3) for i in range(len(self))})
-
     def three_torsion(self) -> int:
-        return sum(1 for i in range(len(self)) if self.power(i, 3) == 0)
-
-    def element_order(self, i: int) -> int:
-        n, j = 1, i
-        while j != 0:
-            j = self.mul(j, i)
-            n += 1
-        return n
+        return 3 ** sum(1 for d in self.invariants if d % 3 == 0)
 
     def is_cube(self, i: int) -> bool:
-        return i in self.cube_classes()
+        return all(x % 3 == 0 for x, d in zip(self.vectors[i], self.invariants) if d % 3 == 0)
+
+    @cached_property
+    def table(self):
+        n = len(self)
+        return tuple(tuple(self.mul(i, j) for j in range(n)) for i in range(n))
+
+    @cached_property
+    def coprime_reps(self):
+        """Per class, the first primitive invertible ideal of norm coprime
+        to the conductor f (norm, then b): the rep itself when its norm
+        is."""
+        f = order(self.D).conductor
+        out = [R if gcd(R.norm, f) == 1 else None for R in self.reps]
+        missing = out.count(None)
+        for n in range(1, 20 * _pic_bound(self.D)):
+            if not missing:
+                break
+            if gcd(n, f) != 1:
+                continue
+            for I in _primitive_ideals(self.D, n):
+                i = _classify(self.index, I)
+                if out[i] is None:
+                    out[i] = I
+                    missing -= 1
+        if missing:
+            raise InvariantError("no conductor-coprime representative found")
+        return tuple(out)
 
 
 def _pic_bound(D: int) -> int:
@@ -641,9 +710,9 @@ def _pic_bound(D: int) -> int:
 
 
 def picard_group(D: int, bound: int | None = None) -> PicGroup:
-    """Pic(O_D) from the primitive invertible ideals of norm <= bound
-    (default _pic_bound(D)), one representative per class key: the first
-    ideal of the key in order of norm, then b.  The budget is checked on
+    """Pic(O_D), its class representatives taken from the primitive
+    invertible ideals of norm <= bound (default _pic_bound(D)): the first
+    ideal of each class in order of norm, then b.  The budget is checked on
     every call, also when the group is cached."""
     from .counting import disc_budget
 
@@ -659,22 +728,121 @@ def _picard_group(D: int, bound: int) -> PicGroup:
     # coefficient of a reduced form, or c in (c, -m, 0) ~ (0, m, c)
     if bound < isqrt(abs(D)):
         raise ValueError("norm bound %d does not reach every class of D=%d" % (bound, D))
-    reps = [unit_ideal(D)]
-    index = {class_key(reps[0]): 0}
+    labels = _class_labels(D)
+    h = len(set(labels.values()))
+    reps, order_of = _first_ideals(D, labels, h, bound)
+    index = {key: order_of[lab] for key, lab in labels.items()}
+    invariants, vectors = _structure(reps, index)
+    return PicGroup(D, reps, index, invariants, vectors)
+
+
+def _first_ideals(D, labels, h, bound):
+    """The first primitive invertible ideal of each of the h classes, in
+    order of norm <= bound, then b, and the class index of each label."""
+    reps, order_of = [], {}
     for n in range(1, bound + 1):
-        for I in ideals_of_norm(D, n, invertible_only=True):
-            if I.g == 1:
-                key = class_key(I)
-                if key not in index:
-                    index[key] = len(reps)
-                    reps.append(I)
-    n = len(reps)
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            table[i][j] = table[j][i] = _classify(index, reps[i].mul(reps[j]))
-    coprime = _coprime_reps(D, reps, index, order(D).conductor)
-    return PicGroup(D, reps, table, coprime, index)
+        for I in _primitive_ideals(D, n):
+            lab = _classify(labels, I)
+            if lab not in order_of:
+                order_of[lab] = len(reps)
+                reps.append(I)
+                if len(reps) == h:
+                    return reps, order_of
+    raise InvariantError("only %d of %d classes of D=%d below norm %d" % (len(reps), h, D, bound))
+
+
+def _structure(reps, index):
+    """(invariant factors, exponent vectors) of the group of the classes of
+    reps.  Cyclic subgroups are closed one class at a time: a class x
+    outside the subgroup H found so far has a least e > 1 with x^e in H,
+    and the cosets H x^j, 0 < j < e, are new, one ideal product per class.
+    That gives each class exponents over the generators found, and the
+    relations x^e = (element of H) give the invariant factors through a
+    Smith normal form.  Each generator times its conjugate must be
+    principal."""
+    h = len(reps)
+    coords = [None] * h  # exponents over the generators so far
+    coords[0] = ()
+    members = [0]
+    relations = []
+    for x in range(1, h):
+        if coords[x] is not None:
+            continue
+        powers = [0]
+        p = x
+        while coords[p] is None:
+            powers.append(p)
+            if len(powers) > h:
+                raise InvariantError("class %d of D=%d has no finite order" % (x, reps[0].D))
+            p = _classify(index, reps[p].mul(reps[x]))
+        relations.append([-c for c in coords[p]] + [len(powers)])
+        for i in members:
+            coords[i] += (0,)
+        new = []
+        for j, pj in enumerate(powers[1:], 1):
+            coords[pj] = (0,) * (len(coords[0]) - 1) + (j,)
+            new.append(pj)
+            for i in members[1:]:
+                k = _classify(index, reps[i].mul(reps[pj]))
+                if coords[k] is not None:
+                    raise InvariantError("class products of D=%d are not a group law" % reps[0].D)
+                coords[k] = tuple(a + b for a, b in zip(coords[i], coords[pj]))
+                new.append(k)
+        members += new
+        if _classify(index, reps[x].mul(reps[x].conj())) != 0:
+            raise InvariantError("I conj(I) is not principal for I = %s" % (reps[x],))
+    rank = len(coords[0])
+    d, V = _smith([row + [0] * (rank - len(row)) for row in relations])
+    keep = [k for k in range(rank) if d[k] > 1]
+    vectors = [
+        tuple(sum(c * V[l][k] for l, c in enumerate(v)) % d[k] for k in keep) for v in coords
+    ]
+    if len(set(vectors)) != h:
+        raise InvariantError("exponent vectors of D=%d do not separate the classes" % reps[0].D)
+    return [d[k] for k in keep], vectors
+
+
+def _smith(rows):
+    """(d, V) for the nonsingular square integer matrix A with the given
+    rows: its invariant factors d_1 | d_2 | ... and a unimodular V with
+    U A V = diag(d) for some unimodular U (Cohen, GTM 138, §2.4.4).  A
+    vector of exponents x over the generators of Z^n / (rows of A) has the
+    coordinates x V mod d over the invariant factors."""
+    A = [list(r) for r in rows]
+    n = len(A)
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    for t in range(n):
+        while True:
+            # pivot: an entry of least nonzero absolute value
+            _, i, j = min((abs(A[i][j]), i, j) for i in range(t, n) for j in range(t, n) if A[i][j])
+            A[t], A[i] = A[i], A[t]
+            for M in (A, V):
+                for row in M:
+                    row[t], row[j] = row[j], row[t]
+            p = A[t][t]
+            done = True
+            for i in range(t + 1, n):
+                q = A[i][t] // p
+                if q:
+                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
+                done = done and not A[i][t]
+            for j in range(t + 1, n):
+                q = A[t][j] // p
+                if q:
+                    for M in (A, V):
+                        for row in M:
+                            row[j] -= q * row[t]
+                done = done and not A[t][j]
+            if not done:
+                continue
+            # p must divide the rest, else fold a row with a remainder in
+            bad = next((i for i in range(t + 1, n) if any(A[i][j] % p for j in range(t + 1, n))), None)
+            if bad is None:
+                break
+            A[t] = [x + y for x, y in zip(A[t], A[bad])]
+        if A[t][t] < 0:
+            A[t] = [-x for x in A[t]]
+    return [A[t][t] for t in range(n)], V
 
 
 def _classify(index, I):
@@ -682,28 +850,6 @@ def _classify(index, I):
         return index[class_key(I)]
     except KeyError:
         raise InvariantError("class list incomplete for D=%d" % I.D) from None
-
-
-def _coprime_reps(D, reps, index, f):
-    """Per class, the first primitive invertible ideal of norm coprime to
-    the conductor f (norm, then b): the rep itself when its norm is."""
-    out = [R if gcd(R.norm, f) == 1 else None for R in reps]
-    missing = out.count(None)
-    for n in range(1, 20 * _pic_bound(D)):
-        if not missing:
-            return out
-        if gcd(n, f) != 1:
-            continue
-        for I in ideals_of_norm(D, n, invertible_only=True):
-            if I.g > 1:
-                continue
-            i = _classify(index, I)
-            if out[i] is None:
-                out[i] = I
-                missing -= 1
-    if missing:
-        raise InvariantError("no conductor-coprime representative found")
-    return out
 
 
 def pic_3_torsion(D: int) -> int:
@@ -735,56 +881,19 @@ class Mu3Char(NamedTuple):
 
 
 def mu3_characters(D: int):
-    """All homomorphisms Pic(O_D) -> Z/3; their number is |Pic[3]|."""
+    """All homomorphisms Pic(O_D) -> Z/3, sorted by their values; their
+    number is |Pic[3]|.  Each is a Z/3-combination of the coordinates of
+    the exponent vectors at the invariant factors divisible by 3."""
     G = picard_group(D)
-    n = len(G)
-    chars = [{0: 0}]
-    for i in range(n):
-        new_chars = []
-        for ch in chars:
-            if i in ch:
-                new_chars.append(ch)
-                continue
-            ordi = G.element_order(i)
-            allowed = (0, 1, 2) if ordi % 3 == 0 else (0,)
-            for v in allowed:
-                ext = _extend_char(G, ch, i, v)
-                if ext is not None:
-                    new_chars.append(ext)
-        chars = new_chars
-    out = []
-    seen = set()
-    for ch in chars:
-        vals = tuple(ch[i] for i in range(n))
-        if vals not in seen:
-            seen.add(vals)
-            out.append(Mu3Char(D, vals))
-    out.sort(key=lambda c: c.values)
-    if len(out) != G.three_torsion():
-        raise InvariantError("%d cubic characters but |Pic(O_%d)[3]| = %d" % (len(out), D, G.three_torsion()))
-    return out
-
-
-def _extend_char(G, ch, i, v):
-    """Extend a partial character by chi(i) = v; close under the group law;
-    None on contradiction."""
-    ext = dict(ch)
-    ext[i] = v
-    changed = True
-    while changed:
-        changed = False
-        items = list(ext.items())
-        for (x, vx) in items:
-            for (y, vy) in items:
-                z = G.mul(x, y)
-                vz = (vx + vy) % 3
-                if z in ext:
-                    if ext[z] != vz:
-                        return None
-                else:
-                    ext[z] = vz
-                    changed = True
-    return ext
+    values = [(0,) * len(G)]
+    for k, d in enumerate(G.invariants):
+        if d % 3 == 0:
+            values = [
+                tuple((x + t * v[k]) % 3 for x, v in zip(vals, G.vectors))
+                for vals in values
+                for t in range(3)
+            ]
+    return sorted(Mu3Char(D, vals) for vals in values)
 
 
 def order_change_map(D0: int, from_f: int, to_f: int):
@@ -792,21 +901,29 @@ def order_change_map(D0: int, from_f: int, to_f: int):
     extending ideals, as a list over class indices; requires to_f | from_f."""
     if from_f % to_f:
         raise ValueError("target conductor must divide the source conductor")
-    Dfrom = D0 * from_f * from_f
-    Dto = D0 * to_f * to_f
-    Gf = picard_group(Dfrom)
-    Gt = picard_group(Dto)
+    return list(_extension_map(picard_group(D0 * from_f * from_f), picard_group(D0 * to_f * to_f)))
+
+
+@lru_cache(maxsize=None)
+def _extension_map(Gf: PicGroup, Gt: PicGroup):
+    """The extension map Gf -> Gt from the images of the generators of Gf
+    (their conductor-coprime representatives, extended), each checked to
+    satisfy its relation d * image = 0 in Gt; every other class maps
+    through its exponent vector."""
+    images = []
+    for gen, d in zip(Gf.generators, Gf.invariants):
+        img = Gt.vectors[Gt.class_of(extend_ideal(Gf.coprime_reps[gen], Gt.D))]
+        if any(d * y % e for y, e in zip(img, Gt.invariants)):
+            raise InvariantError("order change map %d -> %d is not a homomorphism" % (Gf.D, Gt.D))
+        images.append(img)
+    zero = (0,) * len(Gt.invariants)
     out = []
-    for i in range(len(Gf)):
-        I = Gf.coprime_reps[i]
-        J = extend_ideal(I, Dto)
-        out.append(Gt.class_of(J))
-    # homomorphism check on the full table
-    for i in range(len(Gf)):
-        for j in range(len(Gf)):
-            if out[Gf.mul(i, j)] != Gt.mul(out[i], out[j]):
-                raise InvariantError("order change map %d -> %d is not a homomorphism" % (Dfrom, Dto))
-    return out
+    for v in Gf.vectors:
+        w = zero
+        for x, img in zip(v, images):
+            w = [a + x * b for a, b in zip(w, img)]
+        out.append(Gt._class_at(w))
+    return tuple(out)
 
 
 def extend_ideal(I: QuadIdeal, Dto: int) -> QuadIdeal:
@@ -818,7 +935,8 @@ def extend_ideal(I: QuadIdeal, Dto: int) -> QuadIdeal:
     k = ff // ft
     rf = I.D % 2
     rt = Dto % 2
-    assert (rf - rt * k) % 2 == 0
+    if (rf - rt * k) % 2:
+        raise InvariantError("xi of O_%d does not lie in O_%d" % (I.D, Dto))
     shift = (rf - rt * k) // 2
 
     def convert(v):
@@ -849,7 +967,7 @@ def conductor_of_char(chi: Mu3Char) -> int:
                 fiber_val[im] = chi.values[i]
             if ok:
                 return c
-    raise AssertionError("character does not factor through its own order")
+    raise InvariantError("character does not factor through its own order")
 
 
 def factored_char(chi: Mu3Char, c: int) -> Mu3Char:

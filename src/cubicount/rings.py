@@ -144,7 +144,7 @@ def _hnf_rows(vectors, n):
         pivot = None
         for r in rows:
             if any(r[:col]):
-                raise AssertionError("unreduced prefix")
+                raise InvariantError("unreduced prefix in a Hermite row")
             if r[col]:
                 pivot = r if pivot is None else pivot
         # gcd all rows into one pivot row
@@ -180,7 +180,8 @@ def _hnf_rows(vectors, n):
 def index_in(parent_basis, sub_basis) -> int:
     det_p = _det3(parent_basis)
     det_s = _det3(sub_basis)
-    assert det_p and det_s % det_p == 0
+    if not det_p or det_s % det_p:
+        raise InvariantError("index of a lattice of determinant %d in one of determinant %d" % (det_s, det_p))
     return abs(det_s // det_p)
 
 
@@ -267,7 +268,8 @@ def lattice_ring(ring: CubicRing, basis_rows) -> CubicRing:
     with a vector proportional to 1) as a CubicRing: renormalize to a normal
     basis with positive determinant and read off the structure form."""
     b0, b1, b2 = ([list(r) for r in basis_rows])
-    assert b0[1] == 0 and b0[2] == 0 and abs(b0[0]) == 1, "first vector must be +-1"
+    if b0[1] or b0[2] or abs(b0[0]) != 1:
+        raise InvariantError("first basis vector %r of a subring is not +-1" % (b0,))
     if b0[0] < 0:
         b0 = [-x for x in b0]
     det = _det3([b0, b1, b2])
@@ -304,10 +306,12 @@ def lattice_ring(ring: CubicRing, basis_rows) -> CubicRing:
 def _solve2(u, v, w):
     """(x, y) with w = w0*1 + x*u + y*v in the alpha,beta coordinates."""
     det = u[1] * v[2] - u[2] * v[1]
-    assert det != 0
+    if det == 0:
+        raise InvariantError("dependent vectors %r, %r" % (u, v))
     x_num = w[1] * v[2] - w[2] * v[1]
     y_num = u[1] * w[2] - u[2] * w[1]
-    assert x_num % det == 0 and y_num % det == 0
+    if x_num % det or y_num % det:
+        raise InvariantError("%r is not an integer combination of %r, %r" % (w, u, v))
     return x_num // det, y_num // det
 
 
@@ -356,7 +360,8 @@ def _isqrt_exact(m):
     from math import isqrt
 
     p = isqrt(m)
-    assert p * p == m
+    if p * p != m:
+        raise InvariantError("%d is not a square" % m)
     return p
 
 
@@ -364,7 +369,8 @@ def _complement(v):
     """(r, s) making [[x, y], [r, s]] unimodular for primitive (x, y)."""
     x, y = v
     g, r, s = xgcd(x, y)
-    assert g == 1, "point not primitive"
+    if g != 1:
+        raise InvariantError("point %r not primitive" % (v,))
     return -s, r
 
 
@@ -418,7 +424,7 @@ def _proj_normalize(v, p):
         if v[i] % p:
             inv = pow(v[i], -1, p)
             return tuple((x * inv) % p for x in v)
-    raise AssertionError
+    raise InvariantError("zero vector has no projective point mod %d" % p)
 
 
 def _superlattice_is_ring(ring, v, p):
@@ -474,7 +480,8 @@ def splitting_type(form, p: int) -> str:
         return "1^3"
     if mults == [1]:
         return "12"
-    assert mults == [], (form, p, mults)
+    if mults:
+        raise InvariantError("root multiplicities %r of %r mod %d" % (mults, tuple(form), p))
     return "3"
 
 
@@ -497,7 +504,8 @@ def _root_multiplicity(f, v, p):
         return 1
     if c2 % p:
         return 2
-    assert d2 % p, "form vanishes mod p"
+    if d2 % p == 0:
+        raise InvariantError("form %r vanishes mod %d" % (tuple(f), p))
     return 3
 
 

@@ -412,6 +412,36 @@ def test_quad_invariant_checks_survive_optimize():
     assert out.stdout.strip() == "raised", out.stderr
 
 
+def test_quad_failure_sites_raise_invariant_error_under_optimize():
+    # each internal fault of quad raises InvariantError (CLI exit 3), also
+    # under -O where an assert would vanish; the faults are forced by
+    # replacing one helper per site
+    code = (
+        "from cubicount import forms, quad\n"
+        "def check(name, call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except forms.InvariantError:\n"
+        "        print(name)\n"
+        "check('embed', lambda: quad._embed_even(8, 3, 1))\n"
+        "fp = quad.fundamental_part\n"
+        "quad.fundamental_part = lambda D: (-23, 1)\n"
+        "check('extend', lambda: quad.extend_ideal(quad.unit_ideal(-92), -23))\n"
+        "quad.fundamental_part = fp\n"
+        "chi = [c for c in quad.mu3_characters(-23) if not c.is_trivial][0]\n"
+        "quad.order_change_map = lambda D0, f, c: [0, 0, 0]\n"
+        "check('conductor', lambda: quad.conductor_of_char(chi))\n"
+        "quad.is_fundamental = lambda D: False\n"
+        "check('fundamental', lambda: quad.fundamental_part(-31))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.stdout.split() == ["embed", "extend", "conductor", "fundamental"], out.stderr
+
+
 def test_cached_picard_group_is_read_only():
     G = picard_group(-23)
     before = (G.reps, G.table, G.coprime_reps, dict(G.index))
