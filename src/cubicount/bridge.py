@@ -36,16 +36,14 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .forms import BinaryCubicForm, InvariantError, disc, is_zmat
-from .rings import ring_from_form, CubicRing
+from .rings import CubicRing, _det3, ring_from_form
 from .counting import _orbits_at, h_value, factorize, s_sequence
 from . import quad
 from .quad import (
     Mu3Char,
     QuadIdeal,
-    conductor_of_char,
     divisors,
     extend_ideal,
-    factored_char,
     fundamental_part,
     hnf2,
     ideal_from_generators,
@@ -57,6 +55,7 @@ from .quad import (
     mu3_characters,
     pic_3_torsion,
     picard_group,
+    primitive_char,
 )
 
 
@@ -75,10 +74,6 @@ def weight_eta(D: int) -> Fraction:
 
 def k2_mul(D, u, v):
     return (u[0] * v[0] + u[1] * v[1] * D, u[0] * v[1] + u[1] * v[0])
-
-
-def k2_conj(u):
-    return (u[0], -u[1])
 
 
 def k2_norm(D, u):
@@ -214,7 +209,7 @@ def _alpha_candidates(form):
                     x1 * w1[i] + x2 * w2[i] for i in range(3)
                 )
         if m > 64:
-            raise RuntimeError("no generic trace-zero element found")
+            raise InvariantError("no generic trace-zero element found for %r" % (tuple(form),))
 
 
 def extract_triple(form, orientation: int = 1, skip: int = 0) -> SelfBalancedTriple:
@@ -234,23 +229,14 @@ def extract_triple(form, orientation: int = 1, skip: int = 0) -> SelfBalancedTri
     ring = ring_from_form(f, orientation)
     for alpha in _alpha_candidates(f):
         tr2 = ring.trace(ring.mul(alpha, alpha))
-        det = _det3_cols((1, 0, 0), alpha, ring.mul(alpha, alpha))
+        det = _det3(((1, 0, 0), alpha, ring.mul(alpha, alpha)))
         if tr2 == 0 or det == 0:
             continue
         if skip > 0:
             skip -= 1
             continue
         return _triple_from_alpha(ring, D, alpha, tr2, det)
-    raise RuntimeError("unreachable")
-
-
-def _det3_cols(v0, v1, v2):
-    m = [v0, v1, v2]
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[1][0] * (m[0][1] * m[2][2] - m[0][2] * m[2][1])
-        + m[2][0] * (m[0][1] * m[1][2] - m[0][2] * m[1][1])
-    )
+    raise InvariantError("the trace-zero candidates of %r ran out" % (tuple(f),))
 
 
 def _triple_from_alpha(ring: CubicRing, D: int, alpha, tr2: int, det: int):
@@ -290,7 +276,7 @@ def _triple_from_alpha(ring: CubicRing, D: int, alpha, tr2: int, det: int):
     # assigned.  c(tau) = (b e alpha + c vs)/(den e), so the orientation
     # is dd/(den e) for the determinant dd of the numerators.
     ctau = tuple(I.b * e * alpha[i] + I.c * vs[i] for i in range(3))
-    dd = _det3_cols((1, 0, 0), alpha, ctau)
+    dd = _det3(((1, 0, 0), alpha, ctau))
     if abs(dd) != abs(I.den * e):
         raise InvariantError("[1, alpha, c(tau)] is not a basis")
     sign = 1 if dd // (I.den * e) == ring.orientation else -1
@@ -426,7 +412,7 @@ def splitting_type_from_char(chi: Mu3Char, p: int) -> str:
     """Splitting type at p of the cubic algebra attached to a primitive
     character of conductor d on Pic(O_{D0 d^2})."""
     D0, d = fundamental_part(chi.D)
-    if conductor_of_char(chi) != d:
+    if primitive_char(chi).D != chi.D:
         raise ValueError("character must be primitive on its own order")
     if d % p == 0:
         return "1^3"
@@ -454,9 +440,8 @@ def lhs_count(D: int, enforce_cubefree: bool = True) -> int:
         raise ValueError("conductor must be cubefree")
     total = 0
     for chi in mu3_characters(D):
-        c = conductor_of_char(chi)
-        m1 = m // c
-        chi_prim = factored_char(chi, c)
+        chi_prim = primitive_char(chi)
+        m1 = m // fundamental_part(chi_prim.D)[1]
         term = 1
         for p, v in factorize(m1).items():
             term *= s_sequence(splitting_type_from_char(chi_prim, p), p, v)

@@ -82,56 +82,50 @@ def _verify_on(args, reports):
         )
 
 
-def _verify_recursion(args, reports):
-    # without explicit base discriminants, stay inside the default budget
-    cap = min(args.max, 20)
-    ds = args.D if args.D else [D for D in range(-cap, cap + 1) if counting.in_discs(D)]
-    for D in ds:
-        for p in args.primes:
-            reports.extend(
-                counting.check_recursion(D, p, include_hhat=args.hhat, budget=args.budget)
-            )
+def _cubefree_conductor(D):
+    if not quad.in_discs(D):
+        return False
+    return all(e < 3 for e in counting.factorize(quad.fundamental_part(D)[1]).values())
 
 
-def _verify_rhs(args, reports):
-    for D in range(-args.max, args.max + 1):
-        if quad.in_discs(D):
-            reports.append(bridge.rhs_identity_check(D))
+# per-delta checks: name -> (cap on |delta| or None, which delta to check,
+# the reports at one delta).  Module functions are looked up per call, so a
+# patched binding is the one used.  The caps keep the default budget: the
+# recursion reaches p^6 |D|, prop6 the orders of discriminant up to 27 |D|.
+_PER_DELTA = {
+    "recursion": (20, quad.in_discs, lambda args, D: [
+        r for p in args.primes
+        for r in counting.check_recursion(D, p, include_hhat=args.hhat, budget=args.budget)
+    ]),
+    "rhs": (None, quad.in_discs, lambda args, D: [bridge.rhs_identity_check(D)]),
+    "lhs": (None, _cubefree_conductor, lambda args, D: [bridge.lhs_identity_check(D)]),
+    "fields-pic": (None, quad.in_discs, lambda args, D: [bridge.check_fields_pic(D, budget=args.budget)]),
+    "prop6": (40, lambda D: quad.in_discs(D) and D % 3 != 0, lambda args, D: [bridge.check_prop_3notdiv(D)]),
+    "scholz": (None, lambda D: D != 1 and is_fundamental(D), lambda args, D: [bridge.check_scholz(D)]),
+}
 
 
-def _verify_lhs(args, reports):
-    for D in range(-args.max, args.max + 1):
-        if not quad.in_discs(D):
-            continue
-        _, m = quad.fundamental_part(D)
-        if any(e >= 3 for e in counting.factorize(m).values()):
-            continue
-        reports.append(bridge.lhs_identity_check(D))
+def _capped_max(name, args, cap):
+    """--max cut to the check's cap, saying so on stderr when it cuts."""
+    if cap is None or args.max <= cap:
+        return args.max
+    print("%s: checked for |delta| <= %d only (its cap), not up to --max %d" % (name, cap, args.max), file=sys.stderr)
+    return cap
 
 
-def _verify_fields_pic(args, reports):
-    for D in range(-args.max, args.max + 1):
-        if quad.in_discs(D):
-            reports.append(bridge.check_fields_pic(D, budget=args.budget))
-
-
-def _verify_prop6(args, reports):
-    # the restricted ideal sum runs over orders of discriminant up to 27 max,
-    # so keep the default range modest
-    cap = min(args.max, 40)
-    for D in range(-cap, cap + 1):
-        if quad.in_discs(D) and D % 3 != 0:
-            reports.append(bridge.check_prop_3notdiv(D))
-
-
-def _verify_scholz(args, reports):
-    for D in range(-args.max, args.max + 1):
-        if D != 1 and is_fundamental(D):
-            reports.append(bridge.check_scholz(D))
+def _verify_per_delta(name, args, reports):
+    cap, wanted, reports_at = _PER_DELTA[name]
+    if name == "recursion" and args.D:
+        deltas = args.D
+    else:
+        top = _capped_max(name, args, cap)
+        deltas = [D for D in range(-top, top + 1) if wanted(D)]
+    for D in deltas:
+        reports.extend(reports_at(args, D))
 
 
 def _verify_oracle(args, reports):
-    X = min(args.max, 200)
+    X = _capped_max("oracle", args, 200)
     box = counting.box_orbit_counts(X)
     table = counting.orbit_table(X, False, budget=args.budget)
     keys = sorted(set(box) | set(table))
@@ -157,21 +151,15 @@ def _summary_lines(reports):
 def cmd_verify(args) -> int:
     which = args.which or ["on"]
     reports = []
-    runners = {
-        "on": _verify_on,
-        "recursion": _verify_recursion,
-        "rhs": _verify_rhs,
-        "lhs": _verify_lhs,
-        "fields-pic": _verify_fields_pic,
-        "prop6": _verify_prop6,
-        "scholz": _verify_scholz,
-        "oracle": _verify_oracle,
-    }
+    bulk = {"on": _verify_on, "oracle": _verify_oracle}
     for name in which:
-        if name not in runners:
+        if name in bulk:
+            bulk[name](args, reports)
+        elif name in _PER_DELTA:
+            _verify_per_delta(name, args, reports)
+        else:
             print("unknown check: %s (choose from %s)" % (name, ", ".join(CHECKS)), file=sys.stderr)
             return 2
-        runners[name](args, reports)
     payload = [
         {
             "check": r["check"],

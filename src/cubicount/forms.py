@@ -411,7 +411,7 @@ def orbit_closure(form) -> OrbitClosure:
                 seen[g1] = f1
                 queue.append((g1, f1))
                 if len(seen) > 5000:
-                    raise RuntimeError("orbit closure blow-up at %r" % (form,))
+                    raise InvariantError("orbit closure blow-up at %r" % (form,))
     stab = sum(1 for ff in seen.values() if ff == f0)
     proper = sum(1 for g, ff in seen.items() if ff == f0 and g.det == 1)
     return OrbitClosure(frozenset(seen.values()), seen, stab, proper)

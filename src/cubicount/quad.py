@@ -24,18 +24,22 @@ from the reduction theory of that form (Cohen, GTM 138, §5.4 and §5.6):
   D = m^2: the classes are the forms (0, m, c) with c up to sign mod m.
 
 Pic(O_D) is built from those keys with no ideal pool and no product
-table.  Its class count is the number of classes above; the representative
-of a class is its first primitive invertible ideal in order of norm, then
-b, from a norm scan that stops once every class is met.  Generators come
-from closing cyclic subgroups one class at a time, with one ideal product
-per class, and a Smith normal form of their relations gives the invariant
-factors and an exponent vector for every class (§2.4).  Products, inverses,
-3-torsion, cubes, the characters with values in Z/3 and the extension maps
-between orders of the same fundamental discriminant are read off those
-vectors.  The exact principality search `is_principal` (elements of a given
-norm, normalized by the fundamental unit in the real case) is not used to
-separate classes; it stays as the independent oracle the class keys are
-tested against.
+table.  Its class count is the number of classes above; the
+representative of a class is its first primitive invertible ideal in
+order of norm, then b, from a norm scan that stops once every class is
+met (the same scan over norms prime to the conductor gives the
+representatives that the extension maps carry to other orders).
+Generators come from closing cyclic subgroups one class at a time, with
+one ideal product per class, and a Smith normal form of their relations
+gives the invariant factors and an exponent vector for every class
+(§2.4).  Products, inverses, 3-torsion, cubes, the characters with
+values in Z/3 and the extension maps between orders of the same
+fundamental discriminant are read off those vectors; a character is
+primitive on the least order over whose extension map it factors, and
+that order gives its conductor.  The exact principality search
+`is_principal` (elements of a given norm, normalized by the fundamental
+unit in the real case) is not used to separate classes; it stays as the
+independent oracle the class keys are tested against.
 """
 
 from __future__ import annotations
@@ -192,10 +196,6 @@ class QuadOrder(NamedTuple):
         return (self.r * self.r - self.D) // 4
 
     @property
-    def fundamental_discriminant(self) -> int:
-        return fundamental_part(self.D)[0]
-
-    @property
     def conductor(self) -> int:
         return fundamental_part(self.D)[1]
 
@@ -280,9 +280,6 @@ class QuadIdeal(NamedTuple):
 
     def scale(self, k: int) -> "QuadIdeal":
         return QuadIdeal(self.D, self.g * k, self.a, self.b)
-
-    def primitive_part(self) -> "QuadIdeal":
-        return QuadIdeal(self.D, 1, self.a, self.b)
 
 
 def make_ideal(D: int, g: int, a: int, b: int) -> QuadIdeal:
@@ -372,7 +369,7 @@ def _pell_min_unit(N: int):
         a = (a0 + m) // d
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-    raise RuntimeError("Pell expansion did not close for N=%d" % N)
+    raise InvariantError("Pell expansion did not close for N=%d" % N)
 
 
 def fundamental_unit(D: int):
@@ -633,9 +630,9 @@ class PicGroup:
     invariants: the invariant factors (d_1, ..., d_k).
     vectors: per class, its exponent vector over the invariant factors.
     generators: per invariant factor, the class of its unit vector.
-    coprime_reps: per class, a representative of norm coprime to the
-    conductor (needed for extension maps between orders); built on first
-    use.
+    coprime_reps: per class, its first primitive invertible ideal of norm
+    coprime to the conductor, by the same scan as reps (needed for
+    extension maps between orders); built on first use.
     table[i][j]: index of the product class; built on first use, for
     `picard_dump` and the tests.
 
@@ -685,70 +682,50 @@ class PicGroup:
     @cached_property
     def coprime_reps(self):
         """Per class, the first primitive invertible ideal of norm coprime
-        to the conductor f (norm, then b): the rep itself when its norm
-        is."""
-        f = order(self.D).conductor
-        out = [R if gcd(R.norm, f) == 1 else None for R in self.reps]
-        missing = out.count(None)
-        for n in range(1, 20 * _pic_bound(self.D)):
-            if not missing:
-                break
-            if gcd(n, f) != 1:
-                continue
-            for I in _primitive_ideals(self.D, n):
-                i = _classify(self.index, I)
-                if out[i] is None:
-                    out[i] = I
-                    missing -= 1
-        if missing:
-            raise InvariantError("no conductor-coprime representative found")
-        return tuple(out)
+        to the conductor f, in order of norm, then b (the rep itself when
+        its norm is coprime to f)."""
+        first = _first_ideals(self.D, self.index, len(self), order(self.D).conductor)
+        return tuple(first[i] for i in range(len(self)))
 
 
-def _pic_bound(D: int) -> int:
-    return max(6, 2 * (isqrt(abs(D)) + 1))
-
-
-def picard_group(D: int, bound: int | None = None) -> PicGroup:
-    """Pic(O_D), its class representatives taken from the primitive
-    invertible ideals of norm <= bound (default _pic_bound(D)): the first
-    ideal of each class in order of norm, then b.  The budget is checked on
+def picard_group(D: int) -> PicGroup:
+    """Pic(O_D), the representative of each class its first primitive
+    invertible ideal in order of norm, then b.  The budget is checked on
     every call, also when the group is cached."""
     from .counting import disc_budget
 
     if abs(D) > disc_budget():
         raise BudgetExceeded("|D| = %d over budget" % abs(D))
-    return _picard_group(D, _pic_bound(D) if bound is None else bound)
+    return _picard_group(D)
 
 
 @lru_cache(maxsize=None)
-def _picard_group(D: int, bound: int) -> PicGroup:
-    # every class holds a primitive ideal of norm <= sqrt(|D|/3) (D < 0),
-    # < sqrt(D) (D > 0 not a square) or < m (D = m^2): the first
-    # coefficient of a reduced form, or c in (c, -m, 0) ~ (0, m, c)
-    if bound < isqrt(abs(D)):
-        raise ValueError("norm bound %d does not reach every class of D=%d" % (bound, D))
+def _picard_group(D: int) -> PicGroup:
     labels = _class_labels(D)
-    h = len(set(labels.values()))
-    reps, order_of = _first_ideals(D, labels, h, bound)
+    first = _first_ideals(D, labels, len(set(labels.values())))
+    order_of = {lab: i for i, lab in enumerate(first)}
     index = {key: order_of[lab] for key, lab in labels.items()}
+    reps = list(first.values())
     invariants, vectors = _structure(reps, index)
     return PicGroup(D, reps, index, invariants, vectors)
 
 
-def _first_ideals(D, labels, h, bound):
-    """The first primitive invertible ideal of each of the h classes, in
-    order of norm <= bound, then b, and the class index of each label."""
-    reps, order_of = [], {}
-    for n in range(1, bound + 1):
+def _first_ideals(D, labels, h, f=1):
+    """The first primitive invertible ideal of norm coprime to f of each of
+    the h classes, in order of norm, then b: a dict from the label of each
+    class to its ideal, in the order met.  The scan stops once every class
+    is met; for f = 1 that is below sqrt|D| (the first coefficient of a
+    reduced form, or c in (c, -m, 0) ~ (0, m, c) for D = m^2), and a norm
+    bound far above that guards the loop."""
+    first = {}
+    for n in range(1, 40 * (isqrt(abs(D)) + 3)):
+        if gcd(n, f) != 1:
+            continue
         for I in _primitive_ideals(D, n):
-            lab = _classify(labels, I)
-            if lab not in order_of:
-                order_of[lab] = len(reps)
-                reps.append(I)
-                if len(reps) == h:
-                    return reps, order_of
-    raise InvariantError("only %d of %d classes of D=%d below norm %d" % (len(reps), h, D, bound))
+            first.setdefault(_classify(labels, I), I)
+            if len(first) == h:
+                return first
+    raise InvariantError("only %d of %d classes of D=%d met by the norm scan" % (len(first), h, D))
 
 
 def _structure(reps, index):
@@ -949,42 +926,30 @@ def extend_ideal(I: QuadIdeal, Dto: int) -> QuadIdeal:
     return ideal_from_generators(Dto, gens)
 
 
-def conductor_of_char(chi: Mu3Char) -> int:
-    """Smallest c | f such that chi factors through Pic(O_{D0 c^2})."""
+def primitive_char(chi: Mu3Char) -> Mu3Char:
+    """The character on Pic(O_{D0 c^2}) through which chi factors, for the
+    least c | f: over each c in increasing order, the first c on whose
+    fibres of the extension map chi is constant."""
     D0, f = fundamental_part(chi.D)
+    G = picard_group(chi.D)
     for c in divisors(f):
-        pi = order_change_map(D0, f, c)
-        # chi factors iff it kills the kernel of pi
-        kernel = [i for i, im in enumerate(pi) if im == 0]
-        if all(chi.values[i] == 0 for i in kernel):
-            # well-defined by surjectivity; verify constancy on fibers
-            fiber_val = {}
-            ok = True
-            for i, im in enumerate(pi):
-                if im in fiber_val and fiber_val[im] != chi.values[i]:
-                    ok = False
-                    break
-                fiber_val[im] = chi.values[i]
-            if ok:
-                return c
+        Gc = picard_group(D0 * c * c)
+        vals = [None] * len(Gc)
+        for x, im in zip(chi.values, _extension_map(G, Gc)):
+            if vals[im] is None:
+                vals[im] = x
+            elif vals[im] != x:
+                break
+        else:
+            if None in vals:
+                raise InvariantError("extension map %d -> %d is not surjective" % (chi.D, Gc.D))
+            return Mu3Char(Gc.D, tuple(vals))
     raise InvariantError("character does not factor through its own order")
 
 
-def factored_char(chi: Mu3Char, c: int) -> Mu3Char:
-    """The character on Pic(O_{D0 c^2}) through which chi factors."""
-    D0, f = fundamental_part(chi.D)
-    pi = order_change_map(D0, f, c)
-    Dt = D0 * c * c
-    Gt = picard_group(Dt)
-    vals = [None] * len(Gt)
-    for i, im in enumerate(pi):
-        if vals[im] is None:
-            vals[im] = chi.values[i]
-        elif vals[im] != chi.values[i]:
-            raise InvariantError("character is not constant on the fibres of the extension map")
-    if None in vals:
-        raise InvariantError("extension map not surjective")
-    return Mu3Char(Dt, tuple(vals))
+def conductor_of_char(chi: Mu3Char) -> int:
+    """Smallest c | f such that chi factors through Pic(O_{D0 c^2})."""
+    return fundamental_part(primitive_char(chi).D)[1]
 
 
 def picard_dump(D: int) -> dict:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from math import gcd
 
 from .forms import BinaryCubicForm, BudgetExceeded, InvariantError, disc, evaluate
-from .quad import divisors, xgcd
+from .quad import divisors, factorize, hnf2, xgcd
 
 SPLITTING_TYPES = ("111", "12", "3", "1^2 1", "1^3")
 
@@ -86,14 +86,6 @@ class CubicRing:
         a, b, c, d = self.form
         return 3 * x[0] - b * x[1] + c * x[2]
 
-    def mult_matrix(self, x):
-        """Columns are x*1, x*alpha, x*beta."""
-        cols = [x, self.mul(x, (0, 1, 0)), self.mul(x, (0, 0, 1))]
-        return [[cols[j][i] for j in range(3)] for i in range(3)]
-
-    def norm(self, x) -> int:
-        return _det3(self.mult_matrix(x))
-
     def trace_pairing_disc(self) -> int:
         basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         m = [[self.trace(self.mul(u, v)) for v in basis] for u in basis]
@@ -121,10 +113,6 @@ def ring_from_form(form, orientation: int = 1) -> CubicRing:
     return CubicRing(form, orientation)
 
 
-def trace(ring: CubicRing, x) -> int:
-    return ring.trace(x)
-
-
 def is_zmat_ring(ring: CubicRing) -> bool:
     """3 | tr(x) for all x; equivalent to is_zmat of the form."""
     a, b, c, d = ring.form
@@ -133,49 +121,6 @@ def is_zmat_ring(ring: CubicRing) -> bool:
 
 # ---------------------------------------------------------------------------
 # Sublattices and subrings
-
-def _hnf_rows(vectors, n):
-    """Row-echelon Hermite basis (pivot of row i in column i, positive
-    pivots, entries above pivots reduced) of the lattice spanned by integer
-    vectors of length n; raises if the lattice has rank < n."""
-    rows = [list(v) for v in vectors]
-    basis = []
-    for col in range(n):
-        pivot = None
-        for r in rows:
-            if any(r[:col]):
-                raise InvariantError("unreduced prefix in a Hermite row")
-            if r[col]:
-                pivot = r if pivot is None else pivot
-        # gcd all rows into one pivot row
-        while True:
-            nz = [r for r in rows if r[col]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda r: abs(r[col]))
-            lead = nz[0]
-            for r in nz[1:]:
-                q = r[col] // lead[col]
-                for i in range(col, n):
-                    r[i] -= q * lead[i]
-        nz = [r for r in rows if r[col]]
-        if not nz:
-            raise ValueError("rank deficient lattice")
-        lead = nz[0]
-        if lead[col] < 0:
-            for i in range(n):
-                lead[i] = -lead[i]
-        basis.append(lead)
-        rows = [r for r in rows if r is not lead and any(r)]
-    # normalize entries above each pivot (rows are in echelon form)
-    for j in range(n):
-        for i in range(j):
-            q = basis[i][j] // basis[j][j]
-            if q:
-                for k in range(n):
-                    basis[i][k] -= q * basis[j][k]
-    return basis
-
 
 def index_in(parent_basis, sub_basis) -> int:
     det_p = _det3(parent_basis)
@@ -239,17 +184,17 @@ def max_zmat_subring(ring: CubicRing):
     namely {x : x^3 in Z + 3C}.  Returns (subring, index, basis_rows)."""
     if ring.discriminant == 0:
         raise ValueError("degenerate ring")
-    gens = [[1, 0, 0], [0, 3, 0], [0, 0, 3]]
+    # the lattice holds 1 and 3C, and (x0 + x)^3 - x^3 lies in Z + 3C, so it
+    # is 1 and the Hermite form of the (alpha, beta) parts of 3*alpha,
+    # 3*beta and the x = x1*alpha + x2*beta, 0 <= x1, x2 < 3, that qualify
+    gens = [(0, 3), (3, 0)]  # (x2, x1)
     for x1 in range(3):
         for x2 in range(3):
-            if x1 == 0 and x2 == 0:
-                continue
-            for x0 in range(3):
-                x = (x0, x1, x2)
-                cube = ring.power(x, 3)
-                if cube[1] % 3 == 0 and cube[2] % 3 == 0:
-                    gens.append(list(x))
-    basis = _hnf_rows(gens, 3)
+            cube = ring.power((0, x1, x2), 3)
+            if cube[1] % 3 == 0 and cube[2] % 3 == 0:
+                gens.append((x2, x1))
+    a, b, c = hnf2(gens)
+    basis = [(1, 0, 0), (0, c, b), (0, 0, a)]
     idx = index_in([[1, 0, 0], [0, 1, 0], [0, 0, 1]], basis)
     if idx not in (1, 3, 9):
         raise InvariantError("trace-divisible subring of %r has index %d" % (tuple(ring.form), idx))
@@ -260,7 +205,7 @@ def max_zmat_subring(ring: CubicRing):
         raise InvariantError(
             "index-%d subring of %r has disc %d, not %d" % (idx, tuple(ring.form), sub.discriminant, idx * idx * ring.discriminant)
         )
-    return sub, idx, [tuple(r) for r in basis]
+    return sub, idx, basis
 
 
 def lattice_ring(ring: CubicRing, basis_rows) -> CubicRing:
@@ -334,7 +279,7 @@ def is_maximal_at_p(form, p: int) -> bool:
     if a % p == 0 and b % p == 0 and c % p == 0 and d % p == 0:
         return False
     p2 = p * p
-    for v in _proj_points_mod(p2):
+    for v in _proj_points_mod(p):
         if evaluate(f, v[0], v[1]) % p2:
             continue
         # complete v to a unimodular matrix with first row v
@@ -348,21 +293,9 @@ def is_maximal_at_p(form, p: int) -> bool:
     return True
 
 
-def _proj_points_mod(m):
-    """Representatives of P^1(Z/m) for m = p^2 (x or y a unit)."""
-    pts = [(1, t) for t in range(m)]
-    p = _isqrt_exact(m)
-    pts += [(t * p, 1) for t in range(p)]
-    return pts
-
-
-def _isqrt_exact(m):
-    from math import isqrt
-
-    p = isqrt(m)
-    if p * p != m:
-        raise InvariantError("%d is not a square" % m)
-    return p
+def _proj_points_mod(p):
+    """Representatives of P^1(Z/p^2) (x or y a unit)."""
+    return [(1, t) for t in range(p * p)] + [(t * p, 1) for t in range(p)]
 
 
 def _complement(v):
@@ -379,22 +312,7 @@ def is_maximal(form) -> bool:
     D = disc(form)
     if D == 0:
         raise ValueError("degenerate form")
-    for p in _primes_with_square_dividing(abs(D)):
-        if not is_maximal_at_p(form, p):
-            return False
-    return True
-
-
-def _primes_with_square_dividing(n):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            out.append(p)
-        while n % p == 0:
-            n //= p
-        p += 1
-    return out
+    return all(is_maximal_at_p(form, p) for p, e in factorize(D).items() if e > 1)
 
 
 def superrings_of_index_p(ring: CubicRing, p: int):

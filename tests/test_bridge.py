@@ -36,7 +36,6 @@ from cubicount.bridge import (
 from cubicount.counting import h_value, orbit_table
 from cubicount.forms import disc, hessian, is_zmat
 from cubicount.quad import (
-    factored_char,
     is_cube_class,
     mu3_characters,
     pic_3_torsion,
@@ -150,6 +149,25 @@ def test_triple_checks_survive_optimize():
     code = (
         "from cubicount import bridge, forms\n"
         "bridge.lat_subset_order = lambda L: False\n"
+        "try:\n"
+        "    bridge.extract_triple((1, 0, 0, -1), 1)\n"
+        "except forms.InvariantError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.stdout.strip() == "raised", out.stderr
+
+
+def test_bridge_fault_raises_invariant_error_under_optimize():
+    # running out of trace-zero candidates is an internal fault (CLI exit
+    # 3), not a failed identity (exit 1), also under -O
+    code = (
+        "from cubicount import bridge, forms\n"
+        "bridge._alpha_candidates = lambda form: iter(())\n"
         "try:\n"
         "    bridge.extract_triple((1, 0, 0, -1), 1)\n"
         "except forms.InvariantError:\n"

@@ -165,3 +165,30 @@ def test_invariant_error_exits_3(monkeypatch):
     code, out, err = run_cli(["dump-pic", "--delta", "-23"])
     assert code == 3
     assert "internal invariant failed" in err and out == ""
+
+
+def test_recursion_cap_is_stated_on_stderr():
+    # without --D the recursion checks base |delta| <= 20 only; a larger
+    # --max says so on stderr and leaves stdout and the exit code alone
+    code, out, err = run_cli(["verify", "recursion", "--max", "21", "--p", "2", "--no-hhat"])
+    assert code == 0
+    assert "recursion: checked for |delta| <= 20 only" in err
+    assert run_cli(["verify", "recursion", "--max", "20", "--p", "2", "--no-hhat"]) == (code, out, "20 checks passed\n")
+    # explicit base discriminants have no cap
+    assert "only" not in run_cli(["verify", "recursion", "--max", "21", "--D", "1", "--p", "2"])[2]
+
+
+def test_prop6_cap_is_stated_on_stderr():
+    code, out, err = run_cli(["verify", "prop6", "--max", "41"])
+    assert code == 0
+    assert "prop6: checked for |delta| <= 40 only" in err
+    assert run_cli(["verify", "prop6", "--max", "40"]) == (code, out, "27 checks passed\n")
+
+
+def test_oracle_cap_is_stated_on_stderr():
+    code, out, err = run_cli(["verify", "oracle", "--max", "201"])
+    assert code == 0
+    assert "oracle: checked for |delta| <= 200 only" in err
+    reports = json.loads(out)
+    assert max(abs(r["delta"]) for r in reports) <= 200
+    assert "%d checks passed" % len(reports) in err

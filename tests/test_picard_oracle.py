@@ -208,3 +208,24 @@ def test_order_change_map_returns_a_fresh_list():
     before = list(m)
     m[0] = "junk"
     assert order_change_map(-23, 2, 1) == before and sorted(set(before)) == [0, 1, 2]
+
+
+def test_primitive_char_is_the_least_factorization():
+    # chi is the primitive character pulled back along the extension map,
+    # and is not constant on the fibres of the map to any smaller order
+    for D in range(-1000, 1001):
+        if not in_discs(D):
+            continue
+        D0, f = fundamental_part(D)
+        if f == 1:
+            continue
+        for chi in mu3_characters(D):
+            prim = quad.primitive_char(chi)
+            c = fundamental_part(prim.D)[1]
+            assert prim.D == D0 * c * c and f % c == 0, (D, chi)
+            assert tuple(prim.values[j] for j in order_change_map(D0, f, c)) == chi.values, (D, chi)
+            for c2 in divisors(c)[:-1]:
+                fibres = {}
+                for x, j in zip(chi.values, order_change_map(D0, f, c2)):
+                    fibres.setdefault(j, set()).add(x)
+                assert any(len(v) > 1 for v in fibres.values()), (D, chi, c2)

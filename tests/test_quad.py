@@ -19,7 +19,6 @@ from cubicount.quad import (
     conductor_of_char,
     divisors,
     extend_ideal,
-    factored_char,
     fundamental_part,
     fundamental_unit,
     ideal_form_coefficients,
@@ -38,6 +37,7 @@ from cubicount.quad import (
     pic_3_torsion,
     picard_dump,
     picard_group,
+    primitive_char,
     unit_cube_classes,
     unit_ideal,
     xgcd,
@@ -331,13 +331,6 @@ def test_picard_conjugate_is_inverse():
             assert G.class_of(R.conj()) == G.inverse(i)
 
 
-def test_picard_stable_under_bound_doubling():
-    for D in (-23, -47, 40, 229, -84):
-        G1 = picard_group(D)
-        G2 = picard_group(D, 2 * max(6, 2 * (int(abs(D) ** 0.5) + 1)))
-        assert len(G1) == len(G2)
-
-
 # real discriminants whose fundamental unit is 2^14 .. 2^22, some with
 # class number 2 or 4; units near 2^65 (D = 889) put the exhaustive search
 # out of reach
@@ -370,11 +363,6 @@ def test_picard_dump_matches_brute_force_digest():
     text = json.dumps(payload, indent=0) + "\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "e4efa2592ad7777c9cc6851242651284e890c45abd389589eceb5c4744256dbc"
-
-
-def test_picard_group_rejects_bound_below_every_class():
-    with pytest.raises(ValueError):
-        picard_group(-10007, 50)
 
 
 def test_class_of_rejects_non_invertible_ideal():
@@ -429,7 +417,7 @@ def test_quad_failure_sites_raise_invariant_error_under_optimize():
         "check('extend', lambda: quad.extend_ideal(quad.unit_ideal(-92), -23))\n"
         "quad.fundamental_part = fp\n"
         "chi = [c for c in quad.mu3_characters(-23) if not c.is_trivial][0]\n"
-        "quad.order_change_map = lambda D0, f, c: [0, 0, 0]\n"
+        "quad._extension_map = lambda Gf, Gt: (0, 0, 0)\n"
         "check('conductor', lambda: quad.conductor_of_char(chi))\n"
         "quad.is_fundamental = lambda D: False\n"
         "check('fundamental', lambda: quad.fundamental_part(-31))\n"
@@ -569,8 +557,8 @@ def test_conductor_nontrivial_on_kernel():
     for chi in chars:
         if not chi.is_trivial:
             assert conductor_of_char(chi) == 7
-            chi7 = factored_char(chi, 7)
-            assert chi7.values == chi.values or set(chi7.values) == set(chi.values)
+            chi7 = primitive_char(chi)
+            assert chi7.D == D and chi7.values == chi.values
 
 
 def test_extend_ideal_norm_preserved_when_coprime():

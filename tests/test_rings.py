@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import product
 
 import pytest
 
@@ -129,6 +130,18 @@ def test_max_zmat_contains_z_plus_3c_and_all_zmat_subrings():
                     for v in sb:
                         assert sublattice_members(tri, v)
         checked += 1
+
+
+def test_max_zmat_lattice_is_the_cube_condition():
+    # x in {0, 1, 2}^3 lies in the basis rows returned iff x^3 in Z + 3C
+    for f in enumerate_orbits(2000):
+        for sign in (1, -1):
+            C = ring_from_form(f, sign)
+            _, _, basis = max_zmat_subring(C)
+            for x in product(range(3), repeat=3):
+                cube = C.power(x, 3)
+                want = cube[1] % 3 == 0 and cube[2] % 3 == 0
+                assert sublattice_members(basis, x) == want, (f, sign, x)
 
 
 def test_max_zmat_index3_iff_split_type_121_at_3():
