@@ -36,7 +36,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .forms import BinaryCubicForm, InvariantError, disc, is_zmat
-from .rings import CubicRing, _det3, ring_from_form
+from .rings import CubicRing, _det3, is_maximal, ring_from_form
 from .counting import _orbits_at, h_value, factorize, s_sequence
 from . import quad
 from .quad import (
@@ -49,6 +49,7 @@ from .quad import (
     ideal_from_generators,
     ideals_of_norm,
     in_discs,
+    is_fundamental,
     is_invertible,
     is_square,
     kronecker,
@@ -426,6 +427,11 @@ def splitting_type_from_char(chi: Mu3Char, p: int) -> str:
     return "111" if chi(primes[0]) == 0 else "3"
 
 
+def has_cubefree_conductor(D: int) -> bool:
+    """D is a discriminant and the conductor of O_D is cubefree."""
+    return in_discs(D) and all(e < 3 for e in factorize(fundamental_part(D)[1]).values())
+
+
 def lhs_count(D: int, enforce_cubefree: bool = True) -> int:
     """Character-side count: over all chi on Pic(O_D), the number of index
     m/cond(chi) subrings of the attached cubic ring, from local splitting
@@ -435,9 +441,9 @@ def lhs_count(D: int, enforce_cubefree: bool = True) -> int:
     matched 2 w h on every case tried)."""
     if not in_discs(D):
         raise ValueError("not a discriminant")
-    D0, m = fundamental_part(D)
-    if enforce_cubefree and any(e >= 3 for e in factorize(m).values()):
+    if enforce_cubefree and not has_cubefree_conductor(D):
         raise ValueError("conductor must be cubefree")
+    m = fundamental_part(D)[1]
     total = 0
     for chi in mu3_characters(D):
         chi_prim = primitive_char(chi)
@@ -502,8 +508,6 @@ def check_fields_pic(D: int, budget=None) -> dict:
 
 
 def _is_field_form(form) -> bool:
-    from .rings import is_maximal
-
     return is_irreducible(form) and is_maximal(form)
 
 
@@ -546,8 +550,6 @@ def check_prop_3notdiv(D: int) -> dict:
 def check_scholz(D0: int) -> dict:
     """3-torsion ratio between the class groups of discriminant -3*D0 and
     D0 lies in {3, 1} for D0 > 1 and {1, 1/3} for D0 < 0."""
-    from .quad import is_fundamental
-
     if not is_fundamental(D0) or D0 == 1:
         raise ValueError("need a fundamental discriminant different from 1")
     refl, _ = fundamental_part(-3 * D0)

@@ -82,12 +82,6 @@ def _verify_on(args, reports):
         )
 
 
-def _cubefree_conductor(D):
-    if not quad.in_discs(D):
-        return False
-    return all(e < 3 for e in counting.factorize(quad.fundamental_part(D)[1]).values())
-
-
 # per-delta checks: name -> (cap on |delta| or None, which delta to check,
 # the reports at one delta).  Module functions are looked up per call, so a
 # patched binding is the one used.  The caps keep the default budget: the
@@ -98,7 +92,7 @@ _PER_DELTA = {
         for r in counting.check_recursion(D, p, include_hhat=args.hhat, budget=args.budget)
     ]),
     "rhs": (None, quad.in_discs, lambda args, D: [bridge.rhs_identity_check(D)]),
-    "lhs": (None, _cubefree_conductor, lambda args, D: [bridge.lhs_identity_check(D)]),
+    "lhs": (None, bridge.has_cubefree_conductor, lambda args, D: [bridge.lhs_identity_check(D)]),
     "fields-pic": (None, quad.in_discs, lambda args, D: [bridge.check_fields_pic(D, budget=args.budget)]),
     "prop6": (40, lambda D: quad.in_discs(D) and D % 3 != 0, lambda args, D: [bridge.check_prop_3notdiv(D)]),
     "scholz": (None, lambda D: D != 1 and is_fundamental(D), lambda args, D: [bridge.check_scholz(D)]),
@@ -240,9 +234,7 @@ def build_parser():
 
 def _apply_config(argv):
     """Optional JSON config file supplies defaults; explicit flags win."""
-    import sys as _sys
-
-    argv = list(_sys.argv[1:]) if argv is None else list(argv)
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
     if "--config" not in argv:
         return argv, None
     i = argv.index("--config")

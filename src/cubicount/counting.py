@@ -41,7 +41,7 @@ from .forms import (
     reduced_orbit,
 )
 from .quad import factorize, in_discs
-from .rings import is_maximal_at_p, splitting_type
+from .rings import _local_type
 
 DEFAULT_MAX_DISC = 1_000_000
 _BUDGET_ENV = "CUBICOUNT_BUDGET"
@@ -413,9 +413,10 @@ def subring_count(form, m: int) -> int:
         raise ValueError("index must be positive")
     total = 1
     for p, v in factorize(m).items():
-        if not is_maximal_at_p(form, p):
+        sigma = _local_type(form, p)
+        if sigma is None:
             raise ValueError("form not maximal at %d" % p)
-        total *= s_sequence(splitting_type(form, p), p, v)
+        total *= s_sequence(sigma, p, v)
     return total
 
 

@@ -184,11 +184,7 @@ def is_reduced_neg(form) -> bool:
         return False
     if evaluate(f, -a - b, a) > 0:
         return False
-    # |w| >= 1, via sign of (a t^2 + b t + c - a) at the real root
-    if d == 0:
-        return c >= a
-    val = evaluate(f, -d, a)
-    return (val >= 0) if d < 0 else (val <= 0)
+    return _v_at_least_one(f)
 
 
 def is_reduced(form) -> bool:
@@ -335,6 +331,8 @@ def _reduce_neg(form):
 
 
 def _v_at_least_one(f) -> bool:
+    """|w| >= 1 (a > 0), via the sign of a t^2 + b t + c - a at the real
+    root."""
     a, b, c, d = f
     if d == 0:
         return c >= a

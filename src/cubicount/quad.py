@@ -324,11 +324,15 @@ def ideal_form_coefficients(I: QuadIdeal):
     return t, s, r
 
 
-def ideals_of_norm(D: int, n: int, invertible_only: bool = False, max_norm: int = 10 ** 7):
+# the largest norm ideals_of_norm enumerates
+MAX_IDEAL_NORM = 10 ** 7
+
+
+def ideals_of_norm(D: int, n: int, invertible_only: bool = False):
     """All index-n sublattices of O_D stable under multiplication by xi."""
     if n < 1:
         raise ValueError("norm must be positive")
-    if n > max_norm:
+    if n > MAX_IDEAL_NORM:
         raise BudgetExceeded("ideal norm %d over budget" % n)
     order(D)
     out = []
@@ -473,7 +477,6 @@ def is_principal(I: QuadIdeal):
     the class keys; tests use it as the reference for them."""
     if not is_invertible(I):
         raise ValueError("principality test wants an invertible ideal")
-    o = I.order
     n = I.norm
     for el in elements_of_norm(I.D, n):
         if I.contains(el):

@@ -10,10 +10,12 @@ the unique choice making the table associative.  Elements are integer
 coordinate triples (x0, x1, x2).  The orientation sign fixes a generator
 of the top exterior power (basis wedge times the sign).
 
-Also here: the maximal subring with all traces divisible by 3, local
-maximality of a form at a prime, splitting types of maximal forms, and an
-exhaustive enumeration of finite-index subrings (the oracle that backs the
-counting recursions `counting.s_sequence`).  The enumeration tries every
+Also here: the maximal subring with all traces divisible by 3; local
+maximality of a form at a prime p and its splitting type there, both read
+from one walk over the roots mod p (each moved to [1:0] to read its
+multiplicity); and two brute-force oracles, the index-p superrings and an
+exhaustive enumeration of finite-index subrings (which backs the counting
+recursions `counting.s_sequence`).  The enumeration tries every
 triangular sublattice basis Z*1 + Z*(e*alpha + f*beta) + Z*(g*beta) with
 e*g = n and 0 <= f < g; only its closure test is closed-form, reading the
 alpha and beta parts of the three generator products straight off the
@@ -22,9 +24,7 @@ form.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .forms import BinaryCubicForm, BudgetExceeded, InvariantError, disc, evaluate
+from .forms import BinaryCubicForm, BudgetExceeded, InvariantError, act, disc, evaluate, is_zmat
 from .quad import divisors, factorize, hnf2, xgcd
 
 SPLITTING_TYPES = ("111", "12", "3", "1^2 1", "1^3")
@@ -115,8 +115,7 @@ def ring_from_form(form, orientation: int = 1) -> CubicRing:
 
 def is_zmat_ring(ring: CubicRing) -> bool:
     """3 | tr(x) for all x; equivalent to is_zmat of the form."""
-    a, b, c, d = ring.form
-    return b % 3 == 0 and c % 3 == 0
+    return is_zmat(ring.form)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +143,18 @@ def sublattice_members(tri, vec) -> bool:
     return not any(v)
 
 
-def subrings_of_index(ring: CubicRing, n: int, max_index: int = 1000):
+# the largest index subrings_of_index enumerates (it tries sigma(n) lattices)
+MAX_SUBRING_INDEX = 1000
+
+
+def subrings_of_index(ring: CubicRing, n: int):
     """All index-n sublattices of the ring containing 1 and closed under
     multiplication.  Each is returned as a triple of coordinate rows
     (a triangular basis starting with 1)."""
     if ring.discriminant == 0:
         raise ValueError("degenerate ring")
-    if n > max_index:
-        raise BudgetExceeded("subring index %d over budget %d" % (n, max_index))
+    if n > MAX_SUBRING_INDEX:
+        raise BudgetExceeded("subring index %d over budget %d" % (n, MAX_SUBRING_INDEX))
     if n < 1:
         raise ValueError("index must be positive")
     a, b, c, d = ring.form
@@ -270,32 +273,41 @@ def _solve2_full(u, v, w):
 # Local maximality and splitting types
 
 def is_maximal_at_p(form, p: int) -> bool:
-    """No index-p superring exists: fails iff p divides the whole form or a
-    projective root mod p^2, moved to [1:0], leaves p^2 | a and p | b."""
+    """No overring of p-power index exists: fails iff p divides the whole
+    form or a multiple root v mod p has p^2 | f(v)."""
+    return _local_type(form, p) is not None
+
+
+# sorted root multiplicities mod p -> splitting type
+_TYPE_OF_MULTS = {(1, 1, 1): "111", (1,): "12", (): "3", (2, 1): "1^2 1", (3,): "1^3"}
+
+
+def _local_type(form, p: int):
+    """The splitting type of the form at p, or None when it is not maximal
+    at p.  Not maximal iff p divides the form, or a multiple root v mod p
+    has p^2 | f(v) (Bhargava, Shankar and Tsimerman, Invent. Math. 193,
+    2013).  Both partial derivatives vanish mod p at a multiple root, so
+    f(v) mod p^2 is the same for every lift of v.  Each root is moved to
+    [1:0]; its multiplicity is the number of leading coefficients of the
+    moved form that p divides."""
     f = BinaryCubicForm(*form)
     if disc(f) == 0:
         raise ValueError("degenerate form")
-    a, b, c, d = f
-    if a % p == 0 and b % p == 0 and c % p == 0 and d % p == 0:
-        return False
-    p2 = p * p
-    for v in _proj_points_mod(p):
-        if evaluate(f, v[0], v[1]) % p2:
-            continue
-        # complete v to a unimodular matrix with first row v
-        r, s = _complement(v)
-        det = v[0] * s - v[1] * r
-        fx = 3 * a * v[0] ** 2 + 2 * b * v[0] * v[1] + c * v[1] ** 2
-        fy = b * v[0] ** 2 + 2 * c * v[0] * v[1] + 3 * d * v[1] ** 2
-        bb = (fx * r + fy * s) * det  # det = +-1, sign immaterial mod p
-        if bb % p == 0:
-            return False
-    return True
-
-
-def _proj_points_mod(p):
-    """Representatives of P^1(Z/p^2) (x or y a unit)."""
-    return [(1, t) for t in range(p * p)] + [(t * p, 1) for t in range(p)]
+    if all(x % p == 0 for x in f):
+        return None
+    mults = []
+    for v in roots_in_p1(f, p):
+        moved = act(v + _complement(v), f)  # v moved to [1:0]
+        m = next((i for i, x in enumerate(moved) if x % p), 4)
+        if m == 4:
+            raise InvariantError("form %r vanishes mod %d" % (tuple(f), p))
+        if m > 1 and moved[0] % (p * p) == 0:
+            return None
+        mults.append(m)
+    sigma = _TYPE_OF_MULTS.get(tuple(sorted(mults, reverse=True)))
+    if sigma is None:
+        raise InvariantError("root multiplicities %r of %r mod %d" % (mults, tuple(form), p))
+    return sigma
 
 
 def _complement(v):
@@ -316,9 +328,11 @@ def is_maximal(form) -> bool:
 
 
 def superrings_of_index_p(ring: CubicRing, p: int):
-    """Index-p overrings inside C (x) Q, the brute-force converse oracle to
-    is_maximal_at_p: lattices (C + Z*(v/p)) containing 1, closed under
-    multiplication, with integral multiplication table."""
+    """Index-p overrings inside C (x) Q: lattices (C + Z*(v/p)) containing
+    1, closed under multiplication, with integral multiplication table.
+    The brute-force converse oracle to is_maximal_at_p only when p does not
+    divide the form: p times a form inert at p, such as (2, 0, 2, 2) at 2,
+    has an overring of index p^2 but none of index p."""
     out = []
     seen = set()
     for x0 in range(p):
@@ -380,53 +394,13 @@ def _in_mod_line_sq(ring, w, v, p):
 def splitting_type(form, p: int) -> str:
     """Degree/multiplicity pattern of the form mod p; only meaningful (and
     only allowed) for forms maximal at p."""
-    if not is_maximal_at_p(form, p):
+    sigma = _local_type(form, p)
+    if sigma is None:
         raise ValueError("splitting type is defined for forms maximal at %d" % p)
-    f = BinaryCubicForm(*form)
-    mults = []
-    for v in _proj_points_mod_p(p):
-        m = _root_multiplicity(f, v, p)
-        if m:
-            mults.append(m)
-    mults.sort(reverse=True)
-    total = sum(mults)
-    if mults == [1, 1, 1]:
-        return "111"
-    if mults == [2, 1]:
-        return "1^2 1"
-    if mults == [3]:
-        return "1^3"
-    if mults == [1]:
-        return "12"
-    if mults:
-        raise InvariantError("root multiplicities %r of %r mod %d" % (mults, tuple(form), p))
-    return "3"
-
-
-def _proj_points_mod_p(p):
-    return [(t, 1) for t in range(p)] + [(1, 0)]
-
-
-def _root_multiplicity(f, v, p):
-    """Multiplicity of the projective root v of f mod p (0 if not a root):
-    move v to [1:0]; the multiplicity is the number of leading coefficients
-    of the transformed form divisible by p."""
-    if evaluate(f, v[0], v[1]) % p:
-        return 0
-    r, s = _complement((v[0], v[1])) if gcd(v[0], v[1]) == 1 else (None, None)
-    from .forms import act
-
-    g = (v[0], v[1], r, s)
-    a2, b2, c2, d2 = act(g, f)
-    if b2 % p:
-        return 1
-    if c2 % p:
-        return 2
-    if d2 % p == 0:
-        raise InvariantError("form %r vanishes mod %d" % (tuple(f), p))
-    return 3
+    return sigma
 
 
 def roots_in_p1(form, p: int):
     """Projective roots of the form mod p (no maximality requirement)."""
-    return [v for v in _proj_points_mod_p(p) if evaluate(form, v[0], v[1]) % p == 0]
+    points = [(t, 1) for t in range(p)] + [(1, 0)]
+    return [v for v in points if evaluate(form, v[0], v[1]) % p == 0]

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -105,8 +106,10 @@ def test_dump_pic():
 
 
 def test_cli_entrypoint_subprocess():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     proc = subprocess.run(
         [sys.executable, "-m", "cubicount.cli", "table", "--max", "1"],
+        env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
     )

@@ -380,6 +380,12 @@ def test_picard_budget_checked_on_cached_groups(monkeypatch):
         picard_group(-23)
 
 
+def test_ideal_norm_budget():
+    assert quad.MAX_IDEAL_NORM == 10 ** 7
+    with pytest.raises(BudgetExceeded):
+        ideals_of_norm(-23, quad.MAX_IDEAL_NORM + 1)
+
+
 def test_quad_invariant_checks_survive_optimize():
     # products of reps that scale by an integer get a key no rep has, so
     # the table fill must report an incomplete class list, also under -O

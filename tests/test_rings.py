@@ -1,10 +1,15 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
-from cubicount.forms import act, disc, is_zmat, random_unimodular
+from cubicount import rings
+from cubicount.forms import BudgetExceeded, act, content, disc, evaluate, is_zmat, random_unimodular
+from cubicount.quad import xgcd
 from cubicount.rings import (
     is_maximal,
     is_maximal_at_p,
@@ -18,7 +23,7 @@ from cubicount.rings import (
     superrings_of_index_p,
 )
 from cubicount.bridge import is_irreducible
-from cubicount.counting import enumerate_orbits
+from cubicount.counting import _S1, _S2, enumerate_orbits
 
 Z3 = (0, 1, 1, 0)
 T3M1 = (1, 0, 0, -1)  # Z[t]/(t^3 - 1)
@@ -206,6 +211,89 @@ def test_maximality_invariant_under_action():
             assert is_maximal_at_p(f, p) == is_maximal_at_p(act(g, f), p)
 
 
+def _maximal_by_p2_sweep(f, p):
+    """Reference: not maximal iff p divides f, or some point v of P^1(Z/p^2)
+    with p^2 | f(v), moved to [1:0] by a unimodular matrix, leaves p | b."""
+    if content(f) % p == 0:
+        return False
+    p2 = p * p
+    for v in [(1, t) for t in range(p2)] + [(t * p, 1) for t in range(p)]:
+        if evaluate(f, *v) % p2:
+            continue
+        _, x, y = xgcd(*v)
+        r, s = -y, x  # [[v0, v1], [r, s]] is unimodular
+        fx = 3 * f[0] * v[0] ** 2 + 2 * f[1] * v[0] * v[1] + f[2] * v[1] ** 2
+        fy = f[1] * v[0] ** 2 + 2 * f[2] * v[0] * v[1] + 3 * f[3] * v[1] ** 2
+        if (fx * r + fy * s) % p == 0:
+            return False
+    return True
+
+
+# (s_1, s_2) -> splitting type; the five pairs are distinct
+_TYPE_OF_S1_S2 = {(_S1[t], _S2[t]): t for t in _S1}
+
+
+def _local_cases():
+    for f in enumerate_orbits(1000) + enumerate_orbits(2700, True):
+        for p in (2, 3, 5, 7):
+            yield f, p
+
+
+def test_maximality_against_superring_oracle_and_p2_sweep():
+    # the index-p superring oracle decides maximality only when p does not
+    # divide the form; p times a form inert at p has no index-p overring
+    multiples = 0
+    for f, p in _local_cases():
+        got = is_maximal_at_p(f, p)
+        assert got == _maximal_by_p2_sweep(f, p), (f, p)
+        if content(f) % p == 0:
+            assert not got, (f, p)
+            multiples += 1
+        else:
+            assert got == (not superrings_of_index_p(ring_from_form(f), p)), (f, p)
+    assert multiples > 0
+    assert not superrings_of_index_p(ring_from_form((2, 0, 2, 2)), 2)
+    assert not is_maximal_at_p((2, 0, 2, 2), 2)
+
+
+def test_splitting_type_against_subring_counts():
+    seen = set()
+    for f, p in _local_cases():
+        if not is_maximal_at_p(f, p):
+            continue
+        C = ring_from_form(f)
+        s1 = len(subrings_of_index(C, p))
+        s2 = len(subrings_of_index(C, p * p))
+        assert splitting_type(f, p) == _TYPE_OF_S1_S2[s1, s2], (f, p)
+        seen.add(_TYPE_OF_S1_S2[s1, s2])
+    assert seen == set(_S1)
+
+
+def test_local_type_invariants_survive_optimize():
+    # an impossible root pattern and a moved form that vanishes mod p
+    # raise InvariantError, also under -O
+    code = (
+        "from cubicount import forms, rings\n"
+        "def check(name, fn):\n"
+        "    try:\n"
+        "        fn()\n"
+        "    except forms.InvariantError:\n"
+        "        print(name)\n"
+        "roots = rings.roots_in_p1\n"
+        "rings.roots_in_p1 = lambda f, p: [(0, 1), (1, 0), (1, 1), (1, 1)]\n"
+        "check('four-roots', lambda: rings.splitting_type((0, 1, 1, 0), 2))\n"
+        "rings.roots_in_p1 = roots\n"
+        "rings.act = lambda g, f: forms.BinaryCubicForm(0, 0, 0, 0)\n"
+        "check('vanishes', lambda: rings.splitting_type((0, 1, 1, 0), 2))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.stdout.split() == ["four-roots", "vanishes"], out.stderr
+
+
 # ---------------------------------------------------------------------------
 # splitting types
 
@@ -222,8 +310,6 @@ def test_splitting_type_rejects_non_maximal():
 
 
 def test_splitting_root_count_matches_s1():
-    from cubicount.counting import _S1
-
     rng = random.Random(12)
     checked = 0
     while checked < 60:
@@ -278,6 +364,14 @@ def test_subrings_are_rings_with_scaled_disc():
             S = lattice_ring(C, basis)
             assert S.is_associative()
             assert S.discriminant == n * n * C.discriminant
+
+
+def test_subring_index_budget():
+    C = ring_from_form(Z3)
+    assert rings.MAX_SUBRING_INDEX == 1000
+    assert subrings_of_index(C, rings.MAX_SUBRING_INDEX)
+    with pytest.raises(BudgetExceeded):
+        subrings_of_index(C, rings.MAX_SUBRING_INDEX + 1)
 
 
 def _subrings_by_generic_closure(ring, n):
