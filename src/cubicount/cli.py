@@ -283,7 +283,7 @@ def main(argv=None) -> int:
         for key, val in cfg.items():
             if key in _CONFIG_TYPES and "--" + key not in argv and hasattr(args, key):
                 setattr(args, key, val)
-    if getattr(args, "p", None):
+    if getattr(args, "p", None) is not None:
         args.primes = [args.p]
     if getattr(args, "shards", 1) < 1:
         print("shard count must be >= 1", file=sys.stderr)

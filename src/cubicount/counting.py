@@ -9,8 +9,11 @@ The primary enumeration scans the reduced domains of `forms` directly with
 proven coefficient bounds and yields each sign class once: of the four
 sign variants f, -f, (-a, b, -c, d), (a, -b, c, -d) of a reduced form only
 the lexicographically largest.  Interior forms are then their orbit's
-largest reduced form; boundary forms learn whether they are, and their
-stabilizers, from the boundary-matrix table of `forms`.  A secondary
+largest reduced form; so is an a = 0 form on the line Re = 0 or the edge
+Re = -1/2 (c = 0 or c = b) off the arc, with stabilizer orders 2 and 1,
+because the reflection in that line fixes it.  Other boundary forms learn
+whether they are, and their stabilizers, from the boundary-matrix table of
+`forms`.  A secondary
 coefficient-box method (reduce everything in a box, close each form's orbit
 by breadth-first search, deduplicate) exists purely as a correctness oracle.
 Also here: the local subring-count sequence s_n with its seed table, closed
@@ -156,7 +159,14 @@ def _scan_neg(X, zmat):
                 D = bb * (c * c - 4 * b * d)
                 if -X <= D <= -1:
                     ap((0, b, c, d))
-    # a >= 1
+    # a >= 1.  Write f(x, 1) = a (x - theta)(x - w)(x - conj w) with
+    # u = Re w, v = Im w > 0.  Then b/a = -theta - 2u,
+    # c/a = -2u b/a - 3u^2 + v^2 and |disc| = 4 a^4 v^2 |theta - w|^4.
+    # Reduced means |u| <= 1/2 and |w| >= 1, so v^2 >= 3/4 and
+    # |theta - u| <= |theta - w| <= (X / (3 a^4))^(1/4) <= T, which gives
+    # 0 <= b <= a T + 3a/2.  As |2u| <= 1 and -3u^2 + v^2 = |w|^2 - 4u^2
+    # lies in [0, v^2], c/a lies in [-b/a, b/a + v^2]; and
+    # |disc| >= 4 a^4 v^6 gives v^2 <= M2.  So -b <= c <= b + a M2.
     amax = _i4root((16 * X) // 27) + 1
     for a in range(1, amax + 1):
         a2 = a * a
@@ -164,17 +174,13 @@ def _scan_neg(X, zmat):
         a4 = a2 * a2
         T = _i4root(X // (3 * a4)) + 1
         M2 = _icbrt(X // (4 * a4)) + 1
-        tmax = T + isqrt(M2) + 2
-        vmax = M2 + 1
-        capd = a * tmax * vmax + 1
-        bmax = a * (tmax + 1) + 1
-        cmax = a * (vmax + tmax) + 1
-        for b in range(0, bmax + 1, step):
+        capd = a * (T + isqrt(M2) + 2) * (M2 + 1) + 1
+        for b in range(0, a * T + (3 * a) // 2 + 1, step):
             amb = a - b
             apb = a + b
             K1base = a * amb ** 3 + a * b * amb * amb
             K2base = -a * apb ** 3 + a * b * apb * apb
-            for c in range(-(cmax // step) * step, cmax + 1, step):
+            for c in range(-b, b + a * M2 + 1, step):
                 # d window from the strip condition |Re w| <= 1/2
                 K1 = K1base + a2 * c * amb
                 K2 = K2base - a2 * c * apb
@@ -239,6 +245,13 @@ class Orbit(NamedTuple):
 
 _ORBIT_CACHE = {}
 
+# Boundary signatures of a scanned a = 0 form with c = 0 (the line Re = 0)
+# or c = b (the edge Re = -1/2), off the arc.  The reflection in that line,
+# diag(1, -1) or (1, 0, 1, -1), fixes f, so every image under the
+# signature's matrices is a sign variant of f: f is its orbit's largest
+# reduced form, with stabilizer order 2 and proper stabilizer order 1.
+_A0_EDGES = ((True, 0, False), (False, -1, False))
+
 
 def orbit_table(X: int, zmat_only: bool = False, budget=None):
     """Read-only mapping disc -> tuple of Orbit sorted by form, for all
@@ -259,8 +272,11 @@ def orbit_table(X: int, zmat_only: bool = False, budget=None):
                 raise InvariantError("scanned %r has disc %d outside 0 < |disc| <= %d" % (f, D, X))
             # an interior form's only other reduced forms are its sign
             # variants, and the scan yields the largest of those
-            if boundary_signature(f) == INTERIOR:
+            sig = boundary_signature(f)
+            if sig == INTERIOR:
                 orb = Orbit(BinaryCubicForm(*f), 1, 1)
+            elif f[0] == 0 and sig in _A0_EDGES:
+                orb = Orbit(BinaryCubicForm(*f), 2, 1)
             else:
                 cl = reduced_orbit(f)
                 if max(cl.forms) != f:
@@ -426,9 +442,12 @@ def subring_count(form, m: int) -> int:
 def check_recursion(D: int, p: int, include_hhat: bool = True, budget=None):
     """Evaluate h(p^6 D) = h(p^4 D) + p (h(D) - h(D/p^2)) and, optionally,
     the same identity for hhat, from independent enumerations of all terms.
-    Returns a list of report dicts."""
+    Returns a list of report dicts.  ValueError unless D is a discriminant
+    and p a prime: the recursion is stated for primes only."""
     if not in_discs(D):
         raise ValueError("D must lie in Discs")
+    if factorize(p) != {p: 1}:
+        raise ValueError("p = %d is not a prime" % p)
     terms = [D * p ** 6, D * p ** 4, D]
     small = Fraction(0)
     if D % (p * p) == 0 and in_discs(D // (p * p)):

@@ -694,9 +694,12 @@ class PicGroup:
 def picard_group(D: int) -> PicGroup:
     """Pic(O_D), the representative of each class its first primitive
     invertible ideal in order of norm, then b.  The budget is checked on
-    every call, also when the group is cached."""
+    every call, also when the group is cached.  ValueError unless D is a
+    discriminant."""
     from .counting import disc_budget
 
+    if not in_discs(D):
+        raise ValueError("%d not congruent to 0 or 1 mod 4 (or zero)" % D)
     if abs(D) > disc_budget():
         raise BudgetExceeded("|D| = %d over budget" % abs(D))
     return _picard_group(D)

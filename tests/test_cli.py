@@ -105,6 +105,21 @@ def test_dump_pic():
     assert payload[0]["three_torsion"] == 3
 
 
+def test_dump_pic_non_discriminant_exits_2():
+    for delta in ("2", "0"):
+        code, out, err = run_cli(["dump-pic", "--delta", delta])
+        assert code == 2, err
+        assert out == "" and "invalid input" in err
+
+
+def test_verify_recursion_non_prime_exits_2():
+    # p = 0 used to be dropped silently in favour of the default primes
+    for flags in (["--p", "4"], ["--p", "0"], ["--p", "1"], ["--p", "-2"], ["--primes", "2", "4"]):
+        code, out, err = run_cli(["verify", "recursion", "--D", "5"] + flags)
+        assert code == 2, (flags, err)
+        assert out == "" and "is not a prime" in err
+
+
 def test_cli_entrypoint_subprocess():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     proc = subprocess.run(

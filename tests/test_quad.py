@@ -373,6 +373,13 @@ def test_class_of_rejects_non_invertible_ideal():
         picard_group(-92).class_of(I)
 
 
+@pytest.mark.parametrize("D", [0, 2, 3, -1, -2])
+def test_picard_entry_points_reject_non_discriminants(D):
+    for fn in (picard_group, pic_3_torsion, mu3_characters, picard_dump):
+        with pytest.raises(ValueError):
+            fn(D)
+
+
 def test_picard_budget_checked_on_cached_groups(monkeypatch):
     assert len(picard_group(-23)) == 3
     monkeypatch.setenv("CUBICOUNT_BUDGET", "10")
