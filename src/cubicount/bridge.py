@@ -480,7 +480,7 @@ def chi_term_sum(chi: Mu3Char, m1: int):
     return counts[0] - counts[1]
 
 
-def check_fields_pic(D: int, budget=None) -> dict:
+def check_fields_pic(D: int) -> dict:
     """Count cubic fields whose discriminant squarely divides D against
     (|Pic(O_D)[3]| - 1)/2."""
     if not in_discs(D):
@@ -490,7 +490,7 @@ def check_fields_pic(D: int, budget=None) -> dict:
     while k * k <= abs(D):
         if D % (k * k) == 0 and in_discs(D // (k * k)):
             Dk = D // (k * k)
-            for orb in _orbits_at(Dk, False, budget):
+            for orb in _orbits_at(Dk, False):
                 if _is_field_form(orb.form):
                     fields += 1
         k += 1

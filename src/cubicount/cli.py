@@ -6,18 +6,23 @@ Exit codes: 0 all requested checks pass, 1 a mathematical identity failed
 (the first counterexample is printed), 2 operational failure (budget, IO,
 bad arguments or config), 3 an internal invariant of the computation broke
 (forms.InvariantError: a bug, not a counterexample).
+
+--budget N (or config "budget": N) caps the |disc| enumerated by every check
+and dump-pic: main sets CUBICOUNT_BUDGET=N for the call and restores it
+after, so the flag beats the environment, which beats the default 10^6.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import bridge, counting, quad
-from .counting import BudgetExceeded, frac_str
-from .forms import InvariantError
+from .counting import frac_str
+from .forms import BUDGET_ENV, BudgetExceeded, InvariantError
 from .quad import is_fundamental
 
 
@@ -30,16 +35,16 @@ def cmd_table(args) -> int:
         _emit(args.out, payload)
         return 0
     if args.format == "json":
-        _emit(args.out, counting.table_json(args.max, budget=args.budget) + "\n")
+        _emit(args.out, counting.table_json(args.max) + "\n")
         return 0
     # --shards is validated but does not change the work: the output is one
     # table, byte-identical for every shard count
-    _emit(args.out, "\n".join(counting.table_csv_lines(args.max, budget=args.budget)) + "\n")
+    _emit(args.out, "\n".join(counting.table_csv_lines(args.max)) + "\n")
     return 0
 
 
 def cmd_zeta(args) -> int:
-    z = counting.zeta_coefficients(args.max, budget=args.budget)
+    z = counting.zeta_coefficients(args.max)
     rows = []
     for n in range(1, args.max + 1):
         rows.append(
@@ -73,9 +78,7 @@ def cmd_dump_pic(args) -> int:
 
 
 def _verify_on(args, reports):
-    cn = counting.class_numbers(args.max, budget=args.budget)
-    for D in sorted(cn):
-        h, hh = cn[D]
+    for D, (h, hh) in counting.class_numbers(args.max).items():
         want = 3 * h if D > 0 else h
         reports.append(
             {"check": "on", "delta": D, "lhs": hh, "rhs": want, "pass": hh == want}
@@ -89,11 +92,11 @@ def _verify_on(args, reports):
 _PER_DELTA = {
     "recursion": (20, quad.in_discs, lambda args, D: [
         r for p in args.primes
-        for r in counting.check_recursion(D, p, include_hhat=args.hhat, budget=args.budget)
+        for r in counting.check_recursion(D, p, include_hhat=args.hhat)
     ]),
     "rhs": (None, quad.in_discs, lambda args, D: [bridge.rhs_identity_check(D)]),
     "lhs": (None, bridge.has_cubefree_conductor, lambda args, D: [bridge.lhs_identity_check(D)]),
-    "fields-pic": (None, quad.in_discs, lambda args, D: [bridge.check_fields_pic(D, budget=args.budget)]),
+    "fields-pic": (None, quad.in_discs, lambda args, D: [bridge.check_fields_pic(D)]),
     "prop6": (40, lambda D: quad.in_discs(D) and D % 3 != 0, lambda args, D: [bridge.check_prop_3notdiv(D)]),
     "scholz": (None, lambda D: D != 1 and is_fundamental(D), lambda args, D: [bridge.check_scholz(D)]),
 }
@@ -120,8 +123,8 @@ def _verify_per_delta(name, args, reports):
 
 def _verify_oracle(args, reports):
     X = _capped_max("oracle", args, 200)
+    table = counting.orbit_table(X, False)
     box = counting.box_orbit_counts(X)
-    table = counting.orbit_table(X, False, budget=args.budget)
     keys = sorted(set(box) | set(table))
     for D in keys:
         lhs = len(table.get(D, []))
@@ -205,7 +208,8 @@ def build_parser():
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--shards", type=int, default=1)
         p.add_argument("--out", default="-")
-        p.add_argument("--budget", type=int, default=None, help="cap on |disc| enumerated")
+        p.add_argument("--budget", type=int, default=None,
+                       help="|disc| cap for every check (else CUBICOUNT_BUDGET, else 10^6)")
 
     t = sub.add_parser("table", help="h/hhat table as CSV or JSON")
     common(t)
@@ -288,7 +292,12 @@ def main(argv=None) -> int:
     if getattr(args, "shards", 1) < 1:
         print("shard count must be >= 1", file=sys.stderr)
         return 2
+    saved = os.environ.get(BUDGET_ENV)
+    if args.budget is not None:
+        os.environ[BUDGET_ENV] = str(args.budget)
     try:
+        for p in getattr(args, "primes", ()):
+            counting.require_prime(p)
         return args.func(args)
     except BudgetExceeded as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
@@ -302,6 +311,10 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print("internal invariant failed: %s" % exc, file=sys.stderr)
         return 3
+    finally:
+        os.environ.pop(BUDGET_ENV, None)
+        if saved is not None:
+            os.environ[BUDGET_ENV] = saved
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ h(D/p^2), and Dirichlet coefficient tables for the four associated series.
 from __future__ import annotations
 
 import json
-import os
 from fractions import Fraction
 from math import isqrt
 from types import MappingProxyType
@@ -37,6 +36,7 @@ from .forms import (
     BudgetExceeded,
     InvariantError,
     boundary_signature,
+    check_budget,
     disc,
     is_reduced_neg,
     is_reduced_pos,
@@ -45,23 +45,6 @@ from .forms import (
 )
 from .quad import factorize, in_discs
 from .rings import _local_type
-
-DEFAULT_MAX_DISC = 1_000_000
-_BUDGET_ENV = "CUBICOUNT_BUDGET"
-
-
-def disc_budget() -> int:
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw:
-        return int(raw)
-    return DEFAULT_MAX_DISC
-
-
-def _check_budget(x, budget=None):
-    cap = disc_budget() if budget is None else budget
-    if x > cap:
-        raise BudgetExceeded("requested |disc| <= %d over budget %d" % (x, cap))
-
 
 def _i4root(n):
     return isqrt(isqrt(n)) if n > 0 else 0
@@ -253,10 +236,10 @@ _ORBIT_CACHE = {}
 _A0_EDGES = ((True, 0, False), (False, -1, False))
 
 
-def orbit_table(X: int, zmat_only: bool = False, budget=None):
+def orbit_table(X: int, zmat_only: bool = False):
     """Read-only mapping disc -> tuple of Orbit sorted by form, for all
     0 < |disc| <= X."""
-    _check_budget(X, budget)
+    check_budget(X)
     cached = _ORBIT_CACHE.get(zmat_only)
     if cached is not None and cached[0] >= X:
         if cached[0] == X:
@@ -290,14 +273,14 @@ def orbit_table(X: int, zmat_only: bool = False, budget=None):
     return view
 
 
-def _orbits_at(D: int, zmat_only: bool = False, budget=None):
-    """orbit_table(abs(D), zmat_only, budget).get(D, ()), read straight from
+def _orbits_at(D: int, zmat_only: bool = False):
+    """orbit_table(abs(D), zmat_only).get(D, ()), read straight from
     the cached table when it reaches |D|, without a filtered copy."""
-    _check_budget(abs(D), budget)
+    check_budget(abs(D))
     cached = _ORBIT_CACHE.get(zmat_only)
     if cached is not None and cached[0] >= abs(D):
         return cached[1].get(D, ())
-    return orbit_table(abs(D), zmat_only, budget).get(D, ())
+    return orbit_table(abs(D), zmat_only).get(D, ())
 
 
 def _weight_sum(orbs) -> Fraction:
@@ -306,10 +289,10 @@ def _weight_sum(orbs) -> Fraction:
     return Fraction(sum(6 // o.stabilizer_order for o in orbs), 6)
 
 
-def enumerate_orbits(X: int, zmat_only: bool = False, budget=None):
+def enumerate_orbits(X: int, zmat_only: bool = False):
     """Canonical representatives of all orbits with 0 < |disc| <= X,
     sorted by (disc, form); exactly one per orbit."""
-    table = orbit_table(X, zmat_only, budget)
+    table = orbit_table(X, zmat_only)
     out = []
     for D in sorted(table):
         for orb in table[D]:
@@ -317,29 +300,27 @@ def enumerate_orbits(X: int, zmat_only: bool = False, budget=None):
     return out
 
 
-def h_value(D: int, zmat_variant: bool = False, budget=None) -> Fraction:
+def h_value(D: int, zmat_variant: bool = False) -> Fraction:
     """h(D) (or hhat(D) when zmat_variant), single value."""
     if D == 0 or not in_discs(D):
         return Fraction(0)
     if zmat_variant:
-        return _weight_sum(_orbits_at(-27 * D, True, budget))
-    return _weight_sum(_orbits_at(D, False, budget))
+        return _weight_sum(_orbits_at(-27 * D, True))
+    return _weight_sum(_orbits_at(D, False))
 
 
-def class_numbers(X: int, budget=None):
-    """dict D -> (h(D), hhat(D)) for all 0 < |D| <= X, exact rationals."""
-    _check_budget(max(X, 27 * X), budget)
-    h_table = orbit_table(X, False, budget)
-    hh_table = orbit_table(27 * X, True, budget)
-    out = {}
-    for D in range(-X, X + 1):
-        if D == 0:
-            continue
-        h = _weight_sum(h_table.get(D, ()))
-        hh = _weight_sum(hh_table.get(-27 * D, ()))
-        if h or hh or in_discs(D):
-            out[D] = (h, hh)
-    return out
+def class_numbers(X: int):
+    """dict D -> (h(D), hhat(D)) for every discriminant 0 < |D| <= X, D
+    ascending, exact rationals.  No other D has an orbit: a cubic form's
+    disc is 0 or 1 mod 4, and -27 D = D mod 4."""
+    check_budget(max(X, 27 * X))
+    h_table = orbit_table(X, False)
+    hh_table = orbit_table(27 * X, True)
+    return {
+        D: (_weight_sum(h_table.get(D, ())), _weight_sum(hh_table.get(-27 * D, ())))
+        for D in range(-X, X + 1)
+        if in_discs(D)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -439,27 +420,30 @@ def subring_count(form, m: int) -> int:
 # ---------------------------------------------------------------------------
 # Discriminant recursions
 
-def check_recursion(D: int, p: int, include_hhat: bool = True, budget=None):
+def require_prime(p: int) -> None:
+    """ValueError unless p is a prime."""
+    if factorize(p) != {p: 1}:
+        raise ValueError("p = %d is not a prime" % p)
+
+
+def check_recursion(D: int, p: int, include_hhat: bool = True):
     """Evaluate h(p^6 D) = h(p^4 D) + p (h(D) - h(D/p^2)) and, optionally,
     the same identity for hhat, from independent enumerations of all terms.
     Returns a list of report dicts.  ValueError unless D is a discriminant
     and p a prime: the recursion is stated for primes only."""
     if not in_discs(D):
         raise ValueError("D must lie in Discs")
-    if factorize(p) != {p: 1}:
-        raise ValueError("p = %d is not a prime" % p)
+    require_prime(p)
     terms = [D * p ** 6, D * p ** 4, D]
-    small = Fraction(0)
     if D % (p * p) == 0 and in_discs(D // (p * p)):
         terms.append(D // (p * p))
     reports = []
     variants = [("h", False)] + ([("hhat", True)] if include_hhat else [])
     for name, zv in variants:
-        need = abs(D) * p ** 6 * (27 if zv else 1)
-        _check_budget(need, budget)
+        check_budget(abs(D) * p ** 6 * (27 if zv else 1))
         vals = {}
         for t in sorted(set(terms), key=abs, reverse=True):  # warm the cache once
-            vals[t] = h_value(t, zv, budget)
+            vals[t] = h_value(t, zv)
         small_term = vals.get(D // (p * p), Fraction(0)) if D % (p * p) == 0 else Fraction(0)
         lhs = vals[D * p ** 6]
         rhs = vals[D * p ** 4] + p * (vals[D] - small_term)
@@ -479,7 +463,7 @@ def check_recursion(D: int, p: int, include_hhat: bool = True, budget=None):
 # ---------------------------------------------------------------------------
 # Dirichlet coefficient tables
 
-def zeta_coefficients(X: int, budget=None):
+def zeta_coefficients(X: int):
     """First X coefficients of the four series, exact rationals, 1-indexed.
 
     zeta_plus[n]  = h(n),   zeta_minus[n] = h(-n);
@@ -488,20 +472,11 @@ def zeta_coefficients(X: int, budget=None):
     i.e. the 3^{3s} rescaling reindexes the hat series by n = |disc|/27.
     The pairwise identities are then zhat_plus == zeta_minus and
     zhat_minus == 3 * zeta_plus, entry by entry."""
-    cn = class_numbers(X, budget)
-    z = {
-        "zeta_plus": [Fraction(0)] * (X + 1),
-        "zeta_minus": [Fraction(0)] * (X + 1),
-        "zhat_plus": [Fraction(0)] * (X + 1),
-        "zhat_minus": [Fraction(0)] * (X + 1),
-    }
-    for n in range(1, X + 1):
-        if n in cn:
-            z["zeta_plus"][n] = cn[n][0]
-            z["zhat_minus"][n] = cn[n][1]
-        if -n in cn:
-            z["zeta_minus"][n] = cn[-n][0]
-            z["zhat_plus"][n] = cn[-n][1]
+    names = ("zeta_plus", "zeta_minus", "zhat_plus", "zhat_minus")
+    z = {name: [Fraction(0)] * (X + 1) for name in names}
+    for D, (h, hh) in class_numbers(X).items():
+        z["zeta_plus" if D > 0 else "zeta_minus"][abs(D)] = h
+        z["zhat_minus" if D > 0 else "zhat_plus"][abs(D)] = hh
     return z
 
 
@@ -513,14 +488,10 @@ def frac_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def table_csv_lines(X: int, budget=None):
+def table_csv_lines(X: int):
     """CSV rows `delta,h_num,h_den,hhat_num,hhat_den`, delta ascending."""
-    cn = class_numbers(X, budget)
     lines = ["delta,h_num,h_den,hhat_num,hhat_den"]
-    for D in range(-X, X + 1):
-        if D == 0 or D not in cn:
-            continue
-        h, hh = cn[D]
+    for D, (h, hh) in class_numbers(X).items():
         lines.append(
             "%d,%d,%d,%d,%d"
             % (D, h.numerator, h.denominator, hh.numerator, hh.denominator)
@@ -528,9 +499,9 @@ def table_csv_lines(X: int, budget=None):
     return lines
 
 
-def table_json(X: int, budget=None) -> str:
+def table_json(X: int) -> str:
     """JSON mirror of the CSV schema, same five fields per row."""
-    cn = class_numbers(X, budget)
+    cn = class_numbers(X)
     rows = [
         {
             "delta": D,

@@ -35,6 +35,7 @@ enters anywhere.
 from __future__ import annotations
 
 import itertools
+import os
 from math import gcd
 from typing import NamedTuple
 
@@ -201,6 +202,24 @@ class InvariantError(RuntimeError):
 
 class BudgetExceeded(Exception):
     """A requested size is over the enumeration budget."""
+
+
+DEFAULT_MAX_DISC = 1_000_000
+BUDGET_ENV = "CUBICOUNT_BUDGET"
+
+
+def disc_budget() -> int:
+    """The cap on every enumerated |disc|: CUBICOUNT_BUDGET when set (the
+    CLI sets it from --budget for one run), else DEFAULT_MAX_DISC."""
+    raw = os.environ.get(BUDGET_ENV)
+    return int(raw) if raw else DEFAULT_MAX_DISC
+
+
+def check_budget(x: int) -> None:
+    """BudgetExceeded when x is over disc_budget()."""
+    cap = disc_budget()
+    if x > cap:
+        raise BudgetExceeded("requested |disc| <= %d over budget %d" % (x, cap))
 
 
 # Building blocks of BOUNDARY_MATRICES, in +-pairs.  _SIGNS are the four

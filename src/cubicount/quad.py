@@ -49,7 +49,7 @@ from math import gcd, isqrt
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .forms import BudgetExceeded, InvariantError
+from .forms import BudgetExceeded, InvariantError, check_budget
 
 
 def in_discs(n: int) -> bool:
@@ -696,12 +696,9 @@ def picard_group(D: int) -> PicGroup:
     invertible ideal in order of norm, then b.  The budget is checked on
     every call, also when the group is cached.  ValueError unless D is a
     discriminant."""
-    from .counting import disc_budget
-
     if not in_discs(D):
         raise ValueError("%d not congruent to 0 or 1 mod 4 (or zero)" % D)
-    if abs(D) > disc_budget():
-        raise BudgetExceeded("|D| = %d over budget" % abs(D))
+    check_budget(abs(D))
     return _picard_group(D)
 
 

@@ -3,7 +3,10 @@ import os
 import subprocess
 import sys
 
-from cubicount.cli import main
+import pytest
+
+from cubicount.cli import CHECKS, main
+from cubicount.forms import DEFAULT_MAX_DISC, disc_budget
 
 
 def run_cli(args, tmp_path=None):
@@ -69,8 +72,8 @@ def test_verify_exit_codes_on_fault(monkeypatch):
 
     real = counting.class_numbers
 
-    def tampered(X, budget=None):
-        cn = dict(real(X, budget))
+    def tampered(X):
+        cn = dict(real(X))
         D = max(cn)
         h, hh = cn[D]
         cn[D] = (h + 1, hh)
@@ -110,6 +113,21 @@ def test_dump_pic_non_discriminant_exits_2():
         code, out, err = run_cli(["dump-pic", "--delta", delta])
         assert code == 2, err
         assert out == "" and "invalid input" in err
+
+
+def test_non_prime_is_rejected_before_any_check(monkeypatch):
+    # --primes 2 4 used to run every p = 2 check before p = 4 was rejected
+    import cubicount.counting as counting
+
+    monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
+    calls = []
+    real = counting.h_value
+    monkeypatch.setattr(counting, "h_value", lambda *a: calls.append(a) or real(*a))
+    for which in ("recursion", "on"):
+        code, out, err = run_cli(["verify", which, "--D", "5", "--primes", "2", "4"])
+        assert code == 2, err
+        assert out == "" and "invalid input" in err and "4 is not a prime" in err
+    assert calls == [] and counting._ORBIT_CACHE == {}
 
 
 def test_verify_recursion_non_prime_exits_2():
@@ -210,3 +228,37 @@ def test_oracle_cap_is_stated_on_stderr():
     reports = json.loads(out)
     assert max(abs(r["delta"]) for r in reports) <= 200
     assert "%d checks passed" % len(reports) in err
+
+
+_BUDGET_RUNS = [["verify", name] for name in CHECKS] + [
+    ["table"], ["zeta"], ["dump-pic", "--delta", "-23"]]
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("cmd", _BUDGET_RUNS, ids=" ".join)
+def test_budget_binds_every_path(cmd, how, tmp_path, monkeypatch):
+    # rhs, lhs, prop6, scholz and dump-pic used to ignore --budget
+    monkeypatch.delenv("CUBICOUNT_BUDGET", raising=False)
+    if how == "flag":
+        extra = ["--budget", "5"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budget": 5}))
+        extra = ["--config", str(cfg)]
+    code, out, err = run_cli(cmd + extra)
+    assert code == 2, err
+    assert out == "" and "budget" in err
+
+
+def test_budget_flag_is_undone_after_the_call(monkeypatch):
+    # flag > CUBICOUNT_BUDGET > default, and main leaves the variable as found
+    monkeypatch.delenv("CUBICOUNT_BUDGET", raising=False)
+    assert run_cli(["verify", "on", "--max", "10", "--budget", "5"])[0] == 2
+    assert "CUBICOUNT_BUDGET" not in os.environ and disc_budget() == DEFAULT_MAX_DISC
+    assert run_cli(["table", "--max", "1", "--budget", "27"])[0] == 0
+    assert "CUBICOUNT_BUDGET" not in os.environ
+    monkeypatch.setenv("CUBICOUNT_BUDGET", "5")
+    assert run_cli(["table", "--max", "1"])[0] == 2
+    assert run_cli(["table", "--max", "1", "--budget", "27"])[0] == 0
+    assert run_cli(["table", "--max", "1", "--budget", "26"])[0] == 2
+    assert os.environ["CUBICOUNT_BUDGET"] == "5" and disc_budget() == 5

@@ -253,10 +253,11 @@ def test_orbits_at_reads_the_cached_table(monkeypatch):
     for D in range(-300, 301):
         assert _orbits_at(D) == table.get(D, ())
     assert calls == []
-    with pytest.raises(BudgetExceeded):
-        _orbits_at(-23, budget=10)  # the budget holds on a cached table too
+    with monkeypatch.context() as m, pytest.raises(BudgetExceeded):
+        m.setenv("CUBICOUNT_BUDGET", "10")
+        _orbits_at(-23)  # the budget holds on a cached table too
     assert _orbits_at(-307) == real(307).get(-307, ())
-    assert calls == [(307, False, None)]
+    assert calls == [(307, False)]
 
 
 def test_orbit_table_rejects_out_of_range_scan(monkeypatch):
@@ -456,11 +457,12 @@ def test_recursion_rejects_non_prime(p):
         check_recursion(5, p)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     with pytest.raises(BudgetExceeded):
         orbit_table(10 ** 9)
+    monkeypatch.setenv("CUBICOUNT_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
-        check_recursion(1, 2, budget=10)
+        check_recursion(1, 2)
 
 
 # ---------------------------------------------------------------------------

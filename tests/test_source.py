@@ -1,7 +1,9 @@
-"""Source rules of the failure contract: an internal fault raises
+"""Source rules.  The failure contract: an internal fault raises
 forms.InvariantError (CLI exit 3), which survives python -O, never an
 assert (gone under -O) or a bare RuntimeError or AssertionError (exit 1 with
-a traceback, which reads as a failed identity)."""
+a traceback, which reads as a failed identity).  One enumeration budget:
+forms.disc_budget is its only source, so no function takes a budget
+parameter that some caller could forget to pass on."""
 
 import ast
 import glob
@@ -22,4 +24,59 @@ def test_no_assert_or_bare_runtime_error_in_src():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if isinstance(exc, ast.Name) and exc.id in ("RuntimeError", "AssertionError"):
                     bad.append("%s:%d raise %s" % (os.path.basename(path), node.lineno, exc.id))
+    assert not bad, bad
+
+
+
+_ENV_NAMES = ("environ", "environb", "getenv", "getenvb", "putenv", "unsetenv")
+
+
+def _env_uses(tree):
+    """(line, enclosing top-level function or None, key) for every use of
+    os.environ and its kin and every import of them from os; key is the
+    key expression of os.environ[key] and os.environ.get/pop(key, ...),
+    else None."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    top = {}
+    for fn in tree.body:
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            top.update((node, fn.name) for node in ast.walk(fn))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(a.name in _ENV_NAMES for a in node.names):
+                yield node.lineno, top.get(node), None
+        elif isinstance(node, ast.Attribute) and node.attr in _ENV_NAMES:
+            if not (isinstance(node.value, ast.Name) and node.value.id == "os"):
+                continue
+            key, up = None, parent.get(node)
+            if node.attr == "environ" and isinstance(up, ast.Subscript):
+                key = up.slice
+            elif node.attr == "environ" and isinstance(up, ast.Attribute) and up.attr in ("get", "pop"):
+                call = parent.get(up)
+                if isinstance(call, ast.Call) and call.func is up and call.args:
+                    key = call.args[0]
+            yield node.lineno, top.get(node), key
+
+
+def test_budget_has_one_source():
+    # no function takes a budget parameter; os.environ is read only in
+    # forms.disc_budget, and cli.main only saves, sets and restores
+    # CUBICOUNT_BUDGET around the call
+    bad = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+                if any(p.arg == "budget" for p in params):
+                    bad.append("%s:%d budget parameter" % (name, node.lineno))
+        for line, fn, key in _env_uses(tree):
+            if (name, fn) == ("forms.py", "disc_budget"):
+                continue
+            if (name, fn) == ("cli.py", "main") and isinstance(key, ast.Name) and key.id == "BUDGET_ENV":
+                continue
+            bad.append("%s:%d environment access in %s" % (name, line, fn))
     assert not bad, bad
