@@ -2,8 +2,9 @@
 
 h(D) counts GL2(Z)-orbits of integral binary cubic forms of discriminant D,
 each weighted by 1/|stabilizer|; hhat(D) does the same over forms with
-3 | b, 3 | c at discriminant -27 D.  Everything is exact: weights are
-fractions.Fraction, enumeration is integer-only.
+3 | b, 3 | c at discriminant -27 D.  Everything is exact: enumeration is
+integer-only, and the weights are added as integer sixths (every
+stabilizer order divides 6) and turned into fractions.Fraction at the end.
 
 The primary enumeration scans the reduced domains of `forms` directly with
 proven coefficient bounds and yields each sign class once: of the four
@@ -13,9 +14,20 @@ largest reduced form; so is an a = 0 form on the line Re = 0 or the edge
 Re = -1/2 (c = 0 or c = b) off the arc, with stabilizer orders 2 and 1,
 because the reflection in that line fixes it.  Other boundary forms learn
 whether they are, and their stabilizers, from the boundary-matrix table of
-`forms`.  A secondary
-coefficient-box method (reduce everything in a box, close each form's orbit
-by breadth-first search, deduplicate) exists purely as a correctness oracle.
+`forms`.  That per-form step (`_orbits`) feeds two tables, each cached per
+zmat flag:
+
+  sixths_table  disc -> the integer sum of 6/|stabilizer|; the counts
+                path, which keeps no form.  class_numbers and h_value read
+                only this, so the CLI's table, zeta and verify on,
+                recursion, rhs, lhs and prop6 never build an Orbit.
+  orbit_table   disc -> tuple of Orbit (canonical form, stabilizer
+                orders), for verify fields-pic and oracle,
+                enumerate_orbits and the ring-side code.
+
+A secondary coefficient-box method (reduce everything in a box, close
+each form's orbit by breadth-first search, deduplicate) exists purely as
+a correctness oracle.
 Also here: the local subring-count sequence s_n with its seed table, closed
 form and three-term recursion, the induced subring counter for maximal
 forms, the discriminant recursions relating h(p^6 D) to h(p^4 D), h(D),
@@ -26,6 +38,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
 from types import MappingProxyType
 from typing import NamedTuple
@@ -76,8 +89,6 @@ def _ceil_div(a, b):
 
 def _scan_pos(X, zmat):
     step = 3 if zmat else 1
-    out = []
-    ap = out.append
     Pmax = isqrt(X)
     # a = 0: P = b^2, Q = bc, R = c^2 - 3bd
     for b in range(step, isqrt(Pmax) + 1, step):
@@ -95,7 +106,7 @@ def _scan_pos(X, zmat):
                 D3 = 4 * P * R - Q * Q
                 if D3 < 3 or D3 > 3 * X:
                     continue
-                ap((0, b, c, d))
+                yield 0, b, c, d
     amax = isqrt((4 * isqrt(X)) // 27) + 2
     for a in range(1, amax + 1):
         a9 = 9 * a
@@ -124,14 +135,11 @@ def _scan_pos(X, zmat):
                     D3 = 4 * P * R - Q * Q
                     if D3 < 3 or D3 > 3 * X:
                         continue
-                    ap((a, b, c, d))
-    return out
+                    yield a, b, c, d
 
 
 def _scan_neg(X, zmat):
     step = 3 if zmat else 1
-    out = []
-    ap = out.append
     # a = 0 family: (0, b, c, d), b >= 1, 0 <= c <= b, d >= b
     bmax = _i4root(X // 3) + 2
     for b in range(step, bmax + 1, step):
@@ -141,7 +149,7 @@ def _scan_neg(X, zmat):
             for d in range(b, dhi + 1):
                 D = bb * (c * c - 4 * b * d)
                 if -X <= D <= -1:
-                    ap((0, b, c, d))
+                    yield 0, b, c, d
     # a >= 1.  Write f(x, 1) = a (x - theta)(x - w)(x - conj w) with
     # u = Re w, v = Im w > 0.  Then b/a = -theta - 2u,
     # c/a = -2u b/a - 3u^2 + v^2 and |disc| = 4 a^4 v^2 |theta - w|^4.
@@ -207,8 +215,7 @@ def _scan_neg(X, zmat):
                             val = -a * d ** 3 + a * b * d * d - a2 * c * d + a3 * d
                             if (val < 0) if d < 0 else (val > 0):
                                 continue
-                        ap((a, b, c, d))
-    return out
+                        yield a, b, c, d
 
 
 class Orbit(NamedTuple):
@@ -226,7 +233,10 @@ class Orbit(NamedTuple):
         return "Orbit(%s, stab=%d)" % (self.form, self.stabilizer_order)
 
 
+# Both tables are cached per zmat flag as (X, read-only view); a smaller X
+# is served from the cached table.
 _ORBIT_CACHE = {}
+_SIXTHS_CACHE = {}
 
 # Boundary signatures of a scanned a = 0 form with c = 0 (the line Re = 0)
 # or c = b (the edge Re = -1/2), off the arc.  The reflection in that line,
@@ -236,57 +246,94 @@ _ORBIT_CACHE = {}
 _A0_EDGES = ((True, 0, False), (False, -1, False))
 
 
-def orbit_table(X: int, zmat_only: bool = False):
-    """Read-only mapping disc -> tuple of Orbit sorted by form, for all
-    0 < |disc| <= X."""
+def _orbits(X, zmat_only):
+    """(disc, form, stabilizer order, proper stabilizer order) for the
+    largest reduced form of every orbit with 0 < |disc| <= X (3 | b, c
+    when zmat_only), in scan order: the one per-form step behind both
+    tables."""
+    for f in chain(_scan_pos(X, zmat_only), _scan_neg(X, zmat_only)):
+        D = disc(f)
+        if not 0 < abs(D) <= X:
+            raise InvariantError("scanned %r has disc %d outside 0 < |disc| <= %d" % (f, D, X))
+        # an interior form's only other reduced forms are its sign
+        # variants, and the scan yields the largest of those
+        sig = boundary_signature(f, D)
+        if sig == INTERIOR:
+            yield D, f, 1, 1
+        elif f[0] == 0 and sig in _A0_EDGES:
+            yield D, f, 2, 1
+        else:
+            cl = reduced_orbit(f)
+            if max(cl.forms) != f:
+                continue
+            if cl.stabilizer_order not in (1, 2, 3, 6):
+                raise InvariantError("stabilizer of %r has order %d" % (f, cl.stabilizer_order))
+            yield D, f, cl.stabilizer_order, cl.proper_stabilizer_order
+
+
+def _cached_table(cache, build, X, zmat_only):
+    """build(X, zmat_only) as a read-only view, taken from cache when it
+    holds a table for some X' >= X (a filtered copy when X' > X).  The
+    budget is checked on every call, also when the table is cached."""
     check_budget(X)
-    cached = _ORBIT_CACHE.get(zmat_only)
+    cached = cache.get(zmat_only)
     if cached is not None and cached[0] >= X:
         if cached[0] == X:
             return cached[1]
-        return MappingProxyType(
-            {D: orbs for D, orbs in cached[1].items() if abs(D) <= X}
-        )
-    table = {}
-    for forms in (_scan_pos(X, zmat_only), _scan_neg(X, zmat_only)):
-        for f in forms:
-            D = disc(f)
-            if not 0 < abs(D) <= X:
-                raise InvariantError("scanned %r has disc %d outside 0 < |disc| <= %d" % (f, D, X))
-            # an interior form's only other reduced forms are its sign
-            # variants, and the scan yields the largest of those
-            sig = boundary_signature(f)
-            if sig == INTERIOR:
-                orb = Orbit(BinaryCubicForm(*f), 1, 1)
-            elif f[0] == 0 and sig in _A0_EDGES:
-                orb = Orbit(BinaryCubicForm(*f), 2, 1)
-            else:
-                cl = reduced_orbit(f)
-                if max(cl.forms) != f:
-                    continue
-                if cl.stabilizer_order not in (1, 2, 3, 6):
-                    raise InvariantError("stabilizer of %r has order %d" % (f, cl.stabilizer_order))
-                orb = Orbit(BinaryCubicForm(*f), cl.stabilizer_order, cl.proper_stabilizer_order)
-            table.setdefault(D, []).append(orb)
-    view = MappingProxyType({D: tuple(sorted(orbs)) for D, orbs in table.items()})
-    _ORBIT_CACHE[zmat_only] = (X, view)
+        return MappingProxyType({D: v for D, v in cached[1].items() if abs(D) <= X})
+    view = MappingProxyType(build(X, zmat_only))
+    cache[zmat_only] = (X, view)
     return view
 
 
-def _orbits_at(D: int, zmat_only: bool = False):
-    """orbit_table(abs(D), zmat_only).get(D, ()), read straight from
-    the cached table when it reaches |D|, without a filtered copy."""
+def _cached_at(cache, table, D, zmat_only, empty):
+    """table(abs(D), zmat_only).get(D, empty), read straight from the
+    cached table when it reaches |D|, without a filtered copy."""
     check_budget(abs(D))
-    cached = _ORBIT_CACHE.get(zmat_only)
+    cached = cache.get(zmat_only)
     if cached is not None and cached[0] >= abs(D):
-        return cached[1].get(D, ())
-    return orbit_table(abs(D), zmat_only).get(D, ())
+        return cached[1].get(D, empty)
+    return table(abs(D), zmat_only).get(D, empty)
 
 
-def _weight_sum(orbs) -> Fraction:
-    """Sum of 1/|stabilizer| over orbs, added in sixths as an integer
-    (orbit_table checks every order divides 6)."""
-    return Fraction(sum(6 // o.stabilizer_order for o in orbs), 6)
+def _build_orbit_table(X, zmat_only):
+    table = {}
+    for D, f, stab, proper in _orbits(X, zmat_only):
+        table.setdefault(D, []).append(Orbit(BinaryCubicForm(*f), stab, proper))
+    return {D: tuple(sorted(orbs)) for D, orbs in table.items()}
+
+
+def _build_sixths_table(X, zmat_only):
+    sixths = {}
+    for D, _, stab, _ in _orbits(X, zmat_only):
+        sixths[D] = sixths.get(D, 0) + 6 // stab
+    return sixths
+
+
+def orbit_table(X: int, zmat_only: bool = False):
+    """Read-only mapping disc -> tuple of Orbit sorted by form, for all
+    0 < |disc| <= X."""
+    return _cached_table(_ORBIT_CACHE, _build_orbit_table, X, zmat_only)
+
+
+def sixths_table(X: int, zmat_only: bool = False):
+    """Read-only mapping disc -> the integer sum of 6/|stabilizer| over the
+    orbits of that disc (3 | b, c when zmat_only), for every disc with
+    0 < |disc| <= X that has an orbit: 6 h(disc), or 6 hhat(-disc/27) when
+    zmat_only.  Builds no Orbit and keeps no form."""
+    return _cached_table(_SIXTHS_CACHE, _build_sixths_table, X, zmat_only)
+
+
+def _orbits_at(D: int, zmat_only: bool = False):
+    """orbit_table(abs(D), zmat_only).get(D, ()), from the cache when it
+    reaches |D|."""
+    return _cached_at(_ORBIT_CACHE, orbit_table, D, zmat_only, ())
+
+
+def _sixths_at(D: int, zmat_only: bool = False) -> int:
+    """sixths_table(abs(D), zmat_only).get(D, 0), from the cache when it
+    reaches |D|."""
+    return _cached_at(_SIXTHS_CACHE, sixths_table, D, zmat_only, 0)
 
 
 def enumerate_orbits(X: int, zmat_only: bool = False):
@@ -305,8 +352,8 @@ def h_value(D: int, zmat_variant: bool = False) -> Fraction:
     if D == 0 or not in_discs(D):
         return Fraction(0)
     if zmat_variant:
-        return _weight_sum(_orbits_at(-27 * D, True))
-    return _weight_sum(_orbits_at(D, False))
+        return Fraction(_sixths_at(-27 * D, True), 6)
+    return Fraction(_sixths_at(D, False), 6)
 
 
 def class_numbers(X: int):
@@ -314,10 +361,12 @@ def class_numbers(X: int):
     ascending, exact rationals.  No other D has an orbit: a cubic form's
     disc is 0 or 1 mod 4, and -27 D = D mod 4."""
     check_budget(max(X, 27 * X))
-    h_table = orbit_table(X, False)
-    hh_table = orbit_table(27 * X, True)
+    h6 = sixths_table(X, False)
+    hh6 = sixths_table(27 * X, True)
+    # one Fraction per distinct count, shared (a Fraction is immutable)
+    frac = {n: Fraction(n, 6) for n in {0, *h6.values(), *hh6.values()}}
     return {
-        D: (_weight_sum(h_table.get(D, ())), _weight_sum(hh_table.get(-27 * D, ())))
+        D: (frac[h6.get(D, 0)], frac[hh6.get(-27 * D, 0)])
         for D in range(-X, X + 1)
         if in_discs(D)
     }
@@ -330,7 +379,8 @@ def box_orbit_counts(X: int):
     """Independent re-enumeration for cross-checking: take the reduced forms
     of `box_reduced_forms`, the largest form of each one's breadth-first
     orbit closure (not the boundary-matrix table the primary scan uses),
-    deduplicate.  Returns dict disc -> orbit count."""
+    deduplicate.  Returns dict disc -> orbit count.  The budget is
+    checked by `box_reduced_forms`, before the first form."""
     reps = {}
     for D, f in box_reduced_forms(X):
         reps.setdefault(D, set()).add(max(orbit_closure(f).forms))
@@ -340,7 +390,9 @@ def box_orbit_counts(X: int):
 def box_reduced_forms(X: int, zmat_only: bool = False):
     """Yield (disc, form) for every reduced form with 0 < |disc| <= X, a >= 0
     and b > 0 when a = 0 (3 | b, c when zmat_only), by testing each form of
-    a coefficient box guaranteed to contain them all."""
+    a coefficient box guaranteed to contain them all.  The budget is
+    checked before the first form."""
+    check_budget(X)
     step = 3 if zmat_only else 1
     amax = max(_i4root((16 * X) // 27) + 1, isqrt((4 * isqrt(X)) // 27) + 2)
     T = _i4root(X // 3) + 1

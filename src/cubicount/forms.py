@@ -269,22 +269,27 @@ BOUNDARY_MATRICES = {
 INTERIOR = (False, 0, False)
 
 
-def boundary_signature(form) -> tuple:
-    """(re0, half, unit) of a reduced form, the key of BOUNDARY_MATRICES."""
-    D = disc(form)
-    if D > 0:
-        t, s, r, _ = hessian(form)
-        return s == 0, (s == -t) - (s == t), t == r
-    f = _norm_sign(form)
-    a, b, c, d = f
+def boundary_signature(form, D=None) -> tuple:
+    """(re0, half, unit) of a reduced form, the key of BOUNDARY_MATRICES;
+    D is disc(form), computed here unless the caller has it."""
+    if D is None:
+        D = disc(form)
+    if D > 0:  # the Hessian (t, s, r)
+        a, b, c, d = form
+        t = b * b - 3 * a * c
+        s = b * c - 9 * a * d
+        return s == 0, (s == -t) - (s == t), t == c * c - 3 * b * d
+    a, b, c, d = _norm_sign(form)
     if a == 0:  # w = (-c +- sqrt(c^2 - 4bd)) / 2b
         return c == 0, (c == -b) - (c == b), d == b
-    # the roots sum to -b/a, so Re w = -k/2 exactly when f(k a - b, a) = 0
-    re0 = evaluate(f, -b, a) == 0
-    half = (evaluate(f, -a - b, a) == 0) - (evaluate(f, a - b, a) == 0)
-    if d == 0:
-        return re0, half, c == a
-    return re0, half, evaluate(f, -d, a) == 0
+    # the roots sum to -b/a, so Re w = -k/2 exactly when f(k a - b, a) = 0,
+    # and f(k a - b, a) = a^2 (k u^2 + c u + a d) with u = k a - b; |w| = 1
+    # exactly when f(-d, a) = a d (a^2 - a c + b d - d^2) = 0 (c = a if d = 0)
+    ad = a * d
+    u, v = a + b, a - b
+    half = (ad == u * (u + c)) - (ad == -v * (v + c))
+    unit = c == a if d == 0 else a * (a - c) + b * d == d * d
+    return ad == b * c, half, unit
 
 
 def _reduce_pos(form):
@@ -442,11 +447,12 @@ def reduced_orbit(form) -> OrbitClosure:
     reduced exactly when it is.  Raises InvariantError if an image is not
     reduced."""
     f0 = tuple(form)
-    pred = is_reduced_pos if disc(f0) > 0 else is_reduced_neg
+    D = disc(f0)
+    pred = is_reduced_pos if D > 0 else is_reduced_neg
     if not pred(f0):
         raise ValueError("reduced_orbit wants a reduced form")
     images = {}
-    mats = BOUNDARY_MATRICES[boundary_signature(f0)]
+    mats = BOUNDARY_MATRICES[boundary_signature(f0, D)]
     for i in range(0, len(mats), 4):
         block = mats[i:i + 4]
         image = act(block[0], f0)

@@ -633,9 +633,9 @@ class PicGroup:
     invariants: the invariant factors (d_1, ..., d_k).
     vectors: per class, its exponent vector over the invariant factors.
     generators: per invariant factor, the class of its unit vector.
-    coprime_reps: per class, its first primitive invertible ideal of norm
-    coprime to the conductor, by the same scan as reps (needed for
-    extension maps between orders); built on first use.
+    coprime_reps: per class, an invertible ideal of norm coprime to the
+    conductor, read off the form of its rep (needed for extension maps
+    between orders); built on first use.
     table[i][j]: index of the product class; built on first use, for
     `picard_dump` and the tests.
 
@@ -684,11 +684,14 @@ class PicGroup:
 
     @cached_property
     def coprime_reps(self):
-        """Per class, the first primitive invertible ideal of norm coprime
-        to the conductor f, in order of norm, then b (the rep itself when
-        its norm is coprime to f)."""
-        first = _first_ideals(self.D, self.index, len(self), order(self.D).conductor)
-        return tuple(first[i] for i in range(len(self)))
+        """Per class, an invertible ideal of norm coprime to the conductor
+        f: the rep when its norm is, else `_coprime_ideal` of the rep."""
+        f = order(self.D).conductor
+        out = tuple(R if gcd(R.norm, f) == 1 else _coprime_ideal(R, f) for R in self.reps)
+        for i, (R, rep) in enumerate(zip(out, self.reps)):
+            if R != rep and self.class_of(R) != i:
+                raise InvariantError("coprime representative %s of D=%d is not in class %d" % (R, self.D, i))
+        return out
 
 
 def picard_group(D: int) -> PicGroup:
@@ -713,22 +716,44 @@ def _picard_group(D: int) -> PicGroup:
     return PicGroup(D, reps, index, invariants, vectors)
 
 
-def _first_ideals(D, labels, h, f=1):
-    """The first primitive invertible ideal of norm coprime to f of each of
-    the h classes, in order of norm, then b: a dict from the label of each
-    class to its ideal, in the order met.  The scan stops once every class
-    is met; for f = 1 that is below sqrt|D| (the first coefficient of a
-    reduced form, or c in (c, -m, 0) ~ (0, m, c) for D = m^2), and a norm
-    bound far above that guards the loop."""
+def _first_ideals(D, labels, h):
+    """The first primitive invertible ideal of each of the h classes, in
+    order of norm, then b: a dict from the label of each class to its
+    ideal, in the order met.  The scan stops once every class is met,
+    below sqrt|D| (the first coefficient of a reduced form, or c in
+    (c, -m, 0) ~ (0, m, c) for D = m^2); a norm bound far above that
+    guards the loop."""
     first = {}
     for n in range(1, 40 * (isqrt(abs(D)) + 3)):
-        if gcd(n, f) != 1:
-            continue
         for I in _primitive_ideals(D, n):
             first.setdefault(_classify(labels, I), I)
             if len(first) == h:
                 return first
     raise InvariantError("only %d of %d classes of D=%d met by the norm scan" % (len(first), h, D))
+
+
+def _coprime_ideal(I, f):
+    """An invertible ideal of norm coprime to f in the class of the
+    primitive invertible ideal I.  A primitive form properly represents a
+    value coprime to any f (Cox, Primes of the form x^2 + ny^2, Lemma 2.25):
+    take the first coprime (x, y) by |x| + |y| with F(x, y) coprime to f,
+    for F = (t, s, r) the form of I, and move F(x, y) to the first
+    coefficient by a matrix (x u; y v) of determinant 1.  The result
+    (A, B, C) gives the ideal <|A|, (B - D mod 2)/2 mod |A|>; for A < 0 its
+    form is (-A, B, -C), which lies in the same class of the wide group
+    Pic.  Some (x, y) with x, y in [0, f) works (by the Chinese remainder
+    theorem), so the search is bounded."""
+    t, s, r = ideal_form_coefficients(I)
+    for n in range(1, 2 * f + 1):
+        for x in range(n, -1, -1):
+            for y in (n - x, x - n) if x < n else (0,):
+                A = t * x * x + s * x * y + r * y * y
+                if gcd(x, y) != 1 or gcd(A, f) != 1:
+                    continue
+                _, v, w = xgcd(x, y)  # x v + y w = 1, so u = -w
+                B = -2 * t * x * w + s * (x * v - y * w) + 2 * r * y * v
+                return make_ideal(I.D, 1, abs(A), (B - I.D % 2) // 2 % abs(A))
+    raise InvariantError("no value of %s is coprime to %d" % (I, f))
 
 
 def _structure(reps, index):

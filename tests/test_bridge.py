@@ -36,8 +36,14 @@ from cubicount.bridge import (
 from cubicount.counting import h_value, orbit_table
 from cubicount.forms import disc, hessian, is_zmat
 from cubicount.quad import (
+    divisors,
+    extend_ideal,
+    factorize,
+    fundamental_part,
+    ideals_of_norm,
     is_cube_class,
     mu3_characters,
+    order_change_map,
     pic_3_torsion,
     picard_group,
 )
@@ -384,6 +390,26 @@ def test_lhs_square_free_with_prime_conductor():
     for D in (-92, -108, 45, -75):
         rep = lhs_identity_check(D)
         assert rep["pass"], (D, rep)
+
+
+@pytest.mark.parametrize("D", [-581584, -656700])
+def test_lhs_at_conductors_with_far_coprime_norms(D):
+    # at -581584 (f = 2) one class has no odd-norm ideal below norm 36349,
+    # so a norm scan for conductor-coprime representatives failed there;
+    # the extension maps are checked on prime ideals, which do not depend
+    # on the representatives
+    assert lhs_count(D) == rhs_count(D)
+    D0, f = fundamental_part(D)
+    Gf = picard_group(D)
+    primes = [P for p in range(2, 500) if f % p and factorize(p) == {p: 1}
+              for P in ideals_of_norm(D, p, invertible_only=True)]
+    assert len(primes) > 50
+    for c in divisors(f):
+        Dt = D0 * c * c
+        Gt = picard_group(Dt)
+        m = order_change_map(D0, f, c)
+        for P in primes:
+            assert m[Gf.class_of(P)] == Gt.class_of(extend_ideal(P, Dt)), (D, c, P)
 
 
 def test_lhs_rejects_cube_conductor():

@@ -120,6 +120,7 @@ def test_non_prime_is_rejected_before_any_check(monkeypatch):
     import cubicount.counting as counting
 
     monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
+    monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
     calls = []
     real = counting.h_value
     monkeypatch.setattr(counting, "h_value", lambda *a: calls.append(a) or real(*a))
@@ -128,6 +129,7 @@ def test_non_prime_is_rejected_before_any_check(monkeypatch):
         assert code == 2, err
         assert out == "" and "invalid input" in err and "4 is not a prime" in err
     assert calls == [] and counting._ORBIT_CACHE == {}
+    assert counting._SIXTHS_CACHE == {}
 
 
 def test_verify_recursion_non_prime_exits_2():

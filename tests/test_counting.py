@@ -25,6 +25,7 @@ from cubicount.counting import (
     orbit_table,
     s_closed_form,
     s_sequence,
+    sixths_table,
     subring_count,
     table_csv_lines,
     zeta_coefficients,
@@ -277,6 +278,74 @@ def test_orbit_table_rejects_wrong_boundary_matrix(monkeypatch):
     monkeypatch.setitem(BOUNDARY_MATRICES, key, bad)
     with pytest.raises(InvariantError):
         orbit_table(300)
+
+
+@pytest.mark.parametrize("zmat", [False, True])
+def test_sixths_table_matches_orbit_table_weights(monkeypatch, zmat):
+    # the counts path sums the same orbits as the Orbit tables, at every D
+    monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
+    monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
+    X = 20000
+    want = {D: sum(6 // o.stabilizer_order for o in orbs) for D, orbs in orbit_table(X, zmat).items()}
+    got = sixths_table(X, zmat)
+    assert dict(got) == want
+    assert min(got) < 0 < max(got)
+
+
+def test_sixths_table_is_read_only_and_cached(monkeypatch):
+    monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
+    table = sixths_table(300)
+    smaller = sixths_table(100)  # filtered view of the cached table
+    for view in (table, smaller):
+        with pytest.raises(TypeError):
+            view[-23] = 0
+    assert dict(smaller) == {D: n for D, n in table.items() if abs(D) <= 100}
+    assert sixths_table(300) is table
+    real = counting.sixths_table
+    calls = []
+    monkeypatch.setattr(
+        counting, "sixths_table", lambda *args: calls.append(args) or real(*args)
+    )
+    assert [h_value(D) for D in (1, -23, 49)] == [Fraction(n, 6) for n in (1, 9, 5)]
+    assert calls == []
+    with monkeypatch.context() as m, pytest.raises(BudgetExceeded):
+        m.setenv("CUBICOUNT_BUDGET", "10")
+        h_value(-23)  # the budget holds on a cached table too
+    with monkeypatch.context() as m, pytest.raises(BudgetExceeded):
+        m.setenv("CUBICOUNT_BUDGET", "10")
+        sixths_table(300)
+
+
+def test_counts_path_stabilizer_check_survives_optimize():
+    # a stabilizer order outside {1, 2, 3, 6} must stop class_numbers, and
+    # verify on exits 3, also under python -O
+    code = (
+        "from cubicount import counting, forms\n"
+        "from cubicount.cli import main\n"
+        "real = counting.reduced_orbit\n"
+        "counting.reduced_orbit = lambda f: real(f)._replace(stabilizer_order=4)\n"
+        "try:\n"
+        "    counting.class_numbers(300)\n"
+        "except forms.InvariantError:\n"
+        "    print('raised')\n"
+        "print(main(['verify', 'on', '--max', '300']))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.stdout.split() == ["raised", "3"], out.stderr
+    assert "stabilizer" in out.stderr
+
+
+def test_box_oracle_checks_the_budget(monkeypatch):
+    monkeypatch.setenv("CUBICOUNT_BUDGET", "100")
+    forms = box_reduced_forms(200)
+    with pytest.raises(BudgetExceeded):
+        next(forms)  # raised before the first form
+    with pytest.raises(BudgetExceeded):
+        box_orbit_counts(200)
 
 
 def test_invariant_checks_survive_optimize():

@@ -80,3 +80,29 @@ def test_budget_has_one_source():
                 continue
             bad.append("%s:%d environment access in %s" % (name, line, fn))
     assert not bad, bad
+
+
+def test_counts_path_builds_no_orbit():
+    # class_numbers and h_value, and every counting function they reach,
+    # read the integer counts table only: none may fall back to building
+    # Orbit tables
+    with open(os.path.join(SRC, "counting.py")) as fh:
+        tree = ast.parse(fh.read())
+    funcs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    forbidden = {"orbit_table", "_orbits_at", "_build_orbit_table", "_ORBIT_CACHE", "Orbit"}
+    bad = []
+    seen = set()
+    todo = ["class_numbers", "h_value"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if ref in forbidden:
+                bad.append("%s:%d %s" % (name, node.lineno, ref))
+            elif ref in funcs:
+                todo.append(ref)
+    assert {"sixths_table", "_orbits"} <= seen
+    assert not bad, bad
