@@ -16,9 +16,13 @@ The extraction runs in integer arithmetic: gamma and c(sqrt D) have
 integer numerators over the denominators 2 and e, and every lattice in
 Q(sqrt D) is a `RatLattice`, an integer Hermite normal form over one
 denominator reduced by the same kernel `quad.hnf2` as quadratic ideals.
-The checks on a triple (char poly, resolvent, orientation, the balance
-conditions, the integrality and invertibility of J) raise
-`forms.InvariantError`, so they hold under `python -O` too.
+The extracted I has the basis [1, tau], so gamma I^3 is one Hermite form
+of gamma, gamma tau, gamma tau^2 and gamma tau^3 (`gamma_cube`, shared
+by the containment check and `triple_to_J`), and J is invertible iff its
+quadratic form is primitive (`quad.is_invertible`).  The checks on a
+triple (char poly, resolvent, orientation, the balance conditions, the
+integrality and invertibility of J) raise `forms.InvariantError`, so they
+hold under `python -O` too.
 
 On top of the triple extraction sit the two global counts: the ideal-side
 count (invertible cube-class ideals weighted by 3-torsion) equals
@@ -183,9 +187,22 @@ class SelfBalancedTriple(NamedTuple):
         I = self.I
         return abs(k2_norm(self.D, num)) * (2 * I.a * I.c) ** 3 == den ** 2 * I.den ** 6
 
+    def gamma_cube(self) -> RatLattice:
+        """gamma I^3.  I has the basis [1, tau], so I^3 is spanned by 1,
+        tau, tau^2 and tau^3: one Hermite form of four vectors over the
+        denominator den^3 times that of gamma."""
+        I = self.I
+        if I.a != I.den:
+            raise InvariantError("1 is not a primitive vector of %r" % (I,))
+        D, n = I.D, I.den
+        tau = (I.b, I.c)
+        tau2 = k2_mul(D, tau, tau)
+        powers = ((n ** 3, 0), (n * n * I.b, n * n * I.c), (n * tau2[0], n * tau2[1]), k2_mul(D, tau2, tau))
+        num, den = _over_common_den(self.gamma)
+        return int_lattice(D, n ** 3 * den, [k2_mul(D, num, v) for v in powers])
+
     def containment_condition(self) -> bool:
-        cube = lat_mul(lat_mul(self.I, self.I), self.I)
-        return lat_subset_order(lat_scale(cube, self.gamma))
+        return lat_subset_order(self.gamma_cube())
 
 
 def _trace_zero_basis(form):
@@ -360,8 +377,7 @@ def triple_to_J(trip: SelfBalancedTriple):
     Dp = D // (g * g)
     if not in_discs(Dp):
         raise InvariantError("D / g^2 = %d is not a discriminant" % Dp)
-    cube = lat_mul(lat_mul(trip.I, trip.I), trip.I)
-    L = lat_scale(cube, trip.gamma)
+    L = trip.gamma_cube()
     # divide by g and rewrite in sqrt(D') coordinates, sqrt(D) = g sqrt(D'):
     # (x, y)/g becomes (x/g, y)
     Jp = int_lattice(Dp, L.den * g, [(L.a, 0), (L.b, L.c * g)])

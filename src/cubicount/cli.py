@@ -292,12 +292,15 @@ def main(argv=None) -> int:
     if getattr(args, "shards", 1) < 1:
         print("shard count must be >= 1", file=sys.stderr)
         return 2
+    if args.max < 0:
+        print("--max must be >= 0, got %d" % args.max, file=sys.stderr)
+        return 2
     saved = os.environ.get(BUDGET_ENV)
     if args.budget is not None:
         os.environ[BUDGET_ENV] = str(args.budget)
     try:
         for p in getattr(args, "primes", ()):
-            counting.require_prime(p)
+            quad.require_prime(p)
         return args.func(args)
     except BudgetExceeded as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)

@@ -56,7 +56,7 @@ from .forms import (
     orbit_closure,
     reduced_orbit,
 )
-from .quad import factorize, in_discs
+from .quad import factorize, in_discs, require_prime
 from .rings import _local_type
 
 def _i4root(n):
@@ -426,9 +426,11 @@ _S2 = {"111": 4, "12": 2, "3": 1, "1^2 1": 2, "1^3": 1}
 
 def s_sequence(sigma: str, p: int, n: int) -> int:
     """Number of index-p^n subrings of a maximal ring with splitting type
-    sigma at p, by the three-term recursion seeded from the table."""
+    sigma at p, by the three-term recursion seeded from the table.
+    ValueError unless p is a prime."""
     if sigma not in _S1:
         raise ValueError("unknown splitting type %r" % (sigma,))
+    require_prime(p)
     if n < 0:
         raise ValueError("n must be >= 0")
     seq = [0, 0, 1, _S1[sigma], _S2[sigma]]  # s_{-2} s_{-1} s_0 s_1 s_2
@@ -471,12 +473,6 @@ def subring_count(form, m: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Discriminant recursions
-
-def require_prime(p: int) -> None:
-    """ValueError unless p is a prime."""
-    if factorize(p) != {p: 1}:
-        raise ValueError("p = %d is not a prime" % p)
-
 
 def check_recursion(D: int, p: int, include_hhat: bool = True):
     """Evaluate h(p^6 D) = h(p^4 D) + p (h(D) - h(D/p^2)) and, optionally,

@@ -75,6 +75,15 @@ def factorize(n: int):
     return out
 
 
+def require_prime(p: int) -> None:
+    """ValueError unless p is a prime."""
+    q = 2
+    while q * q <= p and p % q:
+        q += 1
+    if p < 2 or q * q <= p:
+        raise ValueError("p = %d is not a prime" % p)
+
+
 def divisors(n: int):
     """The positive divisors of n >= 1, in increasing order."""
     small, large = [], []
@@ -308,10 +317,12 @@ def unit_ideal(D: int) -> QuadIdeal:
 
 
 def is_invertible(I: QuadIdeal) -> bool:
-    """I * conj(I) = N(I) * O_D, checked on normal forms."""
-    prod = I.mul(I.conj())
-    n = I.norm
-    return prod == QuadIdeal(I.D, n, 1, 0)
+    """I * conj(I) = N(I) * O_D, read off the form of the primitive part:
+    I is invertible iff (t, s, r) = `ideal_form_coefficients(I)` is
+    primitive (Cox, Primes of the Form x^2 + ny^2, §7).  The scale g does
+    not matter, as g*O_D is invertible."""
+    t, s, r = ideal_form_coefficients(I)
+    return gcd(gcd(t, s), r) == 1
 
 
 def ideal_form_coefficients(I: QuadIdeal):

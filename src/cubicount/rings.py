@@ -11,21 +11,24 @@ coordinate triples (x0, x1, x2).  The orientation sign fixes a generator
 of the top exterior power (basis wedge times the sign).
 
 Also here: the maximal subring with all traces divisible by 3; local
-maximality of a form at a prime p and its splitting type there, both read
-from one walk over the roots mod p (each moved to [1:0] to read its
-multiplicity); and two brute-force oracles, the index-p superrings and an
-exhaustive enumeration of finite-index subrings (which backs the counting
-recursions `counting.s_sequence`).  The enumeration tries every
-triangular sublattice basis Z*1 + Z*(e*alpha + f*beta) + Z*(g*beta) with
-e*g = n and 0 <= f < g; only its closure test is closed-form, reading the
-alpha and beta parts of the three generator products straight off the
-form.
+maximality of a form at a prime p and its splitting type there, both in
+closed form (when p does not divide the discriminant the roots mod p are
+simple and their number gives the type; otherwise the one multiple root,
+where both partial derivatives vanish mod p, decides maximality); and two
+brute-force oracles, the index-p superrings and an exhaustive enumeration
+of finite-index subrings (which backs the counting recursions
+`counting.s_sequence`, and so reads no splitting type).  The enumeration
+covers every triangular sublattice basis Z*1 + Z*(e*alpha + f*beta) +
+Z*(g*beta) with e*g = n and 0 <= f < g, but tries only the f that are
+roots of F(e, x) mod g, as closure forces n | F(e, f).
 """
 
 from __future__ import annotations
 
-from .forms import BinaryCubicForm, BudgetExceeded, InvariantError, act, disc, evaluate, is_zmat
-from .quad import divisors, factorize, hnf2, xgcd
+from functools import cached_property
+
+from .forms import BinaryCubicForm, BudgetExceeded, InvariantError, disc, evaluate, is_zmat
+from .quad import divisors, factorize, hnf2, require_prime
 
 SPLITTING_TYPES = ("111", "12", "3", "1^2 1", "1^3")
 
@@ -57,7 +60,7 @@ class CubicRing:
     def __hash__(self):
         return hash((self.form, self.orientation))
 
-    @property
+    @cached_property
     def discriminant(self) -> int:
         return disc(self.form)
 
@@ -150,7 +153,16 @@ MAX_SUBRING_INDEX = 1000
 def subrings_of_index(ring: CubicRing, n: int):
     """All index-n sublattices of the ring containing 1 and closed under
     multiplication.  Each is returned as a triple of coordinate rows
-    (a triangular basis starting with 1)."""
+    (a triangular basis starting with 1), in order of e, then f.
+
+    Every such lattice has one basis Z*1 + Z*u + Z*v with u = e*alpha +
+    f*beta, v = g*beta, e*g = n and 0 <= f < g.  Reading the alpha and
+    beta parts of u*u, u*v and v*v off the form F = (a, b, c, d), it is a
+    ring iff e | d f^2, e | d f g, e | d g^2 and n | F(e, f).  So f is a
+    root of F(e, x) mod g.  When n is a power of a prime p, the roots mod
+    p^(j+1) are the lifts r + t p^j (0 <= t < p) of the roots r mod p^j
+    that qualify, and only the roots mod g are tried; for other n every
+    f < g is."""
     if ring.discriminant == 0:
         raise ValueError("degenerate ring")
     if n > MAX_SUBRING_INDEX:
@@ -158,22 +170,26 @@ def subrings_of_index(ring: CubicRing, n: int):
     if n < 1:
         raise ValueError("index must be positive")
     a, b, c, d = ring.form
+    fac = factorize(n)
+    p = next(iter(fac)) if len(fac) == 1 else None
     out = []
     for e in divisors(n):
         g = n // e
-        for f in range(g):
-            # lattice Z*1 + Z*u + Z*v with u = e*alpha + f*beta, v = g*beta.
-            # It is a ring iff the (alpha, beta) parts (x1, x2) of u*u, u*v
-            # and v*v lie in Z*u + Z*v (their constant parts lie in Z*1),
-            # that is iff e | x1 and g | x2 - (x1/e)*f.
-            x1 = -b * e * e - d * f * f  # u*u
-            if x1 % e or (a * e * e + c * f * f - x1 // e * f) % g:
-                continue
-            x1 = -d * f * g  # u*v
-            if x1 % e or (c * f * g - x1 // e * f) % g:
-                continue
-            x1 = -d * g * g  # v*v
-            if x1 % e or (c * g * g - x1 // e * f) % g:
+        if d * g * g % e:
+            continue
+        # F(e, x) = d x^3 + k2 x^2 + k1 x + k0
+        k2, k1, k0 = c * e, b * e * e, a * e ** 3
+        if p is None:
+            roots = range(g)
+        else:
+            roots, q = [0], 1  # the roots mod q
+            while q < g:
+                lift = q * p
+                roots = [x for r in roots for x in range(r, lift, q) if (((d * x + k2) * x + k1) * x + k0) % lift == 0]
+                q = lift
+            roots.sort()
+        for f in roots:
+            if d * f * f % e or d * f * g % e or (((d * f + k2) * f + k1) * f + k0) % n:
                 continue
             out.append(((1, 0, 0), (0, e, f), (0, 0, g)))
     return out
@@ -274,49 +290,53 @@ def _solve2_full(u, v, w):
 
 def is_maximal_at_p(form, p: int) -> bool:
     """No overring of p-power index exists: fails iff p divides the whole
-    form or a multiple root v mod p has p^2 | f(v)."""
+    form or a multiple root v mod p has p^2 | f(v).  ValueError unless p
+    is a prime."""
+    require_prime(p)
     return _local_type(form, p) is not None
 
 
-# sorted root multiplicities mod p -> splitting type
-_TYPE_OF_MULTS = {(1, 1, 1): "111", (1,): "12", (): "3", (2, 1): "1^2 1", (3,): "1^3"}
+# number of projective roots mod p -> splitting type, for p not dividing
+# the discriminant (three simple roots, one, or none) and for p dividing
+# it (a double and a simple root, or one triple root)
+_TYPE_OF_ROOTS = {3: "111", 1: "12", 0: "3"}
+_RAMIFIED_TYPE_OF_ROOTS = {2: "1^2 1", 1: "1^3"}
 
 
 def _local_type(form, p: int):
-    """The splitting type of the form at p, or None when it is not maximal
-    at p.  Not maximal iff p divides the form, or a multiple root v mod p
-    has p^2 | f(v) (Bhargava, Shankar and Tsimerman, Invent. Math. 193,
-    2013).  Both partial derivatives vanish mod p at a multiple root, so
-    f(v) mod p^2 is the same for every lift of v.  Each root is moved to
-    [1:0]; its multiplicity is the number of leading coefficients of the
-    moved form that p divides."""
-    f = BinaryCubicForm(*form)
-    if disc(f) == 0:
+    """The splitting type of the form at the prime p, or None when it is
+    not maximal at p.  Not maximal iff p divides the form, or a multiple
+    root v mod p has p^2 | f(v) (Bhargava, Shankar and Tsimerman, Invent.
+    Math. 193, 2013).  When p does not divide disc(f) the form is maximal
+    at p, its roots mod p are simple, and their number gives the type.
+    Otherwise f mod p is a nonzero cubic with a repeated linear factor:
+    its one multiple root is the root where both partial derivatives
+    vanish mod p, so f(v) mod p^2 is the same for every lift of v."""
+    D = disc(form)
+    if D == 0:
         raise ValueError("degenerate form")
-    if all(x % p == 0 for x in f):
+    a, b, c, d = form
+    if a % p == 0 and b % p == 0 and c % p == 0 and d % p == 0:
         return None
-    mults = []
-    for v in roots_in_p1(f, p):
-        moved = act(v + _complement(v), f)  # v moved to [1:0]
-        m = next((i for i, x in enumerate(moved) if x % p), 4)
-        if m == 4:
-            raise InvariantError("form %r vanishes mod %d" % (tuple(f), p))
-        if m > 1 and moved[0] % (p * p) == 0:
-            return None
-        mults.append(m)
-    sigma = _TYPE_OF_MULTS.get(tuple(sorted(mults, reverse=True)))
-    if sigma is None:
-        raise InvariantError("root multiplicities %r of %r mod %d" % (mults, tuple(form), p))
+    roots = roots_in_p1(form, p)
+    if D % p:
+        sigma = _TYPE_OF_ROOTS.get(len(roots))
+        if sigma is None:
+            raise InvariantError("%d simple roots of %r mod %d" % (len(roots), tuple(form), p))
+        return sigma
+    multiple = [
+        (x, y) for x, y in roots
+        if (3 * a * x * x + 2 * b * x * y + c * y * y) % p == 0
+        and (b * x * x + 2 * c * x * y + 3 * d * y * y) % p == 0
+    ]
+    sigma = _RAMIFIED_TYPE_OF_ROOTS.get(len(roots))
+    if sigma is None or len(multiple) != 1:
+        raise InvariantError(
+            "%d roots, %d of them multiple, of %r mod %d dividing its disc" % (len(roots), len(multiple), tuple(form), p)
+        )
+    if evaluate(form, *multiple[0]) % (p * p) == 0:
+        return None
     return sigma
-
-
-def _complement(v):
-    """(r, s) making [[x, y], [r, s]] unimodular for primitive (x, y)."""
-    x, y = v
-    g, r, s = xgcd(x, y)
-    if g != 1:
-        raise InvariantError("point %r not primitive" % (v,))
-    return -s, r
 
 
 def is_maximal(form) -> bool:
@@ -324,7 +344,7 @@ def is_maximal(form) -> bool:
     D = disc(form)
     if D == 0:
         raise ValueError("degenerate form")
-    return all(is_maximal_at_p(form, p) for p, e in factorize(D).items() if e > 1)
+    return all(_local_type(form, p) is not None for p, e in factorize(D).items() if e > 1)
 
 
 def superrings_of_index_p(ring: CubicRing, p: int):
@@ -393,7 +413,9 @@ def _in_mod_line_sq(ring, w, v, p):
 
 def splitting_type(form, p: int) -> str:
     """Degree/multiplicity pattern of the form mod p; only meaningful (and
-    only allowed) for forms maximal at p."""
+    only allowed) for forms maximal at p.  ValueError unless p is a
+    prime."""
+    require_prime(p)
     sigma = _local_type(form, p)
     if sigma is None:
         raise ValueError("splitting type is defined for forms maximal at %d" % p)
@@ -401,6 +423,10 @@ def splitting_type(form, p: int) -> str:
 
 
 def roots_in_p1(form, p: int):
-    """Projective roots of the form mod p (no maximality requirement)."""
-    points = [(t, 1) for t in range(p)] + [(1, 0)]
-    return [v for v in points if evaluate(form, v[0], v[1]) % p == 0]
+    """Projective roots of the form mod p (no maximality requirement): the
+    (t, 1) with 0 <= t < p, then (1, 0)."""
+    a, b, c, d = form
+    out = [(t, 1) for t in range(p) if (((a * t + b) * t + c) * t + d) % p == 0]
+    if a % p == 0:
+        out.append((1, 0))
+    return out

@@ -34,7 +34,7 @@ from cubicount.bridge import (
     weight_w,
 )
 from cubicount.counting import h_value, orbit_table
-from cubicount.forms import disc, hessian, is_zmat
+from cubicount.forms import InvariantError, disc, hessian, is_zmat
 from cubicount.quad import (
     divisors,
     extend_ideal,
@@ -105,6 +105,31 @@ def test_two_alphas_give_equivalent_triples():
         assert t1.alpha != t2.alpha
         lam = triples_equivalent(t1, t2)
         assert lam is not None
+
+
+def _gamma_cube_by_products(trip):
+    """Reference: gamma * (I * I * I) through the generic lattice product."""
+    return lat_scale(lat_mul(lat_mul(trip.I, trip.I), trip.I), trip.gamma)
+
+
+def test_gamma_cube_matches_lattice_products():
+    table = orbit_table(20000, zmat_only=True)
+    count = 0
+    for D in sorted(table):
+        for orb in table[D]:
+            for sign in (1, -1):
+                t = extract_triple(orb.form, sign)
+                assert t.gamma_cube() == _gamma_cube_by_products(t), (orb.form, sign)
+                count += 1
+    assert count > 3000
+
+
+def test_gamma_cube_needs_one_in_I():
+    t = extract_triple(T3M1, 1)
+    I = t.I
+    for bad in (I._replace(a=2 * I.a, b=I.b % (2 * I.a)), I._replace(den=2 * I.den)):
+        with pytest.raises(InvariantError):
+            t._replace(I=bad).gamma_cube()
 
 
 def test_triple_content_vs_hessian():

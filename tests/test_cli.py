@@ -33,6 +33,36 @@ def test_table_bound_0():
     assert out.strip() == "delta,h_num,h_den,hhat_num,hhat_den"
 
 
+_NEGATIVE_MAX_COMMANDS = (
+    ["table"], ["zeta"], ["dump-pic"], ["verify", "on"], ["verify", "rhs"], ["verify", "scholz"], ["verify", "oracle"],
+)
+
+
+@pytest.mark.parametrize("command", _NEGATIVE_MAX_COMMANDS)
+def test_negative_max_exits_2_before_any_work(command):
+    # table and verify rhs/scholz used to exit 0 with an empty result, zeta
+    # and verify on to exit 2 with an isqrt message
+    code, out, err = run_cli(command + ["--max", "-3"])
+    assert (code, out) == (2, "")
+    assert "--max must be >= 0" in err
+
+
+def test_negative_max_from_config_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max": -5}))
+    for command in (["table"], ["verify", "rhs"]):
+        code, out, err = run_cli(command + ["--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert "--max must be >= 0" in err
+
+
+@pytest.mark.parametrize("command", _NEGATIVE_MAX_COMMANDS[:4])
+def test_zero_max_is_an_empty_run(command):
+    code, out, err = run_cli(command + ["--max", "0"])
+    assert code == 0
+    assert out.strip() in ("[]", "delta,h_num,h_den,hhat_num,hhat_den", "n,zeta_plus,zeta_minus,zhat_plus,zhat_minus")
+
+
 def test_table_shard_determinism(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -526,6 +526,13 @@ def test_recursion_rejects_non_prime(p):
         check_recursion(5, p)
 
 
+@pytest.mark.parametrize("p", [4, 1, 0, -2, 9])
+def test_s_sequence_rejects_non_prime(p):
+    # s_sequence("111", 4, 2) used to return 4, and p = 1 divided by zero
+    with pytest.raises(ValueError, match="not a prime"):
+        s_sequence("111", p, 2)
+
+
 def test_budget_guard(monkeypatch):
     with pytest.raises(BudgetExceeded):
         orbit_table(10 ** 9)

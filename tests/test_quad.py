@@ -127,6 +127,24 @@ def test_invertibility_matches_form_gcd():
         assert ideals_of_norm(D, n, invertible_only=True) == want, (D, n)
 
 
+def _invertible_by_product(I):
+    """Reference: I * conj(I) = N(I) * O_D, on normal forms."""
+    return I.mul(I.conj()) == QuadIdeal(I.D, I.norm, 1, 0)
+
+
+def test_invertibility_matches_ideal_product():
+    seen = set()
+    for D in range(-1000, 1001):
+        if not in_discs(D):
+            continue
+        for n in range(1, 41):
+            for I in ideals_of_norm(D, n):
+                want = _invertible_by_product(I)
+                assert is_invertible(I) == want, I
+                seen.add(want)
+    assert seen == {True, False}
+
+
 def test_norm_multiplicative_for_invertible():
     rng = random.Random(2)
     checked = 0

@@ -270,28 +270,81 @@ def test_splitting_type_against_subring_counts():
 
 
 def test_local_type_invariants_survive_optimize():
-    # an impossible root pattern and a moved form that vanishes mod p
-    # raise InvariantError, also under -O
+    # impossible root patterns raise InvariantError, also under -O: at
+    # p | disc (x^3 - 2 at 2, one triple root) four roots, or roots with no
+    # multiple one among them; at p not dividing disc (Z^3 at 2) two roots
     code = (
         "from cubicount import forms, rings\n"
-        "def check(name, fn):\n"
+        "def check(name, roots, form):\n"
+        "    rings.roots_in_p1 = lambda f, p: roots\n"
         "    try:\n"
-        "        fn()\n"
+        "        rings.splitting_type(form, 2)\n"
         "    except forms.InvariantError:\n"
         "        print(name)\n"
-        "roots = rings.roots_in_p1\n"
-        "rings.roots_in_p1 = lambda f, p: [(0, 1), (1, 0), (1, 1), (1, 1)]\n"
-        "check('four-roots', lambda: rings.splitting_type((0, 1, 1, 0), 2))\n"
-        "rings.roots_in_p1 = roots\n"
-        "rings.act = lambda g, f: forms.BinaryCubicForm(0, 0, 0, 0)\n"
-        "check('vanishes', lambda: rings.splitting_type((0, 1, 1, 0), 2))\n"
+        "check('four-roots', [(0, 1), (1, 0), (1, 1), (1, 1)], (1, 0, 0, -2))\n"
+        "check('no-multiple-root', [(1, 1)], (1, 0, 0, -2))\n"
+        "check('two-simple-roots', [(0, 1), (1, 0)], (0, 1, 1, 0))\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
-    assert out.stdout.split() == ["four-roots", "vanishes"], out.stderr
+    assert out.stdout.split() == ["four-roots", "no-multiple-root", "two-simple-roots"], out.stderr
+    assert disc((1, 0, 0, -2)) % 2 == 0 and disc((0, 1, 1, 0)) % 2
+    assert splitting_type((1, 0, 0, -2), 2) == "1^3" and splitting_type((0, 1, 1, 0), 2) == "111"
+
+
+# sorted root multiplicities mod p -> splitting type
+_TYPE_OF_MULTS = {(1, 1, 1): "111", (1,): "12", (): "3", (2, 1): "1^2 1", (3,): "1^3"}
+
+
+def _local_type_by_root_walk(f, p):
+    """Reference: move each root mod p to [1:0] by a unimodular matrix;
+    its multiplicity is the number of leading coefficients of the moved
+    form that p divides, and a multiple root with p^2 | f(v) makes the
+    form non-maximal.  None when not maximal at p."""
+    if content(f) % p == 0:
+        return None
+    mults = []
+    for v in roots_in_p1(f, p):
+        _, x, y = xgcd(*v)
+        moved = act(v + (-y, x), f)  # v moved to [1:0]
+        m = next(i for i, c in enumerate(moved) if c % p)
+        if m > 1 and moved[0] % (p * p) == 0:
+            return None
+        mults.append(m)
+    return _TYPE_OF_MULTS[tuple(sorted(mults, reverse=True))]
+
+
+def _random_forms(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        f = tuple(rng.randint(-9, 9) for _ in range(4))
+        if disc(f):
+            out.append(f)
+    return out
+
+
+def test_local_type_matches_root_walk():
+    cases = list(_local_cases()) + [(f, p) for f in _random_forms(41, 1500) for p in (2, 3, 5, 7)]
+    seen = set()
+    for f, p in cases:
+        want = _local_type_by_root_walk(f, p)
+        assert rings._local_type(f, p) == want, (f, p)
+        assert is_maximal_at_p(f, p) == (want is not None), (f, p)
+        if want is not None:
+            assert splitting_type(f, p) == want, (f, p)
+        seen.add(want)
+    assert seen == set(_S1) | {None}
+
+
+@pytest.mark.parametrize("p", [4, 6, 9, 1, 0, -2, -3])
+def test_local_functions_reject_non_prime(p):
+    for fn in (is_maximal_at_p, splitting_type):
+        with pytest.raises(ValueError, match="not a prime"):
+            fn((1, 0, -1, 1), p)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +444,34 @@ def _subrings_by_generic_closure(ring, n):
             ):
                 out.append(basis)
     return out
+
+
+def _subrings_by_product_checks(ring, n):
+    """Reference: every triangular basis Z*1 + Z*u + Z*v, u = e*alpha +
+    f*beta, v = g*beta, tried one by one; it is a ring iff the (alpha,
+    beta) parts (x1, x2) of u*u, u*v and v*v lie in Z*u + Z*v, that is
+    iff e | x1 and g | x2 - (x1/e)*f."""
+    a, b, c, d = ring.form
+    out = []
+    for e in (k for k in range(1, n + 1) if n % k == 0):
+        g = n // e
+        for f in range(g):
+            products = (
+                (-b * e * e - d * f * f, a * e * e + c * f * f),  # u*u
+                (-d * f * g, c * f * g),  # u*v
+                (-d * g * g, c * g * g),  # v*v
+            )
+            if all(x1 % e == 0 and (x2 - x1 // e * f) % g == 0 for x1, x2 in products):
+                out.append(((1, 0, 0), (0, e, f), (0, 0, g)))
+    return out
+
+
+def test_subrings_match_product_checks():
+    composite = (6, 12, 30, 60)
+    for f in enumerate_orbits(1000) + enumerate_orbits(2700, True) + _random_forms(42, 300):
+        C = ring_from_form(f)
+        for n in sorted({p ** k for p in (2, 3, 5, 7) for k in range(4)}) + list(composite):
+            assert subrings_of_index(C, n) == _subrings_by_product_checks(C, n), (f, n)
 
 
 def test_closed_form_subrings_match_generic_closure():

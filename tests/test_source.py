@@ -106,3 +106,29 @@ def test_counts_path_builds_no_orbit():
                 todo.append(ref)
     assert {"sixths_table", "_orbits"} <= seen
     assert not bad, bad
+
+
+def test_subring_enumeration_reads_no_splitting_type():
+    # criterion 4 compares subrings_of_index with s_sequence of the
+    # splitting type; the enumeration, and every rings function it
+    # reaches, must stay independent of that side
+    with open(os.path.join(SRC, "rings.py")) as fh:
+        tree = ast.parse(fh.read())
+    funcs = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    forbidden = {"s_sequence", "s_closed_form", "splitting_type", "_local_type", "counting"}
+    bad = []
+    seen = set()
+    todo = ["subrings_of_index"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if ref in forbidden:
+                bad.append("%s:%d %s" % (name, node.lineno, ref))
+            elif ref in funcs:
+                todo.append(ref)
+    assert {"subrings_of_index", "discriminant"} <= seen
+    assert not bad, bad
