@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .forms import BinaryCubicForm, InvariantError, disc, is_zmat
 from .rings import CubicRing, _det3, is_maximal, ring_from_form
-from .counting import _orbits_at, h_value, factorize, s_sequence
+from .counting import _orbits_at, h_value, factorize, report, s_sequence
 from . import quad
 from .quad import (
     Mu3Char,
@@ -83,13 +83,6 @@ def k2_mul(D, u, v):
 
 def k2_norm(D, u):
     return u[0] * u[0] - u[1] * u[1] * D
-
-
-def k2_inv(D, u):
-    n = k2_norm(D, u)
-    if n == 0:
-        raise ZeroDivisionError("not a unit in the quadratic algebra")
-    return (Fraction(u[0], 1) / n, Fraction(-u[1], 1) / n)
 
 
 def _over_common_den(vec):
@@ -345,7 +338,7 @@ def _solve_in_plane(alpha, vs, vden, w):
 def triples_equivalent(t1: SelfBalancedTriple, t2: SelfBalancedTriple):
     """For triples extracted from the same oriented ring with different
     generic elements: exhibit lambda with I2 = lambda I1 and
-    gamma2 = lambda^-3 gamma1 (the identification sending c1 to c2).
+    gamma1 = lambda^3 gamma2 (the identification sending c1 to c2).
     Returns lambda or None."""
     if t1.D != t2.D:
         return None
@@ -359,7 +352,7 @@ def triples_equivalent(t1: SelfBalancedTriple, t2: SelfBalancedTriple):
     if lat_scale(t1.I, lam) != t2.I:
         return None
     lam3 = k2_mul(D, k2_mul(D, lam, lam), lam)
-    if k2_mul(D, t1.gamma, k2_inv(D, lam3)) != tuple(t2.gamma):
+    if k2_mul(D, lam3, t2.gamma) != tuple(t1.gamma):
         return None
     return lam
 
@@ -422,7 +415,7 @@ def _cube_ideal_sum(D: int, prime_to_3: bool = False) -> int:
 def rhs_identity_check(D: int) -> dict:
     lhs = Fraction(rhs_count(D))
     rhs = 2 * weight_w(D) * weight_eta(D) * h_value(D, zmat_variant=True)
-    return {"check": "rhs", "delta": D, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
+    return report("rhs", D, lhs, rhs)
 
 
 def splitting_type_from_char(chi: Mu3Char, p: int) -> str:
@@ -474,7 +467,7 @@ def lhs_count(D: int, enforce_cubefree: bool = True) -> int:
 def lhs_identity_check(D: int) -> dict:
     lhs = Fraction(lhs_count(D))
     rhs = 2 * weight_w(D) * h_value(D)
-    return {"check": "lhs", "delta": D, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
+    return report("lhs", D, lhs, rhs)
 
 
 def chi_term_sum(chi: Mu3Char, m1: int):
@@ -514,13 +507,7 @@ def check_fields_pic(D: int) -> dict:
     if t3 % 2 == 0:
         raise InvariantError("|Pic(O_%d)[3]| = %d is even" % (D, t3))
     expected = (t3 - 1) // 2
-    return {
-        "check": "fields-pic",
-        "delta": D,
-        "lhs": Fraction(fields),
-        "rhs": Fraction(expected),
-        "pass": fields == expected,
-    }
+    return report("fields-pic", D, Fraction(fields), Fraction(expected))
 
 
 def _is_field_form(form) -> bool:
@@ -554,13 +541,7 @@ def check_prop_3notdiv(D: int) -> dict:
         raise ValueError("not a discriminant")
     total = _cube_ideal_sum(-27 * D, prime_to_3=True)
     lhs = 6 * weight_w(-3 * D) * weight_eta(-3 * D) * h_value(D)
-    return {
-        "check": "prop6",
-        "delta": D,
-        "lhs": lhs,
-        "rhs": Fraction(total),
-        "pass": lhs == Fraction(total),
-    }
+    return report("prop6", D, lhs, Fraction(total))
 
 
 def check_scholz(D0: int) -> dict:
@@ -571,10 +552,4 @@ def check_scholz(D0: int) -> dict:
     refl, _ = fundamental_part(-3 * D0)
     ratio = Fraction(pic_3_torsion(refl), pic_3_torsion(D0))
     allowed = (Fraction(3), Fraction(1)) if D0 > 1 else (Fraction(1), Fraction(1, 3))
-    return {
-        "check": "scholz",
-        "delta": D0,
-        "lhs": ratio,
-        "rhs": allowed,
-        "pass": ratio in allowed,
-    }
+    return report("scholz", D0, ratio, allowed, ratio in allowed)

@@ -7,6 +7,12 @@ Exit codes: 0 all requested checks pass, 1 a mathematical identity failed
 bad arguments or config), 3 an internal invariant of the computation broke
 (forms.InvariantError: a bug, not a counterexample).
 
+verify runs the checks named in CHECKS, each a list of identity reports
+(counting.report), and writes them as one JSON list.  on and oracle sweep
+[-max, max]; every other check is per delta and checks the deltas that
+--D names, else those in [-max, max] that it accepts.  --format (csv or
+json) belongs to table and zeta; verify and dump-pic always write JSON.
+
 --budget N (or config "budget": N) caps the |disc| enumerated by every check
 and dump-pic: main sets CUBICOUNT_BUDGET=N for the call and restores it
 after, so the flag beats the environment, which beats the default 10^6.
@@ -26,20 +32,11 @@ from .forms import BUDGET_ENV, BudgetExceeded, InvariantError
 from .quad import is_fundamental
 
 
-CHECKS = ("on", "recursion", "rhs", "lhs", "fields-pic", "prop6", "scholz", "oracle")
-
-
 def cmd_table(args) -> int:
-    if args.max <= 0:
-        payload = "[]\n" if args.format == "json" else "delta,h_num,h_den,hhat_num,hhat_den\n"
-        _emit(args.out, payload)
-        return 0
     if args.format == "json":
         _emit(args.out, counting.table_json(args.max) + "\n")
-        return 0
-    # --shards is validated but does not change the work: the output is one
-    # table, byte-identical for every shard count
-    _emit(args.out, "\n".join(counting.table_csv_lines(args.max)) + "\n")
+    else:
+        _emit(args.out, "\n".join(counting.table_csv_lines(args.max)) + "\n")
     return 0
 
 
@@ -77,31 +74,6 @@ def cmd_dump_pic(args) -> int:
     return 0
 
 
-def _verify_on(args, reports):
-    for D, (h, hh) in counting.class_numbers(args.max).items():
-        want = 3 * h if D > 0 else h
-        reports.append(
-            {"check": "on", "delta": D, "lhs": hh, "rhs": want, "pass": hh == want}
-        )
-
-
-# per-delta checks: name -> (cap on |delta| or None, which delta to check,
-# the reports at one delta).  Module functions are looked up per call, so a
-# patched binding is the one used.  The caps keep the default budget: the
-# recursion reaches p^6 |D|, prop6 the orders of discriminant up to 27 |D|.
-_PER_DELTA = {
-    "recursion": (20, quad.in_discs, lambda args, D: [
-        r for p in args.primes
-        for r in counting.check_recursion(D, p, include_hhat=args.hhat)
-    ]),
-    "rhs": (None, quad.in_discs, lambda args, D: [bridge.rhs_identity_check(D)]),
-    "lhs": (None, bridge.has_cubefree_conductor, lambda args, D: [bridge.lhs_identity_check(D)]),
-    "fields-pic": (None, quad.in_discs, lambda args, D: [bridge.check_fields_pic(D)]),
-    "prop6": (40, lambda D: quad.in_discs(D) and D % 3 != 0, lambda args, D: [bridge.check_prop_3notdiv(D)]),
-    "scholz": (None, lambda D: D != 1 and is_fundamental(D), lambda args, D: [bridge.check_scholz(D)]),
-}
-
-
 def _capped_max(name, args, cap):
     """--max cut to the check's cap, saying so on stderr when it cuts."""
     if cap is None or args.max <= cap:
@@ -110,28 +82,51 @@ def _capped_max(name, args, cap):
     return cap
 
 
-def _verify_per_delta(name, args, reports):
-    cap, wanted, reports_at = _PER_DELTA[name]
-    if name == "recursion" and args.D:
-        deltas = args.D
-    else:
-        top = _capped_max(name, args, cap)
-        deltas = [D for D in range(-top, top + 1) if wanted(D)]
-    for D in deltas:
-        reports.extend(reports_at(args, D))
+def _verify_on(name, args):
+    return [counting.report(name, D, hh, 3 * h if D > 0 else h)
+            for D, (h, hh) in counting.class_numbers(args.max).items()]
 
 
-def _verify_oracle(args, reports):
-    X = _capped_max("oracle", args, 200)
+def _verify_oracle(name, args):
+    X = _capped_max(name, args, 200)
     table = counting.orbit_table(X, False)
     box = counting.box_orbit_counts(X)
-    keys = sorted(set(box) | set(table))
-    for D in keys:
-        lhs = len(table.get(D, []))
-        rhs = box.get(D, 0)
-        reports.append(
-            {"check": "oracle", "delta": D, "lhs": Fraction(lhs), "rhs": Fraction(rhs), "pass": lhs == rhs}
-        )
+    return [counting.report(name, D, Fraction(len(table.get(D, []))), Fraction(box.get(D, 0)))
+            for D in sorted(set(box) | set(table))]
+
+
+def _per_delta(cap, wanted, reports_at):
+    """The runner of a per-delta check: its reports at each --D value, else
+    at each delta in [-max, max] that wanted accepts, max cut to cap (None
+    for no cap).  reports_at(args, D) is a list of reports."""
+    def run(name, args):
+        if args.D:
+            deltas = args.D
+        else:
+            top = _capped_max(name, args, cap)
+            deltas = [D for D in range(-top, top + 1) if wanted(D)]
+        return [r for D in deltas for r in reports_at(args, D)]
+    return run
+
+
+# check name -> runner(name, args), a list of reports.  on and oracle sweep
+# --max; the rest are per delta.  Module functions are looked up per call,
+# so a patched binding is the one used.  The caps keep the default budget:
+# the recursion reaches p^6 |D|, prop6 the orders of discriminant up to
+# 27 |D|, oracle the coefficient box.
+CHECKS = {
+    "on": _verify_on,
+    "recursion": _per_delta(20, quad.in_discs, lambda args, D: [
+        r for p in args.primes
+        for r in counting.check_recursion(D, p, include_hhat=args.hhat)
+    ]),
+    "rhs": _per_delta(None, quad.in_discs, lambda args, D: [bridge.rhs_identity_check(D)]),
+    "lhs": _per_delta(None, bridge.has_cubefree_conductor, lambda args, D: [bridge.lhs_identity_check(D)]),
+    "fields-pic": _per_delta(None, quad.in_discs, lambda args, D: [bridge.check_fields_pic(D)]),
+    "prop6": _per_delta(40, lambda D: quad.in_discs(D) and D % 3 != 0, lambda args, D: [bridge.check_prop_3notdiv(D)]),
+    "scholz": _per_delta(None, lambda D: D != 1 and is_fundamental(D), lambda args, D: [bridge.check_scholz(D)]),
+    "oracle": _verify_oracle,
+}
 
 
 def _summary_lines(reports):
@@ -146,25 +141,13 @@ def _summary_lines(reports):
 
 
 def cmd_verify(args) -> int:
-    which = args.which or ["on"]
-    reports = []
-    bulk = {"on": _verify_on, "oracle": _verify_oracle}
-    for name in which:
-        if name in bulk:
-            bulk[name](args, reports)
-        elif name in _PER_DELTA:
-            _verify_per_delta(name, args, reports)
-        else:
-            print("unknown check: %s (choose from %s)" % (name, ", ".join(CHECKS)), file=sys.stderr)
-            return 2
+    if args.p is not None:
+        args.primes = [args.p]
+    for p in args.primes:
+        quad.require_prime(p)
+    reports = [r for name in args.which or ["on"] for r in CHECKS[name](name, args)]
     payload = [
-        {
-            "check": r["check"],
-            "delta": r["delta"],
-            "lhs": _jsonable(r["lhs"]),
-            "rhs": _jsonable(r["rhs"]),
-            "pass": bool(r["pass"]),
-        }
+        counting.report(r["check"], r["delta"], _jsonable(r["lhs"]), _jsonable(r["rhs"]), bool(r["pass"]))
         for r in reports
     ]
     _emit(args.out, json.dumps(payload, indent=0) + "\n")
@@ -205,25 +188,27 @@ def build_parser():
 
     def common(p):
         p.add_argument("--max", type=int, default=60, help="bound on |delta|")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--shards", type=int, default=1)
         p.add_argument("--out", default="-")
         p.add_argument("--budget", type=int, default=None,
                        help="|disc| cap for every check (else CUBICOUNT_BUDGET, else 10^6)")
 
     t = sub.add_parser("table", help="h/hhat table as CSV or JSON")
     common(t)
+    t.add_argument("--format", choices=("csv", "json"), default="csv")
     t.set_defaults(func=cmd_table)
 
     z = sub.add_parser("zeta", help="Dirichlet coefficients of the four series")
     common(z)
+    z.add_argument("--format", choices=("csv", "json"), default="csv")
     z.set_defaults(func=cmd_zeta)
 
     v = sub.add_parser("verify", help="run identity checks")
     common(v)
-    v.add_argument("which", nargs="*", choices=CHECKS, help="checks to run")
+    # a tuple, not the dict: with no check named, Python 3.11 argparse tests
+    # `[] in choices`, which a dict answers with TypeError
+    v.add_argument("which", nargs="*", choices=tuple(CHECKS), help="checks to run")
     v.add_argument("--primes", type=int, nargs="*", default=[2, 3])
-    v.add_argument("--D", type=int, nargs="*", default=None, help="recursion base discriminants")
+    v.add_argument("--D", type=int, nargs="*", default=None, help="the deltas of every per-delta check")
     v.add_argument("--p", type=int, default=None, help="single recursion prime")
     v.add_argument("--no-hhat", dest="hhat", action="store_false", help="skip the hhat recursion variant")
     v.add_argument("--summary", action="store_true", help="print a readable summary table to stderr")
@@ -257,7 +242,6 @@ def _is_int(v):
 # config key -> (test of its value, what the value must be)
 _CONFIG_TYPES = {
     "max": (_is_int, "an integer"),
-    "shards": (_is_int, "an integer"),
     "budget": (lambda v: v is None or _is_int(v), "an integer or null"),
     "format": (lambda v: v in ("csv", "json"), '"csv" or "json"'),
     "out": (lambda v: isinstance(v, str), "a string"),
@@ -287,11 +271,6 @@ def main(argv=None) -> int:
         for key, val in cfg.items():
             if key in _CONFIG_TYPES and "--" + key not in argv and hasattr(args, key):
                 setattr(args, key, val)
-    if getattr(args, "p", None) is not None:
-        args.primes = [args.p]
-    if getattr(args, "shards", 1) < 1:
-        print("shard count must be >= 1", file=sys.stderr)
-        return 2
     if args.max < 0:
         print("--max must be >= 0, got %d" % args.max, file=sys.stderr)
         return 2
@@ -299,8 +278,6 @@ def main(argv=None) -> int:
     if args.budget is not None:
         os.environ[BUDGET_ENV] = str(args.budget)
     try:
-        for p in getattr(args, "primes", ()):
-            quad.require_prime(p)
         return args.func(args)
     except BudgetExceeded as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)

@@ -472,7 +472,14 @@ def subring_count(form, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Discriminant recursions
+# Identity reports and the discriminant recursions
+
+def report(check: str, delta: int, lhs, rhs, passed=None, **extra) -> dict:
+    """One identity check at one delta, the row every check returns:
+    passed defaults to lhs == rhs; extra keys go after delta."""
+    return {"check": check, "delta": delta, **extra, "lhs": lhs, "rhs": rhs,
+            "pass": lhs == rhs if passed is None else passed}
+
 
 def check_recursion(D: int, p: int, include_hhat: bool = True):
     """Evaluate h(p^6 D) = h(p^4 D) + p (h(D) - h(D/p^2)) and, optionally,
@@ -495,16 +502,7 @@ def check_recursion(D: int, p: int, include_hhat: bool = True):
         small_term = vals.get(D // (p * p), Fraction(0)) if D % (p * p) == 0 else Fraction(0)
         lhs = vals[D * p ** 6]
         rhs = vals[D * p ** 4] + p * (vals[D] - small_term)
-        reports.append(
-            {
-                "check": "recursion-%s" % name,
-                "delta": D,
-                "p": p,
-                "lhs": lhs,
-                "rhs": rhs,
-                "pass": lhs == rhs,
-            }
-        )
+        reports.append(report("recursion-%s" % name, D, lhs, rhs, p=p))
     return reports
 
 

@@ -959,10 +959,7 @@ def extend_ideal(I: QuadIdeal, Dto: int) -> QuadIdeal:
         x, y = v
         return (x + y * shift, y * k)
 
-    gens = [convert(v) for v in I.generators()]
-    ot = order(Dto)
-    gens = gens + [ot.mul((0, 1), v) for v in gens]
-    return ideal_from_generators(Dto, gens)
+    return ideal_from_generators(Dto, [convert(v) for v in I.generators()])
 
 
 def primitive_char(chi: Mu3Char) -> Mu3Char:

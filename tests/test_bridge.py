@@ -15,6 +15,7 @@ from cubicount.bridge import (
     check_scholz,
     chi_term_sum,
     extract_triple,
+    has_cubefree_conductor,
     int_lattice,
     is_irreducible,
     k2_mul,
@@ -41,6 +42,7 @@ from cubicount.quad import (
     factorize,
     fundamental_part,
     ideals_of_norm,
+    in_discs,
     is_cube_class,
     mu3_characters,
     order_change_map,
@@ -443,14 +445,14 @@ def test_lhs_rejects_cube_conductor():
 
 
 def test_lhs_non_cubefree_reported_not_asserted():
-    # outside the proved range the sum is computed on request and, on
-    # every case tried, still agrees with 2 w h
-    from cubicount.bridge import weight_w
-    from fractions import Fraction
-
-    for D in (-256, -192, 320):
+    # outside the proved range the sum is computed on request; it agrees
+    # with 2 w h at every discriminant |D| <= 3000 whose conductor is not
+    # cubefree (49 of them, -2916 = -4 * 27^2 and 729 = 27^2 among them)
+    deltas = [D for D in range(-3000, 3001) if in_discs(D) and not has_cubefree_conductor(D)]
+    assert len(deltas) == 49 and {-2916, -2187, -256, -192, 320, 576, 729} <= set(deltas)
+    for D in deltas:
         total = lhs_count(D, enforce_cubefree=False)
-        assert Fraction(total) == 2 * weight_w(D) * h_value(D)
+        assert Fraction(total) == 2 * weight_w(D) * h_value(D), D
 
 
 def test_chi_term_matches_subring_count():

@@ -63,14 +63,6 @@ def test_zero_max_is_an_empty_run(command):
     assert out.strip() in ("[]", "delta,h_num,h_den,hhat_num,hhat_den", "n,zeta_plus,zeta_minus,zhat_plus,zhat_minus")
 
 
-def test_table_shard_determinism(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert run_cli(["table", "--max", "25", "--shards", "1", "--out", str(a)])[0] == 0
-    assert run_cli(["table", "--max", "25", "--shards", "4", "--out", str(b)])[0] == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_table_json_format():
     code, out, _ = run_cli(["table", "--max", "1", "--format", "json"])
     assert code == 0
@@ -92,6 +84,36 @@ def test_verify_recursion_flags():
     assert code == 0
     reports = json.loads(out)
     assert {r["check"] for r in reports} == {"recursion-h", "recursion-hhat"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--max", "1", "--shards", "2"],
+    ["verify", "on", "--format", "json"],
+    ["dump-pic", "--delta", "-23", "--format", "csv"],
+])
+def test_flags_no_command_reads_are_rejected(argv):
+    # --shards changed nothing and --format was read by table and zeta only
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+
+
+def test_verify_D_names_the_deltas_of_every_per_delta_check():
+    # in the order given, and past prop6's cap of 40
+    which = ["rhs", "lhs", "fields-pic", "prop6", "scholz"]
+    code, out, err = run_cli(["verify"] + which + ["--D", "5", "-23", "41", "-4", "--max", "0"])
+    assert code == 0 and "only" not in err, err
+    got = [(r["check"], r["delta"]) for r in json.loads(out)]
+    assert got == [(name, D) for name in which for D in (5, -23, 41, -4)]
+
+
+@pytest.mark.parametrize("check, delta", [
+    ("lhs", "-256"), ("scholz", "-12"), ("scholz", "1"), ("rhs", "2"), ("fields-pic", "3"), ("prop6", "-3"),
+])
+def test_verify_D_a_check_does_not_accept_exits_2(check, delta):
+    code, out, err = run_cli(["verify", check, "--D", delta])
+    assert (code, out) == (2, "")
+    assert "invalid input" in err
 
 
 def test_verify_exit_codes_on_fault(monkeypatch):
@@ -201,11 +223,6 @@ def test_verify_summary_flag():
     assert "check" in err and "ok" in err
 
 
-def test_bad_shards():
-    code, _, _ = run_cli(["table", "--max", "1", "--shards", "0"])
-    assert code == 2
-
-
 def test_config_list_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps([1, 2]))
@@ -216,7 +233,7 @@ def test_config_list_exits_2(tmp_path):
 
 def test_config_wrong_value_type_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
-    for bad in ({"max": "abc"}, {"shards": 1.5}, {"budget": True}, {"primes": [2, "3"]}, {"format": "xml"}):
+    for bad in ({"max": "abc"}, {"budget": True}, {"primes": [2, "3"]}, {"format": "xml"}):
         cfg.write_text(json.dumps(bad))
         code, _, err = run_cli(["verify", "on", "--config", str(cfg)])
         assert code == 2, bad

@@ -5,6 +5,7 @@ a traceback, which reads as a failed identity).  One enumeration budget:
 forms.disc_budget is its only source, so no function takes a budget
 parameter that some caller could forget to pass on."""
 
+import argparse
 import ast
 import glob
 import os
@@ -132,3 +133,66 @@ def test_subring_enumeration_reads_no_splitting_type():
                 todo.append(ref)
     assert {"subrings_of_index", "discriminant"} <= seen
     assert not bad, bad
+
+
+def _top_level(tree):
+    """name -> node for the top-level functions and assigned names."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    return defs
+
+
+def test_report_literal_has_one_home():
+    # every identity report is built by counting.report: no other dict
+    # literal in src has a "pass" key
+    homes, bad = [], []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        where = {}
+        for top, node in _top_level(tree).items():
+            where.update((sub, top) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict) and any(
+                    isinstance(k, ast.Constant) and k.value == "pass" for k in node.keys):
+                (homes if (name, where.get(node)) == ("counting.py", "report") else bad).append(
+                    "%s:%d" % (name, node.lineno))
+    assert len(homes) == 1 and not bad, (homes, bad)
+
+
+def test_every_flag_is_read():
+    # each subcommand's flags are read as args.<dest> by its handler (or
+    # the cli code it reaches) or by main; build_parser declares them and
+    # is not followed
+    from cubicount.cli import build_parser
+
+    with open(os.path.join(SRC, "cli.py")) as fh:
+        defs = _top_level(ast.parse(fh.read()))
+
+    def reads(start):
+        got, seen, todo = set(), {"build_parser"}, [start]
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            for node in ast.walk(defs[name]):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name) and node.value.id == "args"):
+                    got.add(node.attr)
+                elif isinstance(node, ast.Name) and node.id in defs:
+                    todo.append(node.id)
+        return got
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    bad = []
+    for command, parser in sub.choices.items():
+        dests = {a.dest for a in parser._actions if a.dest != "help"}
+        read = reads(parser.get_default("func").__name__) | reads("main")
+        bad += ["%s --%s" % (command, dest) for dest in sorted(dests - read)]
+    assert len(sub.choices) == 4 and not bad, bad
