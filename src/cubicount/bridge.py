@@ -13,13 +13,15 @@ invertible ideal J = gamma I^3 / g of norm g in the order of discriminant
 D/g^2 whose class is a cube.
 
 The extraction runs in integer arithmetic: gamma and c(sqrt D) have
-integer numerators over the denominators 2 and e, and every lattice in
-Q(sqrt D) is a `RatLattice`, an integer Hermite normal form over one
-denominator reduced by the same kernel `quad.hnf2` as quadratic ideals.
-The extracted I has the basis [1, tau], so gamma I^3 is one Hermite form
-of gamma, gamma tau, gamma tau^2 and gamma tau^3 (`gamma_cube`, shared
-by the containment check and `triple_to_J`), and J is invertible iff its
-quadratic form is primitive (`quad.is_invertible`).  The checks on a
+integer numerators over the denominators 2 and e, and the triple stores
+only those numerators.  Every lattice in Q(sqrt D) is a `RatLattice`, an
+integer Hermite normal form over one denominator reduced by the same
+kernel `quad.hnf2` as quadratic ideals.  The extracted I has the basis
+[1, tau], so gamma I^3 is one Hermite form of gamma, gamma tau, gamma
+tau^2 and gamma tau^3 (`gamma_cube`), built once per triple and stored
+on it for the containment check and `triple_to_J`; J's generators are
+read straight off its two rows, and J is invertible iff its quadratic
+form is primitive (`quad.is_invertible`).  The checks on a
 triple (char poly, resolvent, orientation, the balance conditions, the
 integrality and invertibility of J) raise `forms.InvariantError`, so they
 hold under `python -O` too.
@@ -45,7 +47,6 @@ from .counting import _orbits_at, h_value, factorize, report, s_sequence
 from . import quad
 from .quad import (
     Mu3Char,
-    QuadIdeal,
     divisors,
     extend_ideal,
     fundamental_part,
@@ -146,56 +147,51 @@ def lat_subset_order(L: RatLattice) -> bool:
     return L.a % L.den == 0 and 2 * L.c % L.den == 0 and (L.b - r * L.c) % L.den == 0
 
 
-def lat_to_ideal(L: RatLattice) -> QuadIdeal:
-    """Convert an integral sublattice of O_D to normal form."""
-    if not lat_subset_order(L):
-        raise InvariantError("lattice %r is not inside O_%d" % (L, L.D))
-    r = L.D % 2
-    gens = [((x - r * y) // L.den, 2 * y // L.den) for x, y in L.rows()]
-    return ideal_from_generators(L.D, gens)
-
-
 # ---------------------------------------------------------------------------
 # Triple extraction
+
+def gamma_cube(I: RatLattice, u: int, e: int) -> RatLattice:
+    """gamma I^3 for gamma = (-u + e sqrt D)/2.  I has the basis [1, tau],
+    so I^3 is spanned by 1, tau, tau^2 and tau^3: one Hermite form of four
+    vectors over the denominator 2 den^3."""
+    if I.a != I.den:
+        raise InvariantError("1 is not a primitive vector of %r" % (I,))
+    D, n = I.D, I.den
+    tau = (I.b, I.c)
+    tau2 = k2_mul(D, tau, tau)
+    powers = ((n ** 3, 0), (n * n * I.b, n * n * I.c), (n * tau2[0], n * tau2[1]), k2_mul(D, tau2, tau))
+    return int_lattice(D, 2 * n ** 3, [k2_mul(D, (-u, e), v) for v in powers])
+
 
 class SelfBalancedTriple(NamedTuple):
     D: int                    # quadratic discriminant (ring disc is -27 D)
     I: RatLattice             # lattice with basis [1, tau]
-    gamma: tuple              # (Fraction, Fraction) in (1, sqrt D) coords
     t: int
     s: int
     r: int
     u: int
     e: int                    # Levi form value at alpha
     alpha: tuple              # ring coordinates of the chosen alpha
-    sqrt_image: tuple         # ring coordinates (Fractions) of c(sqrt D)
+    sqrt_num: tuple           # ring coordinates of c(sqrt D), times e
+    gamma_I3: RatLattice      # gamma I^3, built once by `gamma_cube`
+
+    @property
+    def gamma(self) -> tuple:
+        """gamma = (-u + e sqrt D)/2 as Fractions in (1, sqrt D) coords."""
+        return Fraction(-self.u, 2), Fraction(self.e, 2)
 
     @property
     def content(self) -> int:
         return gcd(gcd(abs(self.t), abs(self.s)), abs(self.r))
 
     def norm_condition(self) -> bool:
-        """|N(gamma)| N(I)^3 = 1, cleared of denominators."""
-        num, den = _over_common_den(self.gamma)
+        """|N(gamma)| N(I)^3 = 1, cleared of denominators: N(gamma) =
+        (u^2 - e^2 D)/4 and N(I) = 2ac/den^2."""
         I = self.I
-        return abs(k2_norm(self.D, num)) * (2 * I.a * I.c) ** 3 == den ** 2 * I.den ** 6
-
-    def gamma_cube(self) -> RatLattice:
-        """gamma I^3.  I has the basis [1, tau], so I^3 is spanned by 1,
-        tau, tau^2 and tau^3: one Hermite form of four vectors over the
-        denominator den^3 times that of gamma."""
-        I = self.I
-        if I.a != I.den:
-            raise InvariantError("1 is not a primitive vector of %r" % (I,))
-        D, n = I.D, I.den
-        tau = (I.b, I.c)
-        tau2 = k2_mul(D, tau, tau)
-        powers = ((n ** 3, 0), (n * n * I.b, n * n * I.c), (n * tau2[0], n * tau2[1]), k2_mul(D, tau2, tau))
-        num, den = _over_common_den(self.gamma)
-        return int_lattice(D, n ** 3 * den, [k2_mul(D, num, v) for v in powers])
+        return abs(self.u ** 2 - self.e ** 2 * self.D) * (2 * I.a * I.c) ** 3 == 4 * I.den ** 6
 
     def containment_condition(self) -> bool:
-        return lat_subset_order(self.gamma_cube())
+        return lat_subset_order(self.gamma_I3)
 
 
 def _trace_zero_basis(form):
@@ -264,7 +260,6 @@ def _triple_from_alpha(ring: CubicRing, D: int, alpha, tr2: int, det: int):
     # gamma = (-u + e sqrt D)/2 has N(gamma) = (u^2 - e^2 D)/4 = -t^3
     if u * u + 4 * t ** 3 != e * e * D:
         raise InvariantError("resolvent discriminant mismatch: N(gamma) != -t^3")
-    gamma = (Fraction(-u, 2), Fraction(e, 2))
     # image of sqrt(D) under the lattice identification:
     # c(sqrt D) = (t alpha^2 + 2 t^2 + gamma_x alpha)/gamma_y
     #           = (2t alpha^2 - u alpha + 4t^2)/e, numerators vs over e
@@ -310,8 +305,7 @@ def _triple_from_alpha(ring: CubicRing, D: int, alpha, tr2: int, det: int):
     if num % (4 * t_att):
         raise InvariantError("4t does not divide s^2 - D")
     r = num // (4 * t_att)
-    sqrt_image = tuple(Fraction(v, e) for v in vs)
-    trip = SelfBalancedTriple(D, I, gamma, t_att, s, r, u, e, tuple(alpha), sqrt_image)
+    trip = SelfBalancedTriple(D, I, t_att, s, r, u, e, tuple(alpha), vs, gamma_cube(I, u, e))
     if not trip.norm_condition():
         raise InvariantError("balance norm condition failed")
     if not trip.containment_condition():
@@ -344,8 +338,7 @@ def triples_equivalent(t1: SelfBalancedTriple, t2: SelfBalancedTriple):
         return None
     D = t1.D
     # lambda = c2^{-1}(c1(1)) = c2^{-1}(alpha1)
-    vs, vden = _over_common_den(t2.sqrt_image)
-    (x, y), den = _solve_in_plane(t2.alpha, vs, vden, t1.alpha)
+    (x, y), den = _solve_in_plane(t2.alpha, t2.sqrt_num, t2.e, t1.alpha)
     lam = (Fraction(x, den), Fraction(y, den))
     if k2_norm(D, lam) == 0:
         return None
@@ -370,13 +363,16 @@ def triple_to_J(trip: SelfBalancedTriple):
     Dp = D // (g * g)
     if not in_discs(Dp):
         raise InvariantError("D / g^2 = %d is not a discriminant" % Dp)
-    L = trip.gamma_cube()
-    # divide by g and rewrite in sqrt(D') coordinates, sqrt(D) = g sqrt(D'):
-    # (x, y)/g becomes (x/g, y)
-    Jp = int_lattice(Dp, L.den * g, [(L.a, 0), (L.b, L.c * g)])
-    if not lat_subset_order(Jp):
-        raise InvariantError("J must be integral over the multiplier order")
-    J = lat_to_ideal(Jp)
+    # a row (x, y)/den of gamma I^3, divided by g, is x/(g den) + (y/den)
+    # sqrt(D') with sqrt(D') = 2 xi' - r': (x - g r' y)/(g den) + (2y/den) xi'
+    L, rp = trip.gamma_I3, Dp % 2
+    gens = []
+    for x, y in L.rows():
+        xn, yn = x - g * rp * y, 2 * y
+        if xn % (g * L.den) or yn % L.den:
+            raise InvariantError("J must be integral over the multiplier order")
+        gens.append((xn // (g * L.den), yn // L.den))
+    J = ideal_from_generators(Dp, gens)
     if J.norm != g:
         raise InvariantError("N(J) = %d differs from g = %d" % (J.norm, g))
     if not is_invertible(J):

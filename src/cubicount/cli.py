@@ -129,13 +129,17 @@ CHECKS = {
 }
 
 
-def _summary_lines(reports):
+def _summary_lines(rows):
+    """A readable table of the JSON-ready report rows; a list of allowed
+    values reads 1/1,1/3."""
+    def cell(v):
+        return ",".join(v) if isinstance(v, list) else v
+
     lines = ["check        delta      lhs        rhs        pass"]
-    for r in reports:
+    for r in rows:
         lines.append(
             "%-12s %-10s %-10s %-10s %s"
-            % (r["check"], r["delta"], _jsonable(r["lhs"]), _jsonable(r["rhs"]),
-               "ok" if r["pass"] else "FAIL")
+            % (r["check"], r["delta"], cell(r["lhs"]), cell(r["rhs"]), "ok" if r["pass"] else "FAIL")
         )
     return lines
 
@@ -145,14 +149,14 @@ def cmd_verify(args) -> int:
         args.primes = [args.p]
     for p in args.primes:
         quad.require_prime(p)
-    reports = [r for name in args.which or ["on"] for r in CHECKS[name](name, args)]
+    reports = [r for name in args.which for r in CHECKS[name](name, args)]
     payload = [
         counting.report(r["check"], r["delta"], _jsonable(r["lhs"]), _jsonable(r["rhs"]), bool(r["pass"]))
         for r in reports
     ]
     _emit(args.out, json.dumps(payload, indent=0) + "\n")
     if args.summary:
-        print("\n".join(_summary_lines(reports)), file=sys.stderr)
+        print("\n".join(_summary_lines(payload)), file=sys.stderr)
     failures = [r for r in reports if not r["pass"]]
     if failures:
         first = failures[0]
@@ -204,9 +208,7 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run identity checks")
     common(v)
-    # a tuple, not the dict: with no check named, Python 3.11 argparse tests
-    # `[] in choices`, which a dict answers with TypeError
-    v.add_argument("which", nargs="*", choices=tuple(CHECKS), help="checks to run")
+    v.add_argument("which", nargs="+", choices=CHECKS, help="checks to run")
     v.add_argument("--primes", type=int, nargs="*", default=[2, 3])
     v.add_argument("--D", type=int, nargs="*", default=None, help="the deltas of every per-delta check")
     v.add_argument("--p", type=int, default=None, help="single recursion prime")
@@ -266,11 +268,14 @@ def main(argv=None) -> int:
     except (OSError, ValueError, IndexError) as exc:
         print("bad config: %s" % exc, file=sys.stderr)
         return 2
-    args = ap.parse_args(argv)
     if cfg:
-        for key, val in cfg.items():
-            if key in _CONFIG_TYPES and "--" + key not in argv and hasattr(args, key):
-                setattr(args, key, val)
+        # the known keys become defaults of each subcommand with that flag,
+        # so argparse lets a flag in any spelling (--max=1, --ma 1) win
+        (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+        for p in sub.choices.values():
+            dests = {a.dest for a in p._actions}
+            p.set_defaults(**{k: v for k, v in cfg.items() if k in _CONFIG_TYPES and k in dests})
+    args = ap.parse_args(argv)
     if args.max < 0:
         print("--max must be >= 0, got %d" % args.max, file=sys.stderr)
         return 2

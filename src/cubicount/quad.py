@@ -369,57 +369,34 @@ def _primitive_ideals(D: int, a: int, invertible_only: bool = True):
 # ---------------------------------------------------------------------------
 # Units
 
-def _pell_min_unit(N: int):
-    """Least (x, y), x, y > 0, with x^2 - N y^2 = +-1, by the continued
-    fraction of sqrt(N); N positive nonsquare."""
-    a0 = isqrt(N)
-    m, d, a = 0, 1, a0
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
-    for _ in range(10 ** 7):
-        if p * p - N * q * q in (1, -1):
-            return p, q
-        m = d * a - m
-        d = (N - m * m) // d
-        a = (a0 + m) // d
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-    raise InvariantError("Pell expansion did not close for N=%d" % N)
-
-
 def fundamental_unit(D: int):
     """Generator of the infinite part of O_D^x as an element (x, y) in the
-    (1, xi) basis, minimal > 1 in the real embedding; D positive nonsquare."""
+    (1, xi) basis, minimal > 1 in the real embedding; D positive nonsquare.
+
+    One continued fraction serves every D, that of theta = (sqrt(D) - r)/2
+    = -xi'.  A unit eps = x + y xi > 1 has conjugate x - y theta = +-1/eps
+    and eps + 1/eps >= y sqrt(D), so eps > 2y once D >= 8 and |x/y -
+    theta| = 1/(y eps) < 1/(2 y^2): x/y is a convergent of theta
+    (Legendre).  For D = 5 the unit xi is the convergent 0/1.  Units > 1
+    grow in y, so the first convergent of norm +-1 is the fundamental
+    unit.  theta = (P + sqrt D)/Q starts at P = -r, Q = 2, where Q | D -
+    P^2 as D = r mod 4; every later complete quotient is reduced, so Q
+    stays positive and k = (P + isqrt(D)) // Q is its integer part."""
     if D <= 0 or is_square(D) or not in_discs(D):
         raise ValueError("need a positive non-square discriminant")
-    if D % 4 == 0:
-        # xi = sqrt(D)/2, so the +-1 Pell solution for D/4 is the unit
-        return _pell_min_unit(D // 4)
-    # odd D: minimal (t, u) with t^2 - D u^2 = +-4; either twice a +-1
-    # solution or an odd solution whose cube is the +-1 solution
-    x1, y1 = _pell_min_unit(D)
-    u = 1
-    while u * (D * u * u - 3) <= 2 * y1:
-        for sgn in (4, -4):
-            tt = D * u * u + sgn
-            if tt > 0 and is_square(tt):
-                t = isqrt(tt)
-                if t % 2 == 1 and u % 2 == 1:
-                    # ((t + u sqrt D)/2)^3 must equal x1 + y1 sqrt D
-                    if (
-                        u * (3 * t * t + u * u * D) == 8 * y1
-                        and t * (t * t + 3 * u * u * D) == 8 * x1
-                    ):
-                        return ((t - u) // 2, u)
-        u += 2
-    return _embed_even(D, x1, y1)
-
-
-def _embed_even(D, x1, y1):
-    # x1 + y1*sqrt(D) as (x, y) in basis (1, xi), xi = (1 + sqrt(D))/2
-    if D % 2 == 0:
-        raise InvariantError("odd-discriminant unit embedding asked for D=%d" % D)
-    return (x1 - y1, 2 * y1)
+    r, nu = D % 2, (D % 2 - D) // 4
+    s = isqrt(D)
+    P, Q = -r, 2
+    x_prev, x, y_prev, y = 0, 1, 1, 0  # the convergents -2 and -1
+    for _ in range(10 ** 7):
+        k = (P + s) // Q
+        x, x_prev = k * x + x_prev, x
+        y, y_prev = k * y + y_prev, y
+        if x * x + r * x * y + nu * y * y in (1, -1):
+            return x, y
+        P = k * Q - P
+        Q = (D - P * P) // Q
+    raise InvariantError("unit expansion did not close for D=%d" % D)
 
 
 @lru_cache(maxsize=None)
@@ -434,8 +411,8 @@ def _unit_upper_bound(D: int):
 @lru_cache(maxsize=100000)
 def elements_of_norm(D: int, n: int):
     """All (x, y) in O_D with |N| = n, modulo units: complete set such that
-    every solution is a unit times a listed one.  n >= 1.  Cached: the
-    class-group construction asks for the same (D, n) many times."""
+    every solution is a unit times a listed one.  n >= 1.  Cached:
+    `is_principal` asks for the same (D, n) for every ideal of norm n."""
     o = order(D)
     out = []
     if D < 0:

@@ -159,10 +159,10 @@ def subrings_of_index(ring: CubicRing, n: int):
     f*beta, v = g*beta, e*g = n and 0 <= f < g.  Reading the alpha and
     beta parts of u*u, u*v and v*v off the form F = (a, b, c, d), it is a
     ring iff e | d f^2, e | d f g, e | d g^2 and n | F(e, f).  So f is a
-    root of F(e, x) mod g.  When n is a power of a prime p, the roots mod
-    p^(j+1) are the lifts r + t p^j (0 <= t < p) of the roots r mod p^j
-    that qualify, and only the roots mod g are tried; for other n every
-    f < g is."""
+    root of F(e, x) mod g.  For q | g and a prime p with q p | g, the
+    roots mod q p are the lifts r + t q (0 <= t < p) of the roots r mod q
+    that qualify, so lifting one prime of g at a time from q = 1 reaches
+    the roots mod g, and only those are tried."""
     if ring.discriminant == 0:
         raise ValueError("degenerate ring")
     if n > MAX_SUBRING_INDEX:
@@ -170,8 +170,7 @@ def subrings_of_index(ring: CubicRing, n: int):
     if n < 1:
         raise ValueError("index must be positive")
     a, b, c, d = ring.form
-    fac = factorize(n)
-    p = next(iter(fac)) if len(fac) == 1 else None
+    primes = factorize(n)
     out = []
     for e in divisors(n):
         g = n // e
@@ -179,15 +178,13 @@ def subrings_of_index(ring: CubicRing, n: int):
             continue
         # F(e, x) = d x^3 + k2 x^2 + k1 x + k0
         k2, k1, k0 = c * e, b * e * e, a * e ** 3
-        if p is None:
-            roots = range(g)
-        else:
-            roots, q = [0], 1  # the roots mod q
-            while q < g:
+        roots, q = [0], 1  # the roots mod q
+        for p in primes:
+            while g % (q * p) == 0:
                 lift = q * p
                 roots = [x for r in roots for x in range(r, lift, q) if (((d * x + k2) * x + k1) * x + k0) % lift == 0]
                 q = lift
-            roots.sort()
+        roots.sort()
         for f in roots:
             if d * f * f % e or d * f * g % e or (((d * f + k2) * f + k1) * f + k0) % n:
                 continue

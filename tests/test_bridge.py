@@ -15,6 +15,7 @@ from cubicount.bridge import (
     check_scholz,
     chi_term_sum,
     extract_triple,
+    gamma_cube,
     has_cubefree_conductor,
     int_lattice,
     is_irreducible,
@@ -121,7 +122,7 @@ def test_gamma_cube_matches_lattice_products():
         for orb in table[D]:
             for sign in (1, -1):
                 t = extract_triple(orb.form, sign)
-                assert t.gamma_cube() == _gamma_cube_by_products(t), (orb.form, sign)
+                assert t.gamma_I3 == _gamma_cube_by_products(t), (orb.form, sign)
                 count += 1
     assert count > 3000
 
@@ -131,7 +132,7 @@ def test_gamma_cube_needs_one_in_I():
     I = t.I
     for bad in (I._replace(a=2 * I.a, b=I.b % (2 * I.a)), I._replace(den=2 * I.den)):
         with pytest.raises(InvariantError):
-            t._replace(I=bad).gamma_cube()
+            gamma_cube(bad, t.u, t.e)
 
 
 def test_triple_content_vs_hessian():
@@ -193,6 +194,28 @@ def test_triple_checks_survive_optimize():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
     assert out.stdout.strip() == "raised", out.stderr
+
+
+def test_non_integral_gamma_cube_raises_under_optimize():
+    # J is read off the stored gamma I^3; a lattice outside the order must
+    # raise InvariantError from triple_to_J, also under -O
+    code = (
+        "from cubicount import bridge, forms\n"
+        "t = bridge.extract_triple((1, 0, 0, -1), 1)\n"
+        "L = t.gamma_I3\n"
+        "bad = t._replace(gamma_I3=L._replace(den=7 * L.den))\n"
+        "assert bridge.triple_to_J(t)\n"
+        "try:\n"
+        "    bridge.triple_to_J(bad)\n"
+        "except forms.InvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.stdout.strip() == "J must be integral over the multiplier order", out.stderr
 
 
 def test_bridge_fault_raises_invariant_error_under_optimize():

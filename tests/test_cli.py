@@ -217,10 +217,31 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert code == 2
 
 
+def test_flag_beats_config_in_any_spelling(tmp_path):
+    # the flag given as --max=1 or abbreviated used to lose to the config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max": 3}))
+    for flag in (["--max=1"], ["--ma", "1"]):
+        code, out, _ = run_cli(["table", "--config", str(cfg)] + flag)
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1"], flag
+
+
+def test_verify_without_a_check_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_summary_flag():
     code, out, err = run_cli(["verify", "on", "--max", "10", "--summary"])
     assert code == 0
     assert "check" in err and "ok" in err
+    # a list of allowed values reads 1/1,1/3, not as a Python list
+    code, out, err = run_cli(["verify", "scholz", "--D", "-23", "--summary"])
+    assert code == 0
+    assert "1/1,1/3" in err and "[" not in err
 
 
 def test_config_list_exits_2(tmp_path):

@@ -29,6 +29,7 @@ from cubicount.quad import (
     is_fundamental,
     is_invertible,
     is_principal,
+    is_square,
     kronecker,
     make_ideal,
     mu3_characters,
@@ -224,10 +225,28 @@ def test_fundamental_units():
 
 
 def test_fundamental_unit_is_a_unit():
-    for D in (5, 8, 12, 13, 17, 20, 21, 24, 28, 40, 44, 45, 61, 76, 124, 229):
+    # 1021 ... 1621 took from over 0.5 s to over 100 s by a search over
+    # odd solutions of t^2 - D u^2 = +-4
+    for D in (5, 8, 12, 13, 17, 20, 21, 24, 28, 40, 44, 45, 61, 76, 124, 229,
+              1021, 1069, 1141, 1201, 1381, 1441, 1453, 1621):
         o = order(D)
         eps = fundamental_unit(D)
         assert o.norm(eps) in (1, -1), (D, eps)
+
+
+def test_fundamental_unit_is_minimal():
+    # x + y xi = (t + y sqrt D)/2 with t^2 - D y^2 = +-4, so a smaller unit
+    # > 1 would be a 0 < y' < y making D y'^2 +- 4 a square
+    checked = 0
+    for D in range(5, 1001):
+        if not in_discs(D) or is_square(D):
+            continue
+        y = fundamental_unit(D)[1]
+        if y > 10 ** 5:
+            continue
+        assert not any(is_square(D * v * v + 4) or is_square(D * v * v - 4) for v in range(1, y)), D
+        checked += 1
+    assert checked == 390
 
 
 def test_fundamental_unit_power_relation():
@@ -442,7 +461,6 @@ def test_quad_failure_sites_raise_invariant_error_under_optimize():
         "        call()\n"
         "    except forms.InvariantError:\n"
         "        print(name)\n"
-        "check('embed', lambda: quad._embed_even(8, 3, 1))\n"
         "fp = quad.fundamental_part\n"
         "quad.fundamental_part = lambda D: (-23, 1)\n"
         "check('extend', lambda: quad.extend_ideal(quad.unit_ideal(-92), -23))\n"
@@ -458,7 +476,7 @@ def test_quad_failure_sites_raise_invariant_error_under_optimize():
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
-    assert out.stdout.split() == ["embed", "extend", "conductor", "fundamental"], out.stderr
+    assert out.stdout.split() == ["extend", "conductor", "fundamental"], out.stderr
 
 
 def test_cached_picard_group_is_read_only():

@@ -467,7 +467,7 @@ def _subrings_by_product_checks(ring, n):
 
 
 def test_subrings_match_product_checks():
-    composite = (6, 12, 30, 60)
+    composite = (6, 12, 30, 60, 720)
     for f in enumerate_orbits(1000) + enumerate_orbits(2700, True) + _random_forms(42, 300):
         C = ring_from_form(f)
         for n in sorted({p ** k for p in (2, 3, 5, 7) for k in range(4)}) + list(composite):
