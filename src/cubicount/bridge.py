@@ -38,7 +38,7 @@ ideal count for 3 not dividing D, and the field count against
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .forms import BinaryCubicForm, InvariantError, disc, is_zmat
@@ -48,7 +48,6 @@ from . import quad
 from .quad import (
     Mu3Char,
     divisors,
-    extend_ideal,
     fundamental_part,
     hnf2,
     ideal_from_generators,
@@ -82,17 +81,6 @@ def k2_mul(D, u, v):
     return (u[0] * v[0] + u[1] * v[1] * D, u[0] * v[1] + u[1] * v[0])
 
 
-def k2_norm(D, u):
-    return u[0] * u[0] - u[1] * u[1] * D
-
-
-def _over_common_den(vec):
-    """(numerators, den): a rational vector (ints or Fractions) as integer
-    numerators over the least common denominator."""
-    den = lcm(*(v.denominator for v in vec))
-    return tuple(v.numerator * (den // v.denominator) for v in vec), den
-
-
 class RatLattice(NamedTuple):
     """Rank-2 lattice in Q(sqrt(D)) with the rows (a, 0)/den and
     (b, c)/den: an integer Hermite normal form over one denominator,
@@ -115,29 +103,6 @@ def int_lattice(D, den, vecs) -> RatLattice:
     a, b, c = hnf2(vecs)
     k = gcd(gcd(den, a), gcd(b, c))
     return RatLattice(D, den // k, a // k, b // k, c // k)
-
-
-def lat_mul(L: RatLattice, M: RatLattice) -> RatLattice:
-    gens = [k2_mul(L.D, u, v) for u in L.rows() for v in M.rows()]
-    return int_lattice(L.D, L.den * M.den, gens)
-
-
-def lat_scale(L: RatLattice, el) -> RatLattice:
-    """el * L for a rational pair el (ints or Fractions)."""
-    num, den = _over_common_den(el)
-    return int_lattice(L.D, L.den * den, [k2_mul(L.D, num, v) for v in L.rows()])
-
-
-def lat_norm(L: RatLattice) -> Fraction:
-    """Index-norm against O_D: twice the covolume in (1, sqrt D) coords."""
-    return Fraction(2 * L.a * L.c, L.den * L.den)
-
-
-def lat_contains(L: RatLattice, el) -> bool:
-    """el = k (b, c)/den + j (a, 0)/den with integers k, j."""
-    (x, y), den = _over_common_den(el)
-    k, rem = divmod(y * L.den, den * L.c)
-    return rem == 0 and (x * L.den - k * L.b * den) % (den * L.a) == 0
 
 
 def lat_subset_order(L: RatLattice) -> bool:
@@ -219,11 +184,10 @@ def _alpha_candidates(form):
             raise InvariantError("no generic trace-zero element found for %r" % (tuple(form),))
 
 
-def extract_triple(form, orientation: int = 1, skip: int = 0) -> SelfBalancedTriple:
+def extract_triple(form, orientation: int = 1) -> SelfBalancedTriple:
     """Deterministic triple extraction from an oriented ring with traces in
     3Z: scan primitive trace-zero alpha by increasing coordinate size until
-    both genericity conditions hold (skip > 0 takes later candidates, for
-    the independence-of-alpha property)."""
+    both genericity conditions hold."""
     f = BinaryCubicForm(*form)
     if not is_zmat(f):
         raise ValueError("ring does not have all traces divisible by 3")
@@ -238,9 +202,6 @@ def extract_triple(form, orientation: int = 1, skip: int = 0) -> SelfBalancedTri
         tr2 = ring.trace(ring.mul(alpha, alpha))
         det = _det3(((1, 0, 0), alpha, ring.mul(alpha, alpha)))
         if tr2 == 0 or det == 0:
-            continue
-        if skip > 0:
-            skip -= 1
             continue
         return _triple_from_alpha(ring, D, alpha, tr2, det)
     raise InvariantError("the trace-zero candidates of %r ran out" % (tuple(f),))
@@ -327,27 +288,6 @@ def _solve_in_plane(alpha, vs, vden, w):
     if x * alpha[0] * vden + y * vs[0] != w[0] * det * vden:
         raise InvariantError("no solution on the constant coordinate")
     return (x, y), det
-
-
-def triples_equivalent(t1: SelfBalancedTriple, t2: SelfBalancedTriple):
-    """For triples extracted from the same oriented ring with different
-    generic elements: exhibit lambda with I2 = lambda I1 and
-    gamma1 = lambda^3 gamma2 (the identification sending c1 to c2).
-    Returns lambda or None."""
-    if t1.D != t2.D:
-        return None
-    D = t1.D
-    # lambda = c2^{-1}(c1(1)) = c2^{-1}(alpha1)
-    (x, y), den = _solve_in_plane(t2.alpha, t2.sqrt_num, t2.e, t1.alpha)
-    lam = (Fraction(x, den), Fraction(y, den))
-    if k2_norm(D, lam) == 0:
-        return None
-    if lat_scale(t1.I, lam) != t2.I:
-        return None
-    lam3 = k2_mul(D, k2_mul(D, lam, lam), lam)
-    if k2_mul(D, lam3, t2.gamma) != tuple(t1.gamma):
-        return None
-    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -464,25 +404,6 @@ def lhs_identity_check(D: int) -> dict:
     lhs = Fraction(lhs_count(D))
     rhs = 2 * weight_w(D) * h_value(D)
     return report("lhs", D, lhs, rhs)
-
-
-def chi_term_sum(chi: Mu3Char, m1: int):
-    """Character sum over invertible ideals: sum over c'·f = m1 of
-    sum_{I in O_{D1 c'^2}, invertible, norm f} omega^{chi(I)}, evaluated by
-    extending I to the character's own order.  Returns an integer (the
-    omega and omega^2 counts must agree)."""
-    D1 = chi.D
-    D0, base = fundamental_part(D1)
-    counts = [0, 0, 0]
-    for cp in divisors(m1):
-        f = m1 // cp
-        Dc = D1 * cp * cp
-        for I in ideals_of_norm(Dc, f, invertible_only=True):
-            J = extend_ideal(I, D1)
-            counts[chi(J)] += 1
-    if counts[1] != counts[2]:
-        raise InvariantError("character sum not rational: omega %d times, omega^2 %d times" % (counts[1], counts[2]))
-    return counts[0] - counts[1]
 
 
 def check_fields_pic(D: int) -> dict:

@@ -145,13 +145,11 @@ def _summary_lines(rows):
 
 
 def cmd_verify(args) -> int:
-    if args.p is not None:
-        args.primes = [args.p]
     for p in args.primes:
         quad.require_prime(p)
     reports = [r for name in args.which for r in CHECKS[name](name, args)]
     payload = [
-        counting.report(r["check"], r["delta"], _jsonable(r["lhs"]), _jsonable(r["rhs"]), bool(r["pass"]))
+        counting.report(**{k: _jsonable(v) for k, v in r.items() if k != "pass"}, passed=bool(r["pass"]))
         for r in reports
     ]
     _emit(args.out, json.dumps(payload, indent=0) + "\n")
@@ -211,7 +209,6 @@ def build_parser():
     v.add_argument("which", nargs="+", choices=CHECKS, help="checks to run")
     v.add_argument("--primes", type=int, nargs="*", default=[2, 3])
     v.add_argument("--D", type=int, nargs="*", default=None, help="the deltas of every per-delta check")
-    v.add_argument("--p", type=int, default=None, help="single recursion prime")
     v.add_argument("--no-hhat", dest="hhat", action="store_false", help="skip the hhat recursion variant")
     v.add_argument("--summary", action="store_true", help="print a readable summary table to stderr")
     v.set_defaults(func=cmd_verify, hhat=True)

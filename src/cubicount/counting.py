@@ -225,10 +225,6 @@ class Orbit(NamedTuple):
     stabilizer_order: int
     proper_stabilizer_order: int
 
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(1, self.stabilizer_order)
-
     def __repr__(self):
         return "Orbit(%s, stab=%d)" % (self.form, self.stabilizer_order)
 

@@ -49,13 +49,6 @@ class BinaryCubicForm(NamedTuple):
     def __str__(self) -> str:
         return "%d,%d,%d,%d" % self
 
-    @classmethod
-    def parse(cls, text: str) -> "BinaryCubicForm":
-        parts = [int(t.strip()) for t in text.split(",")]
-        if len(parts) != 4:
-            raise ValueError("expected 'a,b,c,d', got %r" % text)
-        return cls(*parts)
-
 
 class UnimodularMatrix(NamedTuple):
     p: int
@@ -186,13 +179,6 @@ def is_reduced_neg(form) -> bool:
     if evaluate(f, -a - b, a) > 0:
         return False
     return _v_at_least_one(f)
-
-
-def is_reduced(form) -> bool:
-    D = disc(form)
-    if D == 0:
-        raise ValueError("degenerate form")
-    return is_reduced_pos(form) if D > 0 else is_reduced_neg(form)
 
 
 class InvariantError(RuntimeError):
@@ -482,24 +468,6 @@ def canonicalize(form) -> BinaryCubicForm:
     return max(reduced_orbit(f).forms)
 
 
-def stabilizer_matrices(form) -> list:
-    """The full stabilizer of `form` in GL2(Z) (conjugated computation via
-    the reduced representative)."""
-    f, g = reduce_form(form)
-    ginv = _mat_inverse(g)
-    out = []
-    for m, image in reduced_orbit(f).matrices.items():
-        if image == f:
-            out.append(mat_mul(ginv, mat_mul(m, g)))
-    return out
-
-
-def _mat_inverse(g) -> UnimodularMatrix:
-    p, q, r, s = g
-    det = p * s - q * r
-    return UnimodularMatrix(s // det, -q // det, -r // det, p // det)
-
-
 def stabilizer_order(form) -> int:
     """|Aut C| of the associated cubic ring; always in {1, 2, 3, 6}."""
     f, _ = reduce_form(form)
@@ -507,18 +475,3 @@ def stabilizer_order(form) -> int:
     if n not in (1, 2, 3, 6):
         raise InvariantError("stabilizer of %r has order %d" % (tuple(form), n))
     return n
-
-
-def random_unimodular(rng, steps: int = 8) -> UnimodularMatrix:
-    """Small random word in the standard generators; for tests."""
-    gens = (
-        UnimodularMatrix(1, 0, 1, 1),
-        UnimodularMatrix(1, 0, -1, 1),
-        UnimodularMatrix(1, 1, 0, 1),
-        UnimodularMatrix(0, 1, 1, 0),
-        MAT_NEG,
-    )
-    g = MAT_ID
-    for _ in range(steps):
-        g = mat_mul(rng.choice(gens), g)
-    return g

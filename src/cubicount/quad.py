@@ -32,7 +32,7 @@ representatives that the extension maps carry to other orders).
 Generators come from closing cyclic subgroups one class at a time, with
 one ideal product per class, and a Smith normal form of their relations
 gives the invariant factors and an exponent vector for every class
-(§2.4).  Products, inverses, 3-torsion, cubes, the characters with
+(§2.4).  Products, 3-torsion, cubes, the characters with
 values in Z/3 and the extension maps between orders of the same
 fundamental discriminant are read off those vectors; a character is
 primitive on the least order over whose extension map it factors, and
@@ -256,12 +256,6 @@ class QuadIdeal(NamedTuple):
     def __str__(self):
         return "%d,%d,%d@%d" % (self.g, self.a, self.b, self.D)
 
-    @classmethod
-    def parse(cls, text: str) -> "QuadIdeal":
-        left, D = text.split("@")
-        g, a, b = (int(t) for t in left.split(","))
-        return make_ideal(int(D), g, a, b)
-
     def generators(self):
         return [(self.g * self.a, 0), (self.g * self.b, self.g)]
 
@@ -310,10 +304,6 @@ def ideal_from_generators(D: int, gens) -> QuadIdeal:
         raise InvariantError("lattice is not an O-ideal (g does not divide a)")
     a = ax // g
     return make_ideal(D, g, a, (bx // g) % a)
-
-
-def unit_ideal(D: int) -> QuadIdeal:
-    return make_ideal(D, 1, 1, 0)
 
 
 def is_invertible(I: QuadIdeal) -> bool:
@@ -412,7 +402,8 @@ def _unit_upper_bound(D: int):
 def elements_of_norm(D: int, n: int):
     """All (x, y) in O_D with |N| = n, modulo units: complete set such that
     every solution is a unit times a listed one.  n >= 1.  Cached:
-    `is_principal` asks for the same (D, n) for every ideal of norm n."""
+    `is_principal` asks for the same (D, n) for every ideal of norm n.
+    BudgetExceeded when the scan over y would pass disc_budget() values."""
     o = order(D)
     out = []
     if D < 0:
@@ -435,8 +426,11 @@ def elements_of_norm(D: int, n: int):
                 out.append((x2 // 2, y))
     else:
         eps = _unit_upper_bound(D)
-        # window: |lambda| <= sqrt(n * eps); y = (l - lbar)/sqrt(D)
+        # window: |lambda| <= sqrt(n * eps); y = (l - lbar)/sqrt(D).  It
+        # grows like the square root of the unit, past 10^10 values at
+        # D = 1201, so the budget caps it
         ybound = isqrt(4 * n * eps // D) + 2
+        check_budget(2 * ybound + 1)
         for y in range(-ybound, ybound + 1):
             out += _solve_x(o, y, n)
     return tuple(sorted(set(out)))
@@ -651,9 +645,6 @@ class PicGroup:
     def mul(self, i: int, j: int) -> int:
         return self._class_at([x + y for x, y in zip(self.vectors[i], self.vectors[j])])
 
-    def inverse(self, i: int) -> int:
-        return self._class_at([-x for x in self.vectors[i]])
-
     def class_of(self, I: QuadIdeal) -> int:
         if I.D != self.D:
             raise ValueError("ideal of a different order")
@@ -852,11 +843,6 @@ def pic_3_torsion(D: int) -> int:
     return t
 
 
-def is_cube_class(I: QuadIdeal) -> bool:
-    G = picard_group(I.D)
-    return G.is_cube(G.class_of(I))
-
-
 class Mu3Char(NamedTuple):
     """Homomorphism Pic(O_D) -> Z/3, stored as the value on every class."""
 
@@ -867,10 +853,6 @@ class Mu3Char(NamedTuple):
         if isinstance(arg, QuadIdeal):
             return self.values[picard_group(self.D).class_of(arg)]
         return self.values[arg]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self.values)
 
 
 def mu3_characters(D: int):
@@ -887,14 +869,6 @@ def mu3_characters(D: int):
                 for t in range(3)
             ]
     return sorted(Mu3Char(D, vals) for vals in values)
-
-
-def order_change_map(D0: int, from_f: int, to_f: int):
-    """Class map Pic(O_{D0 from_f^2}) -> Pic(O_{D0 to_f^2}) induced by
-    extending ideals, as a list over class indices; requires to_f | from_f."""
-    if from_f % to_f:
-        raise ValueError("target conductor must divide the source conductor")
-    return list(_extension_map(picard_group(D0 * from_f * from_f), picard_group(D0 * to_f * to_f)))
 
 
 @lru_cache(maxsize=None)

@@ -14,13 +14,13 @@ Also here: the maximal subring with all traces divisible by 3; local
 maximality of a form at a prime p and its splitting type there, both in
 closed form (when p does not divide the discriminant the roots mod p are
 simple and their number gives the type; otherwise the one multiple root,
-where both partial derivatives vanish mod p, decides maximality); and two
-brute-force oracles, the index-p superrings and an exhaustive enumeration
-of finite-index subrings (which backs the counting recursions
+where both partial derivatives vanish mod p, decides maximality); and the
+enumeration of finite-index subrings (which backs the counting recursions
 `counting.s_sequence`, and so reads no splitting type).  The enumeration
 covers every triangular sublattice basis Z*1 + Z*(e*alpha + f*beta) +
 Z*(g*beta) with e*g = n and 0 <= f < g, but tries only the f that are
-roots of F(e, x) mod g, as closure forces n | F(e, f).
+roots of F(e, x) mod g, as closure forces n | F(e, f), found by lifting
+the roots one prime of g at a time.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from functools import cached_property
 
 from .forms import BinaryCubicForm, BudgetExceeded, InvariantError, disc, evaluate, is_zmat
 from .quad import divisors, factorize, hnf2, require_prime
-
-SPLITTING_TYPES = ("111", "12", "3", "1^2 1", "1^3")
-
 
 class CubicRing:
     """Multiplication table attached to a binary cubic form."""
@@ -89,20 +86,6 @@ class CubicRing:
         a, b, c, d = self.form
         return 3 * x[0] - b * x[1] + c * x[2]
 
-    def trace_pairing_disc(self) -> int:
-        basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        m = [[self.trace(self.mul(u, v)) for v in basis] for u in basis]
-        return _det3(m)
-
-    def is_associative(self) -> bool:
-        basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        for u in basis:
-            for v in basis:
-                for w in basis:
-                    if self.mul(self.mul(u, v), w) != self.mul(u, self.mul(v, w)):
-                        return False
-        return True
-
 
 def _det3(m) -> int:
     return (
@@ -130,20 +113,6 @@ def index_in(parent_basis, sub_basis) -> int:
     if not det_p or det_s % det_p:
         raise InvariantError("index of a lattice of determinant %d in one of determinant %d" % (det_s, det_p))
     return abs(det_s // det_p)
-
-
-def sublattice_members(tri, vec) -> bool:
-    """Membership of vec in the lattice whose rows tri are in row-echelon
-    form (pivot of row i in column i, zeros to the left)."""
-    v = list(vec)
-    n = len(v)
-    for i in range(n):
-        if v[i] % tri[i][i]:
-            return False
-        q = v[i] // tri[i][i]
-        for k in range(n):
-            v[k] -= q * tri[i][k]
-    return not any(v)
 
 
 # the largest index subrings_of_index enumerates (it tries sigma(n) lattices)
@@ -342,70 +311,6 @@ def is_maximal(form) -> bool:
     if D == 0:
         raise ValueError("degenerate form")
     return all(_local_type(form, p) is not None for p, e in factorize(D).items() if e > 1)
-
-
-def superrings_of_index_p(ring: CubicRing, p: int):
-    """Index-p overrings inside C (x) Q: lattices (C + Z*(v/p)) containing
-    1, closed under multiplication, with integral multiplication table.
-    The brute-force converse oracle to is_maximal_at_p only when p does not
-    divide the form: p times a form inert at p, such as (2, 0, 2, 2) at 2,
-    has an overring of index p^2 but none of index p."""
-    out = []
-    seen = set()
-    for x0 in range(p):
-        for x1 in range(p):
-            for x2 in range(p):
-                if (x0, x1, x2) == (0, 0, 0):
-                    continue
-                key = _proj_normalize((x0, x1, x2), p)
-                if key in seen:
-                    continue
-                seen.add(key)
-                v = key
-                # lattice basis over Q: 1, alpha, beta, v/p
-                if _superlattice_is_ring(ring, v, p):
-                    out.append(v)
-    return out
-
-
-def _proj_normalize(v, p):
-    for i in range(3):
-        if v[i] % p:
-            inv = pow(v[i], -1, p)
-            return tuple((x * inv) % p for x in v)
-    raise InvariantError("zero vector has no projective point mod %d" % p)
-
-
-def _superlattice_is_ring(ring, v, p):
-    # L = Z^3 + Z * (v/p); closed under multiplication iff v*v/p^2 and
-    # v*e_i/p lie in L, i.e. numerators vanish appropriately mod p.
-    vv = ring.mul(v, v)
-    # v/p * v/p = vv/p^2 must lie in L: vv ≡ k*v mod p for some k, and then
-    # (vv - k v)/p^2... handled by checking vv ≡ k v (mod p) and
-    # (vv - k v)/p in L i.e. ≡ k' v mod p.
-    for e in ((0, 1, 0), (0, 0, 1)):
-        ve = ring.mul(v, e)
-        if not _in_mod_line(ve, v, p):
-            return False
-    if not _in_mod_line_sq(ring, vv, v, p):
-        return False
-    return True
-
-
-def _in_mod_line(w, v, p):
-    # w ≡ t*v (mod p) for some t
-    for t in range(p):
-        if all((w[i] - t * v[i]) % p == 0 for i in range(3)):
-            return True
-    return False
-
-
-def _in_mod_line_sq(ring, w, v, p):
-    # w/p^2 in Z^3 + Z*(v/p)  <=>  w = 0 mod p and w/p = k*v mod p
-    if any(x % p for x in w):
-        return False
-    w2 = tuple(x // p for x in w)
-    return _in_mod_line(w2, v, p)
 
 
 def splitting_type(form, p: int) -> str:

@@ -1,0 +1,295 @@
+"""Reference code the tests check the library against: brute-force oracles
+(stabilizer matrices, superrings of index p, generic lattice products,
+character sums over ideals) and small helpers that only tests call.  The
+library holds only what the program runs; test_source enforces that.
+
+Not collected by pytest (no test_ prefix); test files import it as
+`reference`, which works because pytest puts tests/ on sys.path.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+from cubicount.bridge import RatLattice, SelfBalancedTriple, _solve_in_plane, int_lattice, k2_mul
+from cubicount.forms import (
+    MAT_ID,
+    MAT_NEG,
+    BinaryCubicForm,
+    InvariantError,
+    UnimodularMatrix,
+    disc,
+    is_reduced_neg,
+    is_reduced_pos,
+    mat_mul,
+    reduce_form,
+    reduced_orbit,
+)
+from cubicount.quad import (
+    Mu3Char,
+    PicGroup,
+    QuadIdeal,
+    _extension_map,
+    divisors,
+    extend_ideal,
+    fundamental_part,
+    ideals_of_norm,
+    make_ideal,
+    picard_group,
+)
+from cubicount.rings import CubicRing, _det3
+
+
+# ---------------------------------------------------------------------------
+# forms
+
+def parse_form(text: str) -> BinaryCubicForm:
+    """The form printed by str(BinaryCubicForm) as 'a,b,c,d'."""
+    parts = [int(t.strip()) for t in text.split(",")]
+    if len(parts) != 4:
+        raise ValueError("expected 'a,b,c,d', got %r" % text)
+    return BinaryCubicForm(*parts)
+
+
+def is_reduced(form) -> bool:
+    D = disc(form)
+    if D == 0:
+        raise ValueError("degenerate form")
+    return is_reduced_pos(form) if D > 0 else is_reduced_neg(form)
+
+
+def stabilizer_matrices(form) -> list:
+    """The full stabilizer of `form` in GL2(Z) (conjugated computation via
+    the reduced representative)."""
+    f, g = reduce_form(form)
+    ginv = _mat_inverse(g)
+    out = []
+    for m, image in reduced_orbit(f).matrices.items():
+        if image == f:
+            out.append(mat_mul(ginv, mat_mul(m, g)))
+    return out
+
+
+def _mat_inverse(g) -> UnimodularMatrix:
+    p, q, r, s = g
+    det = p * s - q * r
+    return UnimodularMatrix(s // det, -q // det, -r // det, p // det)
+
+
+def random_unimodular(rng, steps: int = 8) -> UnimodularMatrix:
+    """Small random word in the standard generators."""
+    gens = (
+        UnimodularMatrix(1, 0, 1, 1),
+        UnimodularMatrix(1, 0, -1, 1),
+        UnimodularMatrix(1, 1, 0, 1),
+        UnimodularMatrix(0, 1, 1, 0),
+        MAT_NEG,
+    )
+    g = MAT_ID
+    for _ in range(steps):
+        g = mat_mul(rng.choice(gens), g)
+    return g
+
+
+# ---------------------------------------------------------------------------
+# rings
+
+_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def trace_pairing_disc(ring: CubicRing) -> int:
+    m = [[ring.trace(ring.mul(u, v)) for v in _BASIS] for u in _BASIS]
+    return _det3(m)
+
+
+def is_associative(ring: CubicRing) -> bool:
+    for u in _BASIS:
+        for v in _BASIS:
+            for w in _BASIS:
+                if ring.mul(ring.mul(u, v), w) != ring.mul(u, ring.mul(v, w)):
+                    return False
+    return True
+
+
+def sublattice_members(tri, vec) -> bool:
+    """Membership of vec in the lattice whose rows tri are in row-echelon
+    form (pivot of row i in column i, zeros to the left)."""
+    v = list(vec)
+    n = len(v)
+    for i in range(n):
+        if v[i] % tri[i][i]:
+            return False
+        q = v[i] // tri[i][i]
+        for k in range(n):
+            v[k] -= q * tri[i][k]
+    return not any(v)
+
+
+def superrings_of_index_p(ring: CubicRing, p: int):
+    """Index-p overrings inside C (x) Q: lattices (C + Z*(v/p)) containing
+    1, closed under multiplication, with integral multiplication table.
+    The brute-force converse oracle to is_maximal_at_p only when p does not
+    divide the form: p times a form inert at p, such as (2, 0, 2, 2) at 2,
+    has an overring of index p^2 but none of index p."""
+    out = []
+    seen = set()
+    for x0 in range(p):
+        for x1 in range(p):
+            for x2 in range(p):
+                if (x0, x1, x2) == (0, 0, 0):
+                    continue
+                key = _proj_normalize((x0, x1, x2), p)
+                if key in seen:
+                    continue
+                seen.add(key)
+                v = key
+                # lattice basis over Q: 1, alpha, beta, v/p
+                if _superlattice_is_ring(ring, v, p):
+                    out.append(v)
+    return out
+
+
+def _proj_normalize(v, p):
+    for i in range(3):
+        if v[i] % p:
+            inv = pow(v[i], -1, p)
+            return tuple((x * inv) % p for x in v)
+    raise InvariantError("zero vector has no projective point mod %d" % p)
+
+
+def _superlattice_is_ring(ring, v, p):
+    # L = Z^3 + Z * (v/p); closed under multiplication iff v*v/p^2 and
+    # v*e_i/p lie in L, i.e. numerators vanish appropriately mod p.
+    vv = ring.mul(v, v)
+    # v/p * v/p = vv/p^2 must lie in L: vv ≡ k*v mod p for some k, and then
+    # (vv - k v)/p^2... handled by checking vv ≡ k v (mod p) and
+    # (vv - k v)/p in L i.e. ≡ k' v mod p.
+    for e in ((0, 1, 0), (0, 0, 1)):
+        ve = ring.mul(v, e)
+        if not _in_mod_line(ve, v, p):
+            return False
+    if not _in_mod_line_sq(ring, vv, v, p):
+        return False
+    return True
+
+
+def _in_mod_line(w, v, p):
+    # w ≡ t*v (mod p) for some t
+    for t in range(p):
+        if all((w[i] - t * v[i]) % p == 0 for i in range(3)):
+            return True
+    return False
+
+
+def _in_mod_line_sq(ring, w, v, p):
+    # w/p^2 in Z^3 + Z*(v/p)  <=>  w = 0 mod p and w/p = k*v mod p
+    if any(x % p for x in w):
+        return False
+    w2 = tuple(x // p for x in w)
+    return _in_mod_line(w2, v, p)
+
+
+# ---------------------------------------------------------------------------
+# quadratic orders
+
+def parse_ideal(text: str) -> QuadIdeal:
+    """The ideal printed by str(QuadIdeal) as 'g,a,b@D'."""
+    left, D = text.split("@")
+    g, a, b = (int(t) for t in left.split(","))
+    return make_ideal(int(D), g, a, b)
+
+
+def class_inverse(G: PicGroup, i: int) -> int:
+    """The class inverse to class i, from its exponent vector."""
+    return G._class_at([-x for x in G.vectors[i]])
+
+
+def is_cube_class(I: QuadIdeal) -> bool:
+    G = picard_group(I.D)
+    return G.is_cube(G.class_of(I))
+
+
+def order_change_map(D0: int, from_f: int, to_f: int):
+    """Class map Pic(O_{D0 from_f^2}) -> Pic(O_{D0 to_f^2}) induced by
+    extending ideals, as a list over class indices; requires to_f | from_f."""
+    if from_f % to_f:
+        raise ValueError("target conductor must divide the source conductor")
+    return list(_extension_map(picard_group(D0 * from_f * from_f), picard_group(D0 * to_f * to_f)))
+
+
+# ---------------------------------------------------------------------------
+# lattices in Q(sqrt D) and triples
+
+def k2_norm(D, u):
+    return u[0] * u[0] - u[1] * u[1] * D
+
+
+def _over_common_den(vec):
+    """(numerators, den): a rational vector (ints or Fractions) as integer
+    numerators over the least common denominator."""
+    den = lcm(*(v.denominator for v in vec))
+    return tuple(v.numerator * (den // v.denominator) for v in vec), den
+
+
+def lat_mul(L: RatLattice, M: RatLattice) -> RatLattice:
+    gens = [k2_mul(L.D, u, v) for u in L.rows() for v in M.rows()]
+    return int_lattice(L.D, L.den * M.den, gens)
+
+
+def lat_scale(L: RatLattice, el) -> RatLattice:
+    """el * L for a rational pair el (ints or Fractions)."""
+    num, den = _over_common_den(el)
+    return int_lattice(L.D, L.den * den, [k2_mul(L.D, num, v) for v in L.rows()])
+
+
+def lat_norm(L: RatLattice) -> Fraction:
+    """Index-norm against O_D: twice the covolume in (1, sqrt D) coords."""
+    return Fraction(2 * L.a * L.c, L.den * L.den)
+
+
+def lat_contains(L: RatLattice, el) -> bool:
+    """el = k (b, c)/den + j (a, 0)/den with integers k, j."""
+    (x, y), den = _over_common_den(el)
+    k, rem = divmod(y * L.den, den * L.c)
+    return rem == 0 and (x * L.den - k * L.b * den) % (den * L.a) == 0
+
+
+def triples_equivalent(t1: SelfBalancedTriple, t2: SelfBalancedTriple):
+    """For triples extracted from the same oriented ring with different
+    generic elements: exhibit lambda with I2 = lambda I1 and
+    gamma1 = lambda^3 gamma2 (the identification sending c1 to c2).
+    Returns lambda or None."""
+    if t1.D != t2.D:
+        return None
+    D = t1.D
+    # lambda = c2^{-1}(c1(1)) = c2^{-1}(alpha1)
+    (x, y), den = _solve_in_plane(t2.alpha, t2.sqrt_num, t2.e, t1.alpha)
+    lam = (Fraction(x, den), Fraction(y, den))
+    if k2_norm(D, lam) == 0:
+        return None
+    if lat_scale(t1.I, lam) != t2.I:
+        return None
+    lam3 = k2_mul(D, k2_mul(D, lam, lam), lam)
+    if k2_mul(D, lam3, t2.gamma) != tuple(t1.gamma):
+        return None
+    return lam
+
+
+def chi_term_sum(chi: Mu3Char, m1: int):
+    """Character sum over invertible ideals: sum over c'·f = m1 of
+    sum_{I in O_{D1 c'^2}, invertible, norm f} omega^{chi(I)}, evaluated by
+    extending I to the character's own order.  Returns an integer (the
+    omega and omega^2 counts must agree)."""
+    D1 = chi.D
+    D0, base = fundamental_part(D1)
+    counts = [0, 0, 0]
+    for cp in divisors(m1):
+        f = m1 // cp
+        Dc = D1 * cp * cp
+        for I in ideals_of_norm(Dc, f, invertible_only=True):
+            J = extend_ideal(I, D1)
+            counts[chi(J)] += 1
+    if counts[1] != counts[2]:
+        raise InvariantError("character sum not rational: omega %d times, omega^2 %d times" % (counts[1], counts[2]))
+    return counts[0] - counts[1]

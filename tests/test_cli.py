@@ -86,6 +86,16 @@ def test_verify_recursion_flags():
     assert {r["check"] for r in reports} == {"recursion-h", "recursion-hhat"}
 
 
+def test_verify_recursion_rows_name_their_prime():
+    # the extra keys of a report reach the JSON: without p the rows of two
+    # primes differ only in position
+    code, out, _ = run_cli(["verify", "recursion", "--D", "1", "--primes", "2", "3"])
+    assert code == 0
+    reports = json.loads(out)
+    assert [r["p"] for r in reports] == [2, 2, 3, 3]
+    assert list(reports[0]) == ["check", "delta", "p", "lhs", "rhs", "pass"]
+
+
 @pytest.mark.parametrize("argv", [
     ["table", "--max", "1", "--shards", "2"],
     ["verify", "on", "--format", "json"],

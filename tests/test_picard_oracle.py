@@ -7,6 +7,7 @@ representative, and the full h x h table comes from multiplying
 representatives."""
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
@@ -15,14 +16,19 @@ from cubicount import quad
 from cubicount.quad import (
     divisors,
     extend_ideal,
+    factorize,
     fundamental_part,
+    fundamental_unit,
     ideal_form_coefficients,
     ideals_of_norm,
     in_discs,
+    is_square,
+    kronecker,
     mu3_characters,
-    order_change_map,
+    order,
     picard_group,
 )
+from reference import class_inverse, order_change_map
 
 
 def canonical_key(I):
@@ -141,7 +147,7 @@ def test_picard_group_matches_oracle_table():
         assert G.three_torsion() == sum(1 for i in range(n) if O.power(i, 3) == 0), D
         for i in range(n):
             row = O.table[i]
-            assert G.inverse(i) == row.index(0), (D, i)
+            assert class_inverse(G, i) == row.index(0), (D, i)
             assert G.is_cube(i) == (i in cubes), (D, i)
             for j in range(n):
                 assert G.mul(i, j) == row[j], (D, i, j)
@@ -230,3 +236,60 @@ def test_primitive_char_is_the_least_factorization():
                 for x, j in zip(chi.values, order_change_map(D0, f, c2)):
                     fibres.setdefault(j, set()).add(x)
                 assert any(len(v) > 1 for v in fibres.values()), (D, chi, c2)
+
+
+# ---------------------------------------------------------------------------
+# the class number formula, which needs no ideal arithmetic
+
+
+def _roots_of_unity(D):
+    return {-3: 6, -4: 4}.get(D, 2)
+
+
+@lru_cache(maxsize=None)
+def _dirichlet_h(D0):
+    """h(D0) for a fundamental D0 < 0: -(w / 2|D0|) sum_{n < |D0|} (D0|n) n."""
+    h = Fraction(-_roots_of_unity(D0) * sum(kronecker(D0, n) * n for n in range(1, -D0)), -2 * D0)
+    assert h.denominator == 1 and h > 0, D0
+    return int(h)
+
+
+def _unit_index(D0, f):
+    """[O_K^x : O^x] for the order of conductor f in the field of
+    discriminant D0: w(D0)/2 for D0 < 0 and f > 1; for D0 > 0 the k with
+    eps_{D0}^k = eps_D, both fundamental units > 1."""
+    D = D0 * f * f
+    if D0 < 0:
+        return _roots_of_unity(D0) // _roots_of_unity(D)
+    # x + y xi_D with xi_D = (r_D - f r_0)/2 + f xi_0, in the basis of O_{D0}
+    x, y = fundamental_unit(D)
+    target = (x + y * ((D % 2 - f * (D0 % 2)) // 2), y * f)
+    o0, eps0 = order(D0), fundamental_unit(D0)
+    power, k = eps0, 1
+    while power != target:
+        assert k < f * f, (D0, f)
+        power, k = o0.mul(power, eps0), k + 1
+    return k
+
+
+def test_class_numbers_match_the_class_number_formula():
+    # h(D0 f^2) = h(D0) f prod_{p | f} (1 - (D0|p)/p) / [O_K^x : O^x] (Cox,
+    # Thm 7.24; Neukirch, Thm I.12.12), with h(D0) from Dirichlet's formula
+    # for D0 < 0 and from the group itself for D0 > 0
+    real_orders = 0
+    for D in range(-3000, 3001):
+        if not in_discs(D) or is_square(D):
+            continue
+        D0, f = fundamental_part(D)
+        if D0 > 0:
+            if f == 1:
+                continue
+            h0 = len(picard_group(D0))
+            real_orders += 1
+        else:
+            h0 = _dirichlet_h(D0)
+        want = Fraction(h0 * f, _unit_index(D0, f))
+        for p in factorize(f):
+            want *= 1 - Fraction(kronecker(D0, p), p)
+        assert len(picard_group(D)) == want, (D, want)
+    assert real_orders == 537

@@ -25,7 +25,6 @@ from cubicount.quad import (
     ideal_from_generators,
     ideals_of_norm,
     in_discs,
-    is_cube_class,
     is_fundamental,
     is_invertible,
     is_principal,
@@ -34,15 +33,14 @@ from cubicount.quad import (
     make_ideal,
     mu3_characters,
     order,
-    order_change_map,
     pic_3_torsion,
     picard_dump,
     picard_group,
     primitive_char,
     unit_cube_classes,
-    unit_ideal,
     xgcd,
 )
+from reference import class_inverse, is_cube_class, order_change_map, parse_ideal
 
 discs = st.integers(min_value=-120, max_value=120).filter(lambda D: D != 0 and D % 4 in (0, 1))
 
@@ -96,7 +94,7 @@ def test_kronecker_symbol():
 
 
 def test_ideals_of_norm_unit():
-    assert ideals_of_norm(-23, 1) == [unit_ideal(-23)]
+    assert ideals_of_norm(-23, 1) == [make_ideal(-23, 1, 1, 0)]
 
 
 def test_ideals_of_norm_examples():
@@ -109,7 +107,7 @@ def test_ideals_of_norm_examples():
 
 def test_ideal_normal_form_roundtrip():
     I = make_ideal(-23, 2, 2, 0)
-    assert QuadIdeal.parse(str(I)) == I
+    assert parse_ideal(str(I)) == I
 
 
 def test_invertibility_matches_form_gcd():
@@ -293,7 +291,7 @@ def test_unit_cube_classes():
 
 
 def test_is_principal_unit_ideal():
-    flag, wit = is_principal(unit_ideal(-23))
+    flag, wit = is_principal(make_ideal(-23, 1, 1, 0))
     assert flag and wit in ((1, 0), (-1, 0))
 
 
@@ -328,6 +326,13 @@ def test_principal_in_real_order():
     assert flag
 
 
+def test_element_scan_is_capped_by_the_budget():
+    # the fundamental unit of disc 1201 is about 5 * 10^23, so the y window
+    # of the real element scan holds about 8 * 10^10 values
+    with pytest.raises(BudgetExceeded):
+        quad.elements_of_norm(1201, 1)
+
+
 # ---------------------------------------------------------------------------
 # Picard groups
 
@@ -354,7 +359,7 @@ def test_picard_group_axioms():
         n = len(G)
         for i in range(n):
             assert G.mul(0, i) == i
-            assert G.mul(G.inverse(i), i) == 0
+            assert G.mul(class_inverse(G, i), i) == 0
             for j in range(n):
                 assert G.mul(i, j) == G.mul(j, i)
                 for k in range(n):
@@ -365,7 +370,7 @@ def test_picard_conjugate_is_inverse():
     for D in (-23, -47, -31):
         G = picard_group(D)
         for i, R in enumerate(G.reps):
-            assert G.class_of(R.conj()) == G.inverse(i)
+            assert G.class_of(R.conj()) == class_inverse(G, i)
 
 
 # real discriminants whose fundamental unit is 2^14 .. 2^22, some with
@@ -463,9 +468,9 @@ def test_quad_failure_sites_raise_invariant_error_under_optimize():
         "        print(name)\n"
         "fp = quad.fundamental_part\n"
         "quad.fundamental_part = lambda D: (-23, 1)\n"
-        "check('extend', lambda: quad.extend_ideal(quad.unit_ideal(-92), -23))\n"
+        "check('extend', lambda: quad.extend_ideal(quad.make_ideal(-92, 1, 1, 0), -23))\n"
         "quad.fundamental_part = fp\n"
-        "chi = [c for c in quad.mu3_characters(-23) if not c.is_trivial][0]\n"
+        "chi = [c for c in quad.mu3_characters(-23) if any(c.values)][0]\n"
         "quad._extension_map = lambda Gf, Gt: (0, 0, 0)\n"
         "check('conductor', lambda: quad.conductor_of_char(chi))\n"
         "quad.is_fundamental = lambda D: False\n"
@@ -483,15 +488,15 @@ def test_cached_picard_group_is_read_only():
     G = picard_group(-23)
     before = (G.reps, G.table, G.coprime_reps, dict(G.index))
     with pytest.raises(TypeError):
-        G.reps[0] = unit_ideal(-23)
+        G.reps[0] = make_ideal(-23, 1, 1, 0)
     with pytest.raises(TypeError):
         G.table[1][1] = 0
     with pytest.raises(TypeError):
-        G.coprime_reps[0] = unit_ideal(-23)
+        G.coprime_reps[0] = make_ideal(-23, 1, 1, 0)
     with pytest.raises(TypeError):
         G.index["key"] = 0
     with pytest.raises(AttributeError):
-        G.reps.append(unit_ideal(-23))
+        G.reps.append(make_ideal(-23, 1, 1, 0))
     H = picard_group(-23)
     assert (H.reps, H.table, H.coprime_reps, dict(H.index)) == before
 
@@ -520,7 +525,7 @@ def test_cube_class():
     G = picard_group(-23)
     I = ideals_of_norm(-23, 2, invertible_only=True)[0]
     assert not is_cube_class(I)
-    assert is_cube_class(unit_ideal(-23))
+    assert is_cube_class(make_ideal(-23, 1, 1, 0))
     # group of order 5: everything is a cube
     for I in ideals_of_norm(-47, 2, invertible_only=True):
         assert is_cube_class(I)
@@ -533,7 +538,7 @@ def test_cube_class():
 def test_character_counts():
     assert len(mu3_characters(-23)) == 3
     assert len(mu3_characters(-4)) == 1
-    nontrivial = [c for c in mu3_characters(-23) if not c.is_trivial]
+    nontrivial = [c for c in mu3_characters(-23) if any(c.values)]
     assert len(nontrivial) == 2
     # the two nontrivial ones are inverses of each other
     a, b = nontrivial
@@ -595,7 +600,7 @@ def test_conductor_of_char_trivial():
     for chi in mu3_characters(-23):
         assert conductor_of_char(chi) == 1  # m = 1 here
     trivial = mu3_characters(-4 * 49)[0]
-    assert trivial.is_trivial and conductor_of_char(trivial) == 1
+    assert not any(trivial.values) and conductor_of_char(trivial) == 1
 
 
 def test_conductor_nontrivial_on_kernel():
@@ -604,7 +609,7 @@ def test_conductor_nontrivial_on_kernel():
     D = -4 * 49
     chars = mu3_characters(D)
     for chi in chars:
-        if not chi.is_trivial:
+        if any(chi.values):
             assert conductor_of_char(chi) == 7
             chi7 = primitive_char(chi)
             assert chi7.D == D and chi7.values == chi.values

@@ -3,14 +3,16 @@ forms.InvariantError (CLI exit 3), which survives python -O, never an
 assert (gone under -O) or a bare RuntimeError or AssertionError (exit 1 with
 a traceback, which reads as a failed identity).  One enumeration budget:
 forms.disc_budget is its only source, so no function takes a budget
-parameter that some caller could forget to pass on."""
+parameter that some caller could forget to pass on.  One library surface:
+every name defined in src is reached from what the program runs."""
 
 import argparse
 import ast
 import glob
 import os
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "cubicount")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src", "cubicount")
 
 
 def test_no_assert_or_bare_runtime_error_in_src():
@@ -196,3 +198,69 @@ def test_every_flag_is_read():
         read = reads(parser.get_default("func").__name__) | reads("main")
         bad += ["%s --%s" % (command, dest) for dest in sorted(dests - read)]
     assert len(sub.choices) == 4 and not bad, bad
+
+
+def _refs(node):
+    """Every identifier node mentions: names, attributes, and the dotted
+    parts of string constants that are identifiers."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            parts = sub.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                yield from parts
+
+
+def test_every_library_name_is_reached():
+    # every top-level function, class, constant and method in src is
+    # reached, by name, from what the program runs: cli.main, the package
+    # exports, the demos and the benchmark (whose tracer names its spans
+    # in strings); a helper only a test calls lives in the tests
+    defs = {}  # name -> [(label, node)]; a name reaches every def of it
+    implicit = {}  # class name -> the dunder methods Python calls itself
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        if module == "__init__":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for top, node in _top_level(tree).items():
+            defs.setdefault(top, []).append(("%s.%s" % (module, top), node))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            defs.setdefault(cls.name, []).append(("%s.%s" % (module, cls.name), cls))
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if fn.name.startswith("__") and fn.name.endswith("__"):
+                        implicit.setdefault(cls.name, []).append(fn)
+                    else:
+                        defs.setdefault(fn.name, []).append(("%s.%s.%s" % (module, cls.name, fn.name), fn))
+
+    with open(os.path.join(SRC, "__init__.py")) as fh:
+        init = ast.parse(fh.read())
+    todo = ["main"] + [a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    for pattern in ("demos/*.py", "perfbench/*.py"):
+        for path in sorted(glob.glob(os.path.join(ROOT, pattern))):
+            with open(path) as fh:
+                todo.extend(_refs(ast.parse(fh.read(), path)))
+
+    seen = set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for label, node in defs.get(name, ()):
+            if isinstance(node, ast.ClassDef):
+                # bases, decorators, fields and dunders, not the methods
+                body = [n for n in node.body if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                for part in node.bases + node.keywords + node.decorator_list + body + implicit.get(name, []):
+                    todo.extend(_refs(part))
+            else:
+                todo.extend(_refs(node))
+    unreached = sorted(label for name, nodes in defs.items() if name not in seen for label, _ in nodes)
+    assert not unreached, "unreached: " + " ".join(unreached)
