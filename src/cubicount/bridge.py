@@ -337,14 +337,13 @@ def _cube_ideal_sum(D: int, prime_to_3: bool = False) -> int:
     number of invertible ideals of norm g of O_{D'} in cube classes, times
     |Pic(O_{D'})[3]|."""
     total = 0
-    g = 1
-    while g * g <= abs(D):
-        if (g % 3 or not prime_to_3) and D % (g * g) == 0 and in_discs(D // (g * g)):
+    # D / g^2 is a discriminant exactly when g divides the conductor
+    for g in divisors(fundamental_part(D)[1]):
+        if g % 3 or not prime_to_3:
             Dp = D // (g * g)
             G = picard_group(Dp)
             cubes = sum(1 for J in ideals_of_norm(Dp, g, invertible_only=True) if G.is_cube(G.class_of(J)))
             total += cubes * G.three_torsion()
-        g += 1
     return total
 
 
@@ -412,14 +411,10 @@ def check_fields_pic(D: int) -> dict:
     if not in_discs(D):
         raise ValueError("not a discriminant")
     fields = 0
-    k = 1
-    while k * k <= abs(D):
-        if D % (k * k) == 0 and in_discs(D // (k * k)):
-            Dk = D // (k * k)
-            for orb in _orbits_at(Dk, False):
-                if _is_field_form(orb.form):
-                    fields += 1
-        k += 1
+    for k in divisors(fundamental_part(D)[1]):
+        for orb in _orbits_at(D // (k * k), False):
+            if _is_field_form(orb.form):
+                fields += 1
     t3 = pic_3_torsion(D)
     if t3 % 2 == 0:
         raise InvariantError("|Pic(O_%d)[3]| = %d is even" % (D, t3))

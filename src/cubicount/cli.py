@@ -9,9 +9,10 @@ bad arguments or config), 3 an internal invariant of the computation broke
 
 verify runs the checks named in CHECKS, each a list of identity reports
 (counting.report), and writes them as one JSON list.  on and oracle sweep
-[-max, max]; every other check is per delta and checks the deltas that
---D names, else those in [-max, max] that it accepts.  --format (csv or
-json) belongs to table and zeta; verify and dump-pic always write JSON.
+[-max, max]; every other check, and dump-pic, is per delta: it takes the
+deltas --D (--delta) names, else those in [-max, max] that it accepts.
+Every command writes its rows through _write.  --format (csv or json)
+belongs to table and zeta; verify and dump-pic always write JSON.
 
 --budget N (or config "budget": N) caps the |disc| enumerated by every check
 and dump-pic: main sets CUBICOUNT_BUDGET=N for the call and restores it
@@ -33,44 +34,25 @@ from .quad import is_fundamental
 
 
 def cmd_table(args) -> int:
-    if args.format == "json":
-        _emit(args.out, counting.table_json(args.max) + "\n")
-    else:
-        _emit(args.out, "\n".join(counting.table_csv_lines(args.max)) + "\n")
+    # the keys in sorted order, as the JSON rows have always had them
+    rows = [{"delta": D, "h_den": h.denominator, "h_num": h.numerator,
+             "hhat_den": hh.denominator, "hhat_num": hh.numerator}
+            for D, (h, hh) in counting.class_numbers(args.max).items()]
+    _write(args.out, rows, args.format, ("delta", "h_num", "h_den", "hhat_num", "hhat_den"))
     return 0
 
 
 def cmd_zeta(args) -> int:
     z = counting.zeta_coefficients(args.max)
-    rows = []
-    for n in range(1, args.max + 1):
-        rows.append(
-            {
-                "n": n,
-                "zeta_plus": frac_str(z["zeta_plus"][n]),
-                "zeta_minus": frac_str(z["zeta_minus"][n]),
-                "zhat_plus": frac_str(z["zhat_plus"][n]),
-                "zhat_minus": frac_str(z["zhat_minus"][n]),
-            }
-        )
-    if args.format == "json":
-        _emit(args.out, json.dumps(rows, indent=0) + "\n")
-    else:
-        lines = ["n,zeta_plus,zeta_minus,zhat_plus,zhat_minus"]
-        for row in rows:
-            lines.append(
-                "%(n)d,%(zeta_plus)s,%(zeta_minus)s,%(zhat_plus)s,%(zhat_minus)s" % row
-            )
-        _emit(args.out, "\n".join(lines) + "\n")
+    names = ("zeta_plus", "zeta_minus", "zhat_plus", "zhat_minus")
+    rows = [{"n": n, **{name: frac_str(z[name][n]) for name in names}} for n in range(1, args.max + 1)]
+    _write(args.out, rows, args.format, ("n",) + names)
     return 0
 
 
 def cmd_dump_pic(args) -> int:
-    deltas = args.delta or []
-    if not deltas and args.max:
-        deltas = [D for D in range(-args.max, args.max + 1) if quad.in_discs(D)]
-    payload = [quad.picard_dump(D) for D in deltas]
-    _emit(args.out, json.dumps(payload, indent=0) + "\n")
+    deltas = _deltas("dump-pic", args, args.delta, None, quad.in_discs)
+    _write(args.out, [quad.picard_dump(D) for D in deltas], "json")
     return 0
 
 
@@ -95,17 +77,20 @@ def _verify_oracle(name, args):
             for D in sorted(set(box) | set(table))]
 
 
+def _deltas(name, args, given, cap, wanted):
+    """The deltas a per-delta command runs at: those given, else those in
+    [-max, max] that wanted accepts, max cut to cap (None for no cap)."""
+    if given:
+        return given
+    top = _capped_max(name, args, cap)
+    return [D for D in range(-top, top + 1) if wanted(D)]
+
+
 def _per_delta(cap, wanted, reports_at):
-    """The runner of a per-delta check: its reports at each --D value, else
-    at each delta in [-max, max] that wanted accepts, max cut to cap (None
-    for no cap).  reports_at(args, D) is a list of reports."""
+    """The runner of a per-delta check: its reports at each delta of
+    _deltas (--D given).  reports_at(args, D) is a list of reports."""
     def run(name, args):
-        if args.D:
-            deltas = args.D
-        else:
-            top = _capped_max(name, args, cap)
-            deltas = [D for D in range(-top, top + 1) if wanted(D)]
-        return [r for D in deltas for r in reports_at(args, D)]
+        return [r for D in _deltas(name, args, args.D, cap, wanted) for r in reports_at(args, D)]
     return run
 
 
@@ -129,21 +114,6 @@ CHECKS = {
 }
 
 
-def _summary_lines(rows):
-    """A readable table of the JSON-ready report rows; a list of allowed
-    values reads 1/1,1/3."""
-    def cell(v):
-        return ",".join(v) if isinstance(v, list) else v
-
-    lines = ["check        delta      lhs        rhs        pass"]
-    for r in rows:
-        lines.append(
-            "%-12s %-10s %-10s %-10s %s"
-            % (r["check"], r["delta"], cell(r["lhs"]), cell(r["rhs"]), "ok" if r["pass"] else "FAIL")
-        )
-    return lines
-
-
 def cmd_verify(args) -> int:
     for p in args.primes:
         quad.require_prime(p)
@@ -152,9 +122,7 @@ def cmd_verify(args) -> int:
         counting.report(**{k: _jsonable(v) for k, v in r.items() if k != "pass"}, passed=bool(r["pass"]))
         for r in reports
     ]
-    _emit(args.out, json.dumps(payload, indent=0) + "\n")
-    if args.summary:
-        print("\n".join(_summary_lines(payload)), file=sys.stderr)
+    _write(args.out, payload, "json")
     failures = [r for r in reports if not r["pass"]]
     if failures:
         first = failures[0]
@@ -174,6 +142,17 @@ def _jsonable(v):
     if isinstance(v, tuple):
         return [_jsonable(x) for x in v]
     return v
+
+
+def _write(out, rows, fmt, columns=()):
+    """The one writer of every command's output: the row dicts as one JSON
+    list (fmt "json"), else as CSV, a header of columns and one line of
+    those values per row."""
+    if fmt == "json":
+        text = json.dumps(rows, indent=0)
+    else:
+        text = "\n".join([",".join(columns)] + [",".join(str(row[c]) for c in columns) for row in rows])
+    _emit(out, text + "\n")
 
 
 def _emit(path, text):
@@ -210,7 +189,6 @@ def build_parser():
     v.add_argument("--primes", type=int, nargs="*", default=[2, 3])
     v.add_argument("--D", type=int, nargs="*", default=None, help="the deltas of every per-delta check")
     v.add_argument("--no-hhat", dest="hhat", action="store_false", help="skip the hhat recursion variant")
-    v.add_argument("--summary", action="store_true", help="print a readable summary table to stderr")
     v.set_defaults(func=cmd_verify, hhat=True)
 
     d = sub.add_parser("dump-pic", help="Picard group dumps as JSON")

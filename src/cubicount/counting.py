@@ -36,7 +36,6 @@ h(D/p^2), and Dirichlet coefficient tables for the four associated series.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import chain
 from math import isqrt
@@ -528,30 +527,3 @@ def zeta_coefficients(X: int):
 def frac_str(q: Fraction) -> str:
     q = Fraction(q)
     return "%d/%d" % (q.numerator, q.denominator)
-
-
-def table_csv_lines(X: int):
-    """CSV rows `delta,h_num,h_den,hhat_num,hhat_den`, delta ascending."""
-    lines = ["delta,h_num,h_den,hhat_num,hhat_den"]
-    for D, (h, hh) in class_numbers(X).items():
-        lines.append(
-            "%d,%d,%d,%d,%d"
-            % (D, h.numerator, h.denominator, hh.numerator, hh.denominator)
-        )
-    return lines
-
-
-def table_json(X: int) -> str:
-    """JSON mirror of the CSV schema, same five fields per row."""
-    cn = class_numbers(X)
-    rows = [
-        {
-            "delta": D,
-            "h_num": cn[D][0].numerator,
-            "h_den": cn[D][0].denominator,
-            "hhat_num": cn[D][1].numerator,
-            "hhat_den": cn[D][1].denominator,
-        }
-        for D in sorted(cn)
-    ]
-    return json.dumps(rows, indent=0, sort_keys=True)

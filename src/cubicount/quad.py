@@ -27,8 +27,9 @@ Pic(O_D) is built from those keys with no ideal pool and no product
 table.  Its class count is the number of classes above; the
 representative of a class is its first primitive invertible ideal in
 order of norm, then b, from a norm scan that stops once every class is
-met (the same scan over norms prime to the conductor gives the
-representatives that the extension maps carry to other orders).
+met.  The extension maps to other orders carry a representative of norm
+prime to the conductor, read off the form of the class's representative
+(`_coprime_ideal`, Cox Lemma 2.25), not found by a scan.
 Generators come from closing cyclic subgroups one class at a time, with
 one ideal product per class, and a Smith normal form of their relations
 gives the invariant factors and an exponent vector for every class
@@ -49,7 +50,7 @@ from math import gcd, isqrt
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .forms import BudgetExceeded, InvariantError, check_budget
+from .forms import BudgetExceeded, InvariantError, check_budget, disc_budget
 
 
 def in_discs(n: int) -> bool:
@@ -142,24 +143,18 @@ def fundamental_part(D: int):
     Cached: orders ask for their conductor on every access."""
     if not in_discs(D):
         raise ValueError("%d is not a discriminant" % D)
-    fmax = 1
+    f = 1
     for p, e in factorize(D).items():
-        fmax *= p ** (e // 2)
-    for f in reversed(divisors(fmax)):
-        if is_fundamental(D // (f * f)):
-            return D // (f * f), f
-    raise InvariantError("no fundamental decomposition for %d" % D)
+        f *= p ** (e // 2)
+    # D / f^2 is squarefree; it is D0 unless it is 2 or 3 mod 4, and then
+    # f is even and D0 = 4 D / f^2
+    if (D // (f * f)) % 4 in (2, 3):
+        f //= 2
+    return D // (f * f), f
 
 
 def is_fundamental(D: int) -> bool:
-    if not in_discs(D):
-        return False
-    if D % 4 == 1:
-        return all(e == 1 for e in factorize(D).values())
-    q = D // 4
-    if q % 4 == 1:
-        return False
-    return all(e == 1 for p, e in factorize(q).items() if p != 2) and q % 4 in (2, 3)
+    return in_discs(D) and fundamental_part(D)[1] == 1
 
 
 def kronecker(a: int, n: int) -> int:
@@ -430,7 +425,10 @@ def elements_of_norm(D: int, n: int):
         # grows like the square root of the unit, past 10^10 values at
         # D = 1201, so the budget caps it
         ybound = isqrt(4 * n * eps // D) + 2
-        check_budget(2 * ybound + 1)
+        size, cap = 2 * ybound + 1, disc_budget()
+        if size > cap:
+            raise BudgetExceeded("element scan of norm %d in O_%d: %d values of y over budget %d"
+                                 % (n, D, size, cap))
         for y in range(-ybound, ybound + 1):
             out += _solve_x(o, y, n)
     return tuple(sorted(set(out)))

@@ -33,8 +33,10 @@ from cubicount.quad import (
     _extension_map,
     divisors,
     extend_ideal,
+    factorize,
     fundamental_part,
     ideals_of_norm,
+    in_discs,
     make_ideal,
     picard_group,
 )
@@ -208,6 +210,31 @@ def class_inverse(G: PicGroup, i: int) -> int:
 def is_cube_class(I: QuadIdeal) -> bool:
     G = picard_group(I.D)
     return G.is_cube(G.class_of(I))
+
+
+def is_fundamental_by_factoring(D: int) -> bool:
+    """D = 1 mod 4 and squarefree, or D = 4q with q = 2 or 3 mod 4 and the
+    odd part of q squarefree."""
+    if not in_discs(D):
+        return False
+    if D % 4 == 1:
+        return all(e == 1 for e in factorize(D).values())
+    q = D // 4
+    if q % 4 == 1:
+        return False
+    return all(e == 1 for p, e in factorize(q).items() if p != 2) and q % 4 in (2, 3)
+
+
+def fundamental_part_by_search(D: int):
+    """(D0, f) with D = D0 f^2: the largest divisor f of the square part of
+    D with D / f^2 fundamental."""
+    fmax = 1
+    for p, e in factorize(D).items():
+        fmax *= p ** (e // 2)
+    for f in reversed(divisors(fmax)):
+        if is_fundamental_by_factoring(D // (f * f)):
+            return D // (f * f), f
+    raise InvariantError("no fundamental decomposition for %d" % D)
 
 
 def order_change_map(D0: int, from_f: int, to_f: int):

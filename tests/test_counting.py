@@ -9,6 +9,7 @@ from math import isqrt
 import pytest
 
 from cubicount import counting
+from cubicount.cli import main
 from cubicount.counting import (
     BudgetExceeded,
     _icbrt,
@@ -27,7 +28,6 @@ from cubicount.counting import (
     s_sequence,
     sixths_table,
     subring_count,
-    table_csv_lines,
     zeta_coefficients,
 )
 from cubicount.forms import (
@@ -555,8 +555,9 @@ def test_zeta_tables():
         assert z["zhat_minus"][n] == 3 * z["zeta_plus"][n]
 
 
-def test_table_csv_shape():
-    lines = table_csv_lines(1)
+def test_table_csv_shape(capsys):
+    assert main(["table", "--max", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "delta,h_num,h_den,hhat_num,hhat_den"
     assert lines[1] == "1,1,6,1,2"
     assert len(lines) == 2

@@ -40,7 +40,14 @@ from cubicount.quad import (
     unit_cube_classes,
     xgcd,
 )
-from reference import class_inverse, is_cube_class, order_change_map, parse_ideal
+from reference import (
+    class_inverse,
+    fundamental_part_by_search,
+    is_cube_class,
+    is_fundamental_by_factoring,
+    order_change_map,
+    parse_ideal,
+)
 
 discs = st.integers(min_value=-120, max_value=120).filter(lambda D: D != 0 and D % 4 in (0, 1))
 
@@ -75,6 +82,20 @@ def test_is_fundamental():
         assert is_fundamental(D), D
     for D in (9, 25, -12, 16, 32, 45, -27):
         assert not is_fundamental(D), D
+
+
+def test_fundamental_part_matches_the_divisor_search():
+    # the closed form from one factorization against the old search over
+    # the divisors f of the square part for the largest fundamental D / f^2;
+    # the g with g^2 | D and D / g^2 a discriminant are the divisors of f
+    for D in range(-20000, 20001):
+        if not in_discs(D):
+            assert not is_fundamental(D)
+            continue
+        assert fundamental_part(D) == fundamental_part_by_search(D), D
+        assert is_fundamental(D) == is_fundamental_by_factoring(D), D
+        squares = [g for g in range(1, math.isqrt(abs(D)) + 1) if D % (g * g) == 0 and in_discs(D // (g * g))]
+        assert squares == divisors(fundamental_part(D)[1]), D
 
 
 def test_kronecker_symbol():
@@ -329,7 +350,7 @@ def test_principal_in_real_order():
 def test_element_scan_is_capped_by_the_budget():
     # the fundamental unit of disc 1201 is about 5 * 10^23, so the y window
     # of the real element scan holds about 8 * 10^10 values
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="^element scan of norm 1 in O_1201: 81656735459 values of y over"):
         quad.elements_of_norm(1201, 1)
 
 
@@ -473,15 +494,13 @@ def test_quad_failure_sites_raise_invariant_error_under_optimize():
         "chi = [c for c in quad.mu3_characters(-23) if any(c.values)][0]\n"
         "quad._extension_map = lambda Gf, Gt: (0, 0, 0)\n"
         "check('conductor', lambda: quad.conductor_of_char(chi))\n"
-        "quad.is_fundamental = lambda D: False\n"
-        "check('fundamental', lambda: quad.fundamental_part(-31))\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
-    assert out.stdout.split() == ["extend", "conductor", "fundamental"], out.stderr
+    assert out.stdout.split() == ["extend", "conductor"], out.stderr
 
 
 def test_cached_picard_group_is_read_only():

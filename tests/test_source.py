@@ -3,8 +3,9 @@ forms.InvariantError (CLI exit 3), which survives python -O, never an
 assert (gone under -O) or a bare RuntimeError or AssertionError (exit 1 with
 a traceback, which reads as a failed identity).  One enumeration budget:
 forms.disc_budget is its only source, so no function takes a budget
-parameter that some caller could forget to pass on.  One library surface:
-every name defined in src is reached from what the program runs."""
+parameter that some caller could forget to pass on.  One writer: every
+command's output goes through cli._write.  One library surface: every name
+defined in src is reached from what the program runs."""
 
 import argparse
 import ast
@@ -165,6 +166,39 @@ def test_report_literal_has_one_home():
                 (homes if (name, where.get(node)) == ("counting.py", "report") else bad).append(
                     "%s:%d" % (name, node.lineno))
     assert len(homes) == 1 and not bad, (homes, bad)
+
+
+def test_output_has_one_writer():
+    # every command's output goes through cli._write: only it calls
+    # json.dumps and _emit, only _emit touches sys.stdout, and every print
+    # goes to stderr
+    homes, bad = set(), []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        where = {}
+        for top, node in _top_level(tree).items():
+            where.update((sub, top) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                if callee == "print" and not any(k.arg == "file" for k in node.keywords):
+                    bad.append("%s:%d print to stdout" % (name, node.lineno))
+                if callee not in ("dumps", "_emit"):
+                    continue
+                home = ("cli.py", "_write")
+            elif (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                    and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                callee, home = "sys.stdout", ("cli.py", "_emit")
+            else:
+                continue
+            if (name, where.get(node)) == home:
+                homes.add(callee)
+            else:
+                bad.append("%s:%d %s in %s" % (name, node.lineno, callee, where.get(node)))
+    assert homes == {"dumps", "_emit", "sys.stdout"} and not bad, (homes, bad)
 
 
 def test_every_flag_is_read():
