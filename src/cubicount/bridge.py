@@ -376,17 +376,21 @@ def has_cubefree_conductor(D: int) -> bool:
     return in_discs(D) and all(e < 3 for e in factorize(fundamental_part(D)[1]).values())
 
 
-def lhs_count(D: int, enforce_cubefree: bool = True) -> int:
+def lhs_count(D: int) -> int:
     """Character-side count: over all chi on Pic(O_D), the number of index
     m/cond(chi) subrings of the attached cubic ring, from local splitting
     types; m is the conductor of O_D.  The identity is proved for cubefree
-    m, so non-cubefree conductors are rejected by default; pass
-    enforce_cubefree=False to evaluate the sum anyway and compare (it has
-    matched 2 w h on every case tried)."""
+    m, so other conductors are rejected; `_character_sum` evaluates the sum
+    at any D (it has matched 2 w h on every case tried)."""
     if not in_discs(D):
         raise ValueError("not a discriminant")
-    if enforce_cubefree and not has_cubefree_conductor(D):
+    if not has_cubefree_conductor(D):
         raise ValueError("conductor must be cubefree")
+    return _character_sum(D)
+
+
+def _character_sum(D: int) -> int:
+    """The sum of lhs_count at a discriminant D, whatever its conductor."""
     m = fundamental_part(D)[1]
     total = 0
     for chi in mu3_characters(D):

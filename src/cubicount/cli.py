@@ -118,11 +118,8 @@ def cmd_verify(args) -> int:
     for p in args.primes:
         quad.require_prime(p)
     reports = [r for name in args.which for r in CHECKS[name](name, args)]
-    payload = [
-        counting.report(**{k: _jsonable(v) for k, v in r.items() if k != "pass"}, passed=bool(r["pass"]))
-        for r in reports
-    ]
-    _write(args.out, payload, "json")
+    rows = [{k: bool(v) if k == "pass" else _jsonable(v) for k, v in r.items()} for r in reports]
+    _write(args.out, rows, "json")
     failures = [r for r in reports if not r["pass"]]
     if failures:
         first = failures[0]

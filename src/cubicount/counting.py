@@ -525,5 +525,4 @@ def zeta_coefficients(X: int):
 # Serialization
 
 def frac_str(q: Fraction) -> str:
-    q = Fraction(q)
     return "%d/%d" % (q.numerator, q.denominator)

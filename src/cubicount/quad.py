@@ -27,15 +27,16 @@ Pic(O_D) is built from those keys with no ideal pool and no product
 table.  Its class count is the number of classes above; the
 representative of a class is its first primitive invertible ideal in
 order of norm, then b, from a norm scan that stops once every class is
-met.  The extension maps to other orders carry a representative of norm
-prime to the conductor, read off the form of the class's representative
-(`_coprime_ideal`, Cox Lemma 2.25), not found by a scan.
+met.  The group law is Dirichlet composition of the forms of the
+representatives (Alg. 5.4.7), keyed like an ideal, with no ideal product.
 Generators come from closing cyclic subgroups one class at a time, with
-one ideal product per class, and a Smith normal form of their relations
+one composition per class, and a Smith normal form of their relations
 gives the invariant factors and an exponent vector for every class
 (§2.4).  Products, 3-torsion, cubes, the characters with
 values in Z/3 and the extension maps between orders of the same
-fundamental discriminant are read off those vectors; a character is
+fundamental discriminant are read off those vectors; an extension map
+extends the representative of each generator, as extending any
+invertible ideal induces Pic(O_f) -> Pic(O_t).  A character is
 primitive on the least order over whose extension map it factors, and
 that order gives its conductor.  The exact principality search
 `is_principal` (elements of a given norm, normalized by the fundamental
@@ -140,7 +141,7 @@ def hnf2(vecs):
 @lru_cache(maxsize=None)
 def fundamental_part(D: int):
     """D = D0 * f^2 with D0 a fundamental discriminant; returns (D0, f).
-    Cached: orders ask for their conductor on every access."""
+    Cached: the checks and the extension maps ask for it at every delta."""
     if not in_discs(D):
         raise ValueError("%d is not a discriminant" % D)
     f = 1
@@ -199,10 +200,6 @@ class QuadOrder(NamedTuple):
     def xi_norm(self) -> int:
         return (self.r * self.r - self.D) // 4
 
-    @property
-    def conductor(self) -> int:
-        return fundamental_part(self.D)[1]
-
     # elements are pairs (x, y) meaning x + y*xi
     def norm(self, el) -> int:
         x, y = el
@@ -211,10 +208,6 @@ class QuadOrder(NamedTuple):
     def trace(self, el) -> int:
         x, y = el
         return 2 * x + self.r * y
-
-    def conj(self, el):
-        x, y = el
-        return (x + self.r * y, -y)
 
     def mul(self, u, v):
         x1, y1 = u
@@ -261,20 +254,6 @@ class QuadIdeal(NamedTuple):
         k = y // self.g
         rem = x - k * self.g * self.b
         return rem % (self.g * self.a) == 0
-
-    def conj(self) -> "QuadIdeal":
-        o = self.order
-        gens = [o.conj(v) for v in self.generators()]
-        return ideal_from_generators(self.D, gens)
-
-    def mul(self, other: "QuadIdeal") -> "QuadIdeal":
-        if self.D != other.D:
-            raise ValueError("ideals of different orders")
-        o = self.order
-        gens = [
-            o.mul(u, v) for u in self.generators() for v in other.generators()
-        ]
-        return ideal_from_generators(self.D, gens)
 
     def scale(self, k: int) -> "QuadIdeal":
         return QuadIdeal(self.D, self.g * k, self.a, self.b)
@@ -393,19 +372,35 @@ def _unit_upper_bound(D: int):
     return x + (y * (r + isqrt(D) + 1) + 1) // 2 + 1
 
 
-@lru_cache(maxsize=100000)
 def elements_of_norm(D: int, n: int):
     """All (x, y) in O_D with |N| = n, modulo units: complete set such that
-    every solution is a unit times a listed one.  n >= 1.  Cached:
-    `is_principal` asks for the same (D, n) for every ideal of norm n.
-    BudgetExceeded when the scan over y would pass disc_budget() values."""
-    o = order(D)
-    out = []
+    every solution is a unit times a listed one.  n >= 1.
+    BudgetExceeded when the scan over y would pass disc_budget() values,
+    checked on every call; only the scan is cached."""
     if D < 0:
         ybound = isqrt(4 * n // (-D)) + 1
-        for y in range(-ybound, ybound + 1):
-            out += _solve_x(o, y, n)
     elif is_square(D):
+        ybound = None
+    else:
+        # window: |lambda| <= sqrt(n * eps); y = (l - lbar)/sqrt(D).  It
+        # grows like the square root of the unit, past 10^10 values at
+        # D = 1201, so the budget caps it
+        ybound = isqrt(4 * n * _unit_upper_bound(D) // D) + 2
+        size, cap = 2 * ybound + 1, disc_budget()
+        if size > cap:
+            raise BudgetExceeded("element scan of norm %d in O_%d: %d values of y over budget %d"
+                                 % (n, D, size, cap))
+    return _element_scan(D, n, ybound)
+
+
+@lru_cache(maxsize=100000)
+def _element_scan(D: int, n: int, ybound):
+    """The scan of `elements_of_norm` over |y| <= ybound, or over the
+    divisors of n for D a square (ybound None).  Cached: `is_principal`
+    asks for the same (D, n) for every ideal of norm n."""
+    o = order(D)
+    out = []
+    if ybound is None:
         m = isqrt(D)
         r = D % 2
         for k in divisors(n):
@@ -420,15 +415,6 @@ def elements_of_norm(D: int, n: int):
                     continue
                 out.append((x2 // 2, y))
     else:
-        eps = _unit_upper_bound(D)
-        # window: |lambda| <= sqrt(n * eps); y = (l - lbar)/sqrt(D).  It
-        # grows like the square root of the unit, past 10^10 values at
-        # D = 1201, so the budget caps it
-        ybound = isqrt(4 * n * eps // D) + 2
-        size, cap = 2 * ybound + 1, disc_budget()
-        if size > cap:
-            raise BudgetExceeded("element scan of norm %d in O_%d: %d values of y over budget %d"
-                                 % (n, D, size, cap))
         for y in range(-ybound, ybound + 1):
             out += _solve_x(o, y, n)
     return tuple(sorted(set(out)))
@@ -496,7 +482,12 @@ def class_key(I: QuadIdeal):
     t, s, r = ideal_form_coefficients(I)
     if gcd(gcd(t, s), r) != 1:
         raise ValueError("non-invertible ideal has no Picard class")
-    D = I.D
+    return _key(I.D, t, s, r)
+
+
+def _key(D, t, s, r):
+    """The class key of the primitive form (t, s, r) of discriminant D (see
+    class_key)."""
     if D < 0:
         return _reduce_definite(t, s, r)
     m = isqrt(D)
@@ -506,6 +497,22 @@ def class_key(I: QuadIdeal):
     while not _is_reduced_indefinite(D, m, t, s):
         t, s, r = _rho(D, m, t, s, r)
     return t, s, r
+
+
+def _compose(D, f1, f2):
+    """A form in the product class of the primitive forms f1 and f2 of
+    discriminant D with positive first coefficients, not reduced: Dirichlet
+    composition (Cohen, GTM 138, Alg. 5.4.7), whose first coefficient is
+    a1 a2 / d1^2 for d1 = gcd(a1, a2, (b1 + b2)/2)."""
+    (a1, b1, _), (a2, b2, c2) = f1, f2
+    s = (b1 + b2) // 2
+    d, y1, _ = xgcd(a2, a1)
+    d1, x2, v = xgcd(s, d)  # Cohen's y2 is -v
+    v1, v2 = a1 // d1, a2 // d1
+    r = (-y1 * v * (b2 - s) - x2 * c2) % v1
+    b3 = b2 + 2 * v2 * r
+    a3 = v1 * v2
+    return a3, b3, (b3 * b3 - D) // (4 * a3)
 
 
 def _reduce_definite(a, b, c):
@@ -613,9 +620,6 @@ class PicGroup:
     invariants: the invariant factors (d_1, ..., d_k).
     vectors: per class, its exponent vector over the invariant factors.
     generators: per invariant factor, the class of its unit vector.
-    coprime_reps: per class, an invertible ideal of norm coprime to the
-    conductor, read off the form of its rep (needed for extension maps
-    between orders); built on first use.
     table[i][j]: index of the product class; built on first use, for
     `picard_dump` and the tests.
 
@@ -646,7 +650,7 @@ class PicGroup:
     def class_of(self, I: QuadIdeal) -> int:
         if I.D != self.D:
             raise ValueError("ideal of a different order")
-        return _classify(self.index, I)
+        return _classify(self.index, I.D, class_key(I))
 
     def three_torsion(self) -> int:
         return 3 ** sum(1 for d in self.invariants if d % 3 == 0)
@@ -658,17 +662,6 @@ class PicGroup:
     def table(self):
         n = len(self)
         return tuple(tuple(self.mul(i, j) for j in range(n)) for i in range(n))
-
-    @cached_property
-    def coprime_reps(self):
-        """Per class, an invertible ideal of norm coprime to the conductor
-        f: the rep when its norm is, else `_coprime_ideal` of the rep."""
-        f = order(self.D).conductor
-        out = tuple(R if gcd(R.norm, f) == 1 else _coprime_ideal(R, f) for R in self.reps)
-        for i, (R, rep) in enumerate(zip(out, self.reps)):
-            if R != rep and self.class_of(R) != i:
-                raise InvariantError("coprime representative %s of D=%d is not in class %d" % (R, self.D, i))
-        return out
 
 
 def picard_group(D: int) -> PicGroup:
@@ -689,7 +682,7 @@ def _picard_group(D: int) -> PicGroup:
     order_of = {lab: i for i, lab in enumerate(first)}
     index = {key: order_of[lab] for key, lab in labels.items()}
     reps = list(first.values())
-    invariants, vectors = _structure(reps, index)
+    invariants, vectors = _structure(D, [ideal_form_coefficients(R) for R in reps], index)
     return PicGroup(D, reps, index, invariants, vectors)
 
 
@@ -703,46 +696,26 @@ def _first_ideals(D, labels, h):
     first = {}
     for n in range(1, 40 * (isqrt(abs(D)) + 3)):
         for I in _primitive_ideals(D, n):
-            first.setdefault(_classify(labels, I), I)
+            first.setdefault(_classify(labels, D, class_key(I)), I)
             if len(first) == h:
                 return first
     raise InvariantError("only %d of %d classes of D=%d met by the norm scan" % (len(first), h, D))
 
 
-def _coprime_ideal(I, f):
-    """An invertible ideal of norm coprime to f in the class of the
-    primitive invertible ideal I.  A primitive form properly represents a
-    value coprime to any f (Cox, Primes of the form x^2 + ny^2, Lemma 2.25):
-    take the first coprime (x, y) by |x| + |y| with F(x, y) coprime to f,
-    for F = (t, s, r) the form of I, and move F(x, y) to the first
-    coefficient by a matrix (x u; y v) of determinant 1.  The result
-    (A, B, C) gives the ideal <|A|, (B - D mod 2)/2 mod |A|>; for A < 0 its
-    form is (-A, B, -C), which lies in the same class of the wide group
-    Pic.  Some (x, y) with x, y in [0, f) works (by the Chinese remainder
-    theorem), so the search is bounded."""
-    t, s, r = ideal_form_coefficients(I)
-    for n in range(1, 2 * f + 1):
-        for x in range(n, -1, -1):
-            for y in (n - x, x - n) if x < n else (0,):
-                A = t * x * x + s * x * y + r * y * y
-                if gcd(x, y) != 1 or gcd(A, f) != 1:
-                    continue
-                _, v, w = xgcd(x, y)  # x v + y w = 1, so u = -w
-                B = -2 * t * x * w + s * (x * v - y * w) + 2 * r * y * v
-                return make_ideal(I.D, 1, abs(A), (B - I.D % 2) // 2 % abs(A))
-    raise InvariantError("no value of %s is coprime to %d" % (I, f))
-
-
-def _structure(reps, index):
+def _structure(D, forms, index):
     """(invariant factors, exponent vectors) of the group of the classes of
-    reps.  Cyclic subgroups are closed one class at a time: a class x
-    outside the subgroup H found so far has a least e > 1 with x^e in H,
-    and the cosets H x^j, 0 < j < e, are new, one ideal product per class.
-    That gives each class exponents over the generators found, and the
-    relations x^e = (element of H) give the invariant factors through a
-    Smith normal form.  Each generator times its conjugate must be
+    the primitive forms of discriminant D, under composition.  Cyclic
+    subgroups are closed one class at a time: a class x outside the
+    subgroup H found so far has a least e > 1 with x^e in H, and the cosets
+    H x^j, 0 < j < e, are new, one composition per class.  That gives each
+    class exponents over the generators found, and the relations
+    x^e = (element of H) give the invariant factors through a Smith normal
+    form.  Each generator composed with its opposite form must be
     principal."""
-    h = len(reps)
+    def product(f, g):
+        return _classify(index, D, _key(D, *_compose(D, f, g)))
+
+    h = len(forms)
     coords = [None] * h  # exponents over the generators so far
     coords[0] = ()
     members = [0]
@@ -755,8 +728,8 @@ def _structure(reps, index):
         while coords[p] is None:
             powers.append(p)
             if len(powers) > h:
-                raise InvariantError("class %d of D=%d has no finite order" % (x, reps[0].D))
-            p = _classify(index, reps[p].mul(reps[x]))
+                raise InvariantError("class %d of D=%d has no finite order" % (x, D))
+            p = product(forms[p], forms[x])
         relations.append([-c for c in coords[p]] + [len(powers)])
         for i in members:
             coords[i] += (0,)
@@ -765,14 +738,15 @@ def _structure(reps, index):
             coords[pj] = (0,) * (len(coords[0]) - 1) + (j,)
             new.append(pj)
             for i in members[1:]:
-                k = _classify(index, reps[i].mul(reps[pj]))
+                k = product(forms[i], forms[pj])
                 if coords[k] is not None:
-                    raise InvariantError("class products of D=%d are not a group law" % reps[0].D)
+                    raise InvariantError("class products of D=%d are not a group law" % D)
                 coords[k] = tuple(a + b for a, b in zip(coords[i], coords[pj]))
                 new.append(k)
         members += new
-        if _classify(index, reps[x].mul(reps[x].conj())) != 0:
-            raise InvariantError("I conj(I) is not principal for I = %s" % (reps[x],))
+        t, s, r = forms[x]
+        if product(forms[x], (t, -s, r)) != 0:
+            raise InvariantError("(%d, %d, %d) times its opposite is not principal for D=%d" % (t, s, r, D))
     rank = len(coords[0])
     d, V = _smith([row + [0] * (rank - len(row)) for row in relations])
     keep = [k for k in range(rank) if d[k] > 1]
@@ -780,7 +754,7 @@ def _structure(reps, index):
         tuple(sum(c * V[l][k] for l, c in enumerate(v)) % d[k] for k in keep) for v in coords
     ]
     if len(set(vectors)) != h:
-        raise InvariantError("exponent vectors of D=%d do not separate the classes" % reps[0].D)
+        raise InvariantError("exponent vectors of D=%d do not separate the classes" % D)
     return [d[k] for k in keep], vectors
 
 
@@ -827,11 +801,11 @@ def _smith(rows):
     return [A[t][t] for t in range(n)], V
 
 
-def _classify(index, I):
+def _classify(index, D, key):
     try:
-        return index[class_key(I)]
+        return index[key]
     except KeyError:
-        raise InvariantError("class list incomplete for D=%d" % I.D) from None
+        raise InvariantError("class list incomplete for D=%d" % D) from None
 
 
 def pic_3_torsion(D: int) -> int:
@@ -872,12 +846,12 @@ def mu3_characters(D: int):
 @lru_cache(maxsize=None)
 def _extension_map(Gf: PicGroup, Gt: PicGroup):
     """The extension map Gf -> Gt from the images of the generators of Gf
-    (their conductor-coprime representatives, extended), each checked to
-    satisfy its relation d * image = 0 in Gt; every other class maps
-    through its exponent vector."""
+    (their representatives, extended), each checked to satisfy its
+    relation d * image = 0 in Gt; every other class maps through its
+    exponent vector."""
     images = []
     for gen, d in zip(Gf.generators, Gf.invariants):
-        img = Gt.vectors[Gt.class_of(extend_ideal(Gf.coprime_reps[gen], Gt.D))]
+        img = Gt.vectors[Gt.class_of(extend_ideal(Gf.reps[gen], Gt.D))]
         if any(d * y % e for y, e in zip(img, Gt.invariants)):
             raise InvariantError("order change map %d -> %d is not a homomorphism" % (Gf.D, Gt.D))
         images.append(img)

@@ -1,6 +1,8 @@
 """Reference code the tests check the library against: brute-force oracles
-(stabilizer matrices, superrings of index p, generic lattice products,
-character sums over ideals) and small helpers that only tests call.  The
+(stabilizer matrices, superrings of index p, ideal and lattice products,
+the Picard structure from ideal products, extension maps through
+conductor-coprime representatives, character sums over ideals) and small
+helpers that only tests call.  The
 library holds only what the program runs; test_source enforces that.
 
 Not collected by pytest (no test_ prefix); test files import it as
@@ -10,7 +12,7 @@ Not collected by pytest (no test_ prefix); test files import it as
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from cubicount.bridge import RatLattice, SelfBalancedTriple, _solve_in_plane, int_lattice, k2_mul
 from cubicount.forms import (
@@ -31,14 +33,20 @@ from cubicount.quad import (
     PicGroup,
     QuadIdeal,
     _extension_map,
+    _smith,
+    class_key,
     divisors,
     extend_ideal,
     factorize,
     fundamental_part,
+    ideal_form_coefficients,
+    ideal_from_generators,
     ideals_of_norm,
     in_discs,
     make_ideal,
+    order,
     picard_group,
+    xgcd,
 )
 from cubicount.rings import CubicRing, _det3
 
@@ -235,6 +243,112 @@ def fundamental_part_by_search(D: int):
         if is_fundamental_by_factoring(D // (f * f)):
             return D // (f * f), f
     raise InvariantError("no fundamental decomposition for %d" % D)
+
+
+def ideal_conj(I: QuadIdeal) -> QuadIdeal:
+    """The conjugate ideal: x + y xi goes to (x + r y) - y xi."""
+    r = I.D % 2
+    return ideal_from_generators(I.D, [(x + r * y, -y) for x, y in I.generators()])
+
+
+def ideal_mul(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
+    """The product ideal, Hermite-reduced from the four products of
+    generators."""
+    if I.D != J.D:
+        raise ValueError("ideals of different orders")
+    o = order(I.D)
+    return ideal_from_generators(I.D, [o.mul(u, v) for u in I.generators() for v in J.generators()])
+
+
+def structure_by_products(reps, index):
+    """(invariant factors, exponent vectors) of the classes of the ideals
+    reps, with the group law read off ideal products and class_key: the
+    construction the form composition of quad._structure replaced, kept as
+    its oracle.  Cyclic subgroups are closed one class at a time and the
+    relations go through a Smith normal form, as there."""
+    D = reps[0].D
+    h = len(reps)
+
+    def cls(I):
+        return index[class_key(I)]
+
+    coords = [None] * h
+    coords[0] = ()
+    members = [0]
+    relations = []
+    for x in range(1, h):
+        if coords[x] is not None:
+            continue
+        powers = [0]
+        p = x
+        while coords[p] is None:
+            powers.append(p)
+            if len(powers) > h:
+                raise InvariantError("class %d of D=%d has no finite order" % (x, D))
+            p = cls(ideal_mul(reps[p], reps[x]))
+        relations.append([-c for c in coords[p]] + [len(powers)])
+        for i in members:
+            coords[i] += (0,)
+        new = []
+        for j, pj in enumerate(powers[1:], 1):
+            coords[pj] = (0,) * (len(coords[0]) - 1) + (j,)
+            new.append(pj)
+            for i in members[1:]:
+                k = cls(ideal_mul(reps[i], reps[pj]))
+                if coords[k] is not None:
+                    raise InvariantError("class products of D=%d are not a group law" % D)
+                coords[k] = tuple(a + b for a, b in zip(coords[i], coords[pj]))
+                new.append(k)
+        members += new
+        if cls(ideal_mul(reps[x], ideal_conj(reps[x]))) != 0:
+            raise InvariantError("I conj(I) is not principal for I = %s" % (reps[x],))
+    rank = len(coords[0])
+    d, V = _smith([row + [0] * (rank - len(row)) for row in relations])
+    keep = [k for k in range(rank) if d[k] > 1]
+    vectors = [
+        tuple(sum(c * V[l][k] for l, c in enumerate(v)) % d[k] for k in keep) for v in coords
+    ]
+    return tuple(d[k] for k in keep), tuple(vectors)
+
+
+def coprime_ideal(I: QuadIdeal, f: int) -> QuadIdeal:
+    """An invertible ideal of norm coprime to f in the class of the
+    primitive invertible ideal I.  A primitive form properly represents a
+    value coprime to any f (Cox, Primes of the form x^2 + ny^2, Lemma 2.25):
+    take the first coprime (x, y) by |x| + |y| with F(x, y) coprime to f,
+    for F = (t, s, r) the form of I, and move F(x, y) to the first
+    coefficient by a matrix (x u; y v) of determinant 1.  The result
+    (A, B, C) gives the ideal <|A|, (B - D mod 2)/2 mod |A|>; for A < 0 its
+    form is (-A, B, -C), which lies in the same class of the wide group
+    Pic.  Some (x, y) with x, y in [0, f) works (by the Chinese remainder
+    theorem), so the search is bounded."""
+    t, s, r = ideal_form_coefficients(I)
+    for n in range(1, 2 * f + 1):
+        for x in range(n, -1, -1):
+            for y in (n - x, x - n) if x < n else (0,):
+                A = t * x * x + s * x * y + r * y * y
+                if gcd(x, y) != 1 or gcd(A, f) != 1:
+                    continue
+                _, v, w = xgcd(x, y)  # x v + y w = 1, so u = -w
+                B = -2 * t * x * w + s * (x * v - y * w) + 2 * r * y * v
+                return make_ideal(I.D, 1, abs(A), (B - I.D % 2) // 2 % abs(A))
+    raise InvariantError("no value of %s is coprime to %d" % (I, f))
+
+
+def extension_map_by_coprime_reps(Gf: PicGroup, Gt: PicGroup):
+    """The extension map Gf -> Gt class by class: each representative is
+    replaced by an ideal of its class of norm coprime to the conductor of
+    Gf (where extension is the classical map of ideals prime to the
+    conductor), which is extended.  The classes of those ideals are checked
+    on the way."""
+    f = fundamental_part(Gf.D)[1]
+    out = []
+    for i, R in enumerate(Gf.reps):
+        C = R if gcd(R.norm, f) == 1 else coprime_ideal(R, f)
+        if Gf.class_of(C) != i:
+            raise InvariantError("coprime representative %s of D=%d is not in class %d" % (C, Gf.D, i))
+        out.append(Gt.class_of(extend_ideal(C, Gt.D)))
+    return tuple(out)
 
 
 def order_change_map(D0: int, from_f: int, to_f: int):

@@ -280,12 +280,12 @@ def test_config_wrong_value_type_exits_2(tmp_path):
 
 
 def test_invariant_error_exits_3(monkeypatch):
-    # an uncached Picard build whose class keys lose every scaled product
+    # an uncached Picard build whose composition doubles every product form
     import cubicount.quad as quad
 
-    key = quad.class_key
+    compose = quad._compose
     monkeypatch.setattr(quad, "_picard_group", quad._picard_group.__wrapped__)
-    monkeypatch.setattr(quad, "class_key", lambda I: key(I) if I.g == 1 else "escaped")
+    monkeypatch.setattr(quad, "_compose", lambda D, f, g: tuple(2 * x for x in compose(D, f, g)))
     code, out, err = run_cli(["dump-pic", "--delta", "-23"])
     assert code == 3
     assert "internal invariant failed" in err and out == ""

@@ -4,7 +4,8 @@ the oracle: every primitive invertible ideal up to the norm bound is keyed
 by a canonical reduced form (the least form over both rho-cycles for real
 D), the first ideal of each key in order of norm, then b, is the class
 representative, and the full h x h table comes from multiplying
-representatives."""
+representatives as ideals, independently of the form composition the
+library uses for the group law."""
 
 from collections import Counter
 from fractions import Fraction
@@ -28,7 +29,13 @@ from cubicount.quad import (
     order,
     picard_group,
 )
-from reference import class_inverse, order_change_map
+from reference import (
+    class_inverse,
+    extension_map_by_coprime_reps,
+    ideal_mul,
+    order_change_map,
+    structure_by_products,
+)
 
 
 def canonical_key(I):
@@ -75,7 +82,7 @@ class Oracle:
         self.table = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                k = self.index[canonical_key(self.reps[i].mul(self.reps[j]))]
+                k = self.index[canonical_key(ideal_mul(self.reps[i], self.reps[j]))]
                 self.table[i][j] = self.table[j][i] = k
 
     def cls(self, I):
@@ -199,8 +206,6 @@ def test_order_change_map_matches_extension_of_coprime_reps():
         D0, f = fundamental_part(D)
         Of = oracle(D)
         coprime = Of.coprime_reps(f)
-        for i, R in enumerate(picard_group(D).coprime_reps):
-            assert quad.is_invertible(R) and gcd(R.norm, f) == 1 and Of.cls(R) == i, (D, i, R)
         for c in divisors(f):
             Dt = D0 * c * c
             Ot = oracle(Dt)
@@ -208,6 +213,28 @@ def test_order_change_map_matches_extension_of_coprime_reps():
             assert order_change_map(D0, f, c) == want, (D, c)
             checked += 1
     assert checked > 1500
+
+
+def test_composed_structure_matches_ideal_products():
+    # the group law by form composition gives the invariants and exponent
+    # vectors that the ideal products of the same reps give
+    for D in discs(3000):
+        G = picard_group(D)
+        assert structure_by_products(G.reps, G.index) == (G.invariants, G.vectors), D
+
+
+def test_extension_map_matches_coprime_reps():
+    # extending each generator's own representative gives the map that
+    # extending conductor-coprime representatives of every class gives
+    pairs = 0
+    for D in discs(3000):
+        D0, f = fundamental_part(D)
+        G = picard_group(D)
+        for c in divisors(f):
+            Gt = picard_group(D0 * c * c)
+            assert quad._extension_map(G, Gt) == extension_map_by_coprime_reps(G, Gt), (D, c)
+            pairs += 1
+    assert pairs == 4835
 
 
 def test_order_change_map_returns_a_fresh_list():

@@ -112,6 +112,32 @@ def test_counts_path_builds_no_orbit():
     assert not bad, bad
 
 
+def test_picard_law_builds_no_ideal():
+    # the group law composes the forms of the representatives: quad._structure,
+    # and every quad function it reaches, builds no ideal and takes no
+    # ideal product or conjugate
+    with open(os.path.join(SRC, "quad.py")) as fh:
+        tree = ast.parse(fh.read())
+    funcs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    forbidden = {"ideal_from_generators", "make_ideal", "hnf2", "QuadIdeal", "mul", "conj"}
+    bad = []
+    seen = set()
+    todo = ["_structure"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if ref in forbidden:
+                bad.append("%s:%d %s" % (name, node.lineno, ref))
+            elif ref in funcs:
+                todo.append(ref)
+    assert not bad, bad
+    assert {"_compose", "_key", "_smith"} <= seen
+
+
 def test_subring_enumeration_reads_no_splitting_type():
     # criterion 4 compares subrings_of_index with s_sequence of the
     # splitting type; the enumeration, and every rings function it
