@@ -44,7 +44,6 @@ from typing import NamedTuple
 from .forms import BinaryCubicForm, InvariantError, disc, is_zmat
 from .rings import CubicRing, _det3, is_maximal, ring_from_form
 from .counting import _orbits_at, h_value, factorize, report, s_sequence
-from . import quad
 from .quad import (
     Mu3Char,
     divisors,

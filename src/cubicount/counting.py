@@ -45,7 +45,6 @@ from typing import NamedTuple
 from .forms import (
     INTERIOR,
     BinaryCubicForm,
-    BudgetExceeded,
     InvariantError,
     boundary_signature,
     check_budget,

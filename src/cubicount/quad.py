@@ -26,9 +26,9 @@ from the reduction theory of that form (Cohen, GTM 138, §5.4 and §5.6):
 Pic(O_D) is built from those keys with no ideal pool and no product
 table.  Its class count is the number of classes above; the
 representative of a class is its first primitive invertible ideal in
-order of norm, then b, from a norm scan that stops once every class is
-met.  The group law is Dirichlet composition of the forms of the
-representatives (Alg. 5.4.7), keyed like an ideal, with no ideal product.
+order of norm, then b, read off its keys of least |t| (walked up to norm
+m/2 for D = m^2).  The group law is Dirichlet composition of the forms of
+the representatives (Alg. 5.4.7), keyed like an ideal, no ideal product.
 Generators come from closing cyclic subgroups one class at a time, with
 one composition per class, and a Smith normal form of their relations
 gives the invariant factors and an exponent vector for every class
@@ -205,10 +205,6 @@ class QuadOrder(NamedTuple):
         x, y = el
         return x * x + self.r * x * y + self.xi_norm * y * y
 
-    def trace(self, el) -> int:
-        x, y = el
-        return 2 * x + self.r * y
-
     def mul(self, u, v):
         x1, y1 = u
         x2, y2 = v
@@ -236,10 +232,6 @@ class QuadIdeal(NamedTuple):
     @property
     def norm(self) -> int:
         return self.g * self.g * self.a
-
-    @property
-    def order(self) -> QuadOrder:
-        return QuadOrder(self.D)
 
     def __str__(self):
         return "%d,%d,%d@%d" % (self.g, self.a, self.b, self.D)
@@ -292,11 +284,8 @@ def is_invertible(I: QuadIdeal) -> bool:
 def ideal_form_coefficients(I: QuadIdeal):
     """The (t, s, r) coefficient triple of the primitive part: (a, 2b + r,
     N(b + xi)/a); the ideal is invertible iff gcd = 1."""
-    o = I.order
-    t = I.a
-    s = 2 * I.b + o.r
-    r = o.norm((I.b, 1)) // I.a
-    return t, s, r
+    r = I.D % 2
+    return I.a, 2 * I.b + r, (I.b * (I.b + r) + (r - I.D) // 4) // I.a
 
 
 # the largest norm ideals_of_norm enumerates
@@ -666,9 +655,9 @@ class PicGroup:
 
 def picard_group(D: int) -> PicGroup:
     """Pic(O_D), the representative of each class its first primitive
-    invertible ideal in order of norm, then b.  The budget is checked on
-    every call, also when the group is cached.  ValueError unless D is a
-    discriminant."""
+    invertible ideal in order of norm, then b (see _first_ideals).  The
+    budget is checked on every call, also when the group is cached.
+    ValueError unless D is a discriminant."""
     if not in_discs(D):
         raise ValueError("%d not congruent to 0 or 1 mod 4 (or zero)" % D)
     check_budget(abs(D))
@@ -678,7 +667,7 @@ def picard_group(D: int) -> PicGroup:
 @lru_cache(maxsize=None)
 def _picard_group(D: int) -> PicGroup:
     labels = _class_labels(D)
-    first = _first_ideals(D, labels, len(set(labels.values())))
+    first = _first_ideals(D, labels)
     order_of = {lab: i for i, lab in enumerate(first)}
     index = {key: order_of[lab] for key, lab in labels.items()}
     reps = list(first.values())
@@ -686,20 +675,33 @@ def _picard_group(D: int) -> PicGroup:
     return PicGroup(D, reps, index, invariants, vectors)
 
 
-def _first_ideals(D, labels, h):
-    """The first primitive invertible ideal of each of the h classes, in
-    order of norm, then b: a dict from the label of each class to its
-    ideal, in the order met.  The scan stops once every class is met,
-    below sqrt|D| (the first coefficient of a reduced form, or c in
-    (c, -m, 0) ~ (0, m, c) for D = m^2); a norm bound far above that
-    guards the loop."""
+def _first_ideals(D, labels):
+    """The first primitive invertible ideal <a, b + xi> of each class, in
+    order of norm, then b: a dict from each class label to its ideal.
+    D not a square: a key (t, s, r) is the form of the ideal <|t|, (s - D
+    mod 2)/2 mod |t|> of its class, and the first ideals are those of the
+    keys of least |t|.  A reduced definite form's a is its class minimum
+    (of (a, +-b, a) the key's b >= 0 gives the lesser ideal).  A reduced
+    indefinite form has |ac| < D/4, so each class has a key with |t| <
+    sqrt(D)/2, and a form with |a| < sqrt(D)/2 is reduced after some b ->
+    b + 2ak (Buchmann and Vollmer, Binary Quadratic Forms, 2007).
+    D = m^2: the one key (0, m, c) of a class carries no norm, so ideals
+    are walked in order until every class is met.  The class holds the
+    forms (c, -m, 0), (m - c, -m, 0): norms <= max(1, m // 2) suffice."""
+    if not is_square(D):
+        r, least = D % 2, {}
+        for (t, s, _), lab in labels.items():
+            ab = abs(t), (s - r) // 2 % abs(t)
+            least[lab] = min(least.get(lab, ab), ab)
+        return {lab: QuadIdeal(D, 1, *least[lab]) for lab in sorted(least, key=least.get)}
+    top = max(1, isqrt(D) // 2)
     first = {}
-    for n in range(1, 40 * (isqrt(abs(D)) + 3)):
+    for n in range(1, top + 1):
         for I in _primitive_ideals(D, n):
             first.setdefault(_classify(labels, D, class_key(I)), I)
-            if len(first) == h:
+            if len(first) == len(labels):
                 return first
-    raise InvariantError("only %d of %d classes of D=%d met by the norm scan" % (len(first), h, D))
+    raise InvariantError("%d of %d classes of D=%d met up to norm %d" % (len(first), len(labels), D, top))
 
 
 def _structure(D, forms, index):

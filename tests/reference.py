@@ -1,8 +1,8 @@
 """Reference code the tests check the library against: brute-force oracles
 (stabilizer matrices, superrings of index p, ideal and lattice products,
-the Picard structure from ideal products, extension maps through
-conductor-coprime representatives, character sums over ideals) and small
-helpers that only tests call.  The
+the Picard representatives from a norm scan, the Picard structure from
+ideal products, extension maps through conductor-coprime representatives,
+character sums over ideals) and small helpers that only tests call.  The
 library holds only what the program runs; test_source enforces that.
 
 Not collected by pytest (no test_ prefix); test files import it as
@@ -12,7 +12,7 @@ Not collected by pytest (no test_ prefix); test files import it as
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from cubicount.bridge import RatLattice, SelfBalancedTriple, _solve_in_plane, int_lattice, k2_mul
 from cubicount.forms import (
@@ -32,7 +32,9 @@ from cubicount.quad import (
     Mu3Char,
     PicGroup,
     QuadIdeal,
+    _class_labels,
     _extension_map,
+    _primitive_ideals,
     _smith,
     class_key,
     divisors,
@@ -243,6 +245,23 @@ def fundamental_part_by_search(D: int):
         if is_fundamental_by_factoring(D // (f * f)):
             return D // (f * f), f
     raise InvariantError("no fundamental decomposition for %d" % D)
+
+
+def first_ideals_by_norm(D: int):
+    """The first primitive invertible ideal of each class of O_D, in order
+    of norm, then b: a dict from the label of each class (see
+    quad._class_labels) to its ideal, in the order met.  The scan stops
+    once every class is met; a norm bound far above sqrt|D| guards the
+    loop."""
+    labels = _class_labels(D)
+    h = len(set(labels.values()))
+    first = {}
+    for n in range(1, 40 * (isqrt(abs(D)) + 3)):
+        for I in _primitive_ideals(D, n):
+            first.setdefault(labels[class_key(I)], I)
+            if len(first) == h:
+                return first
+    raise InvariantError("only %d of %d classes of D=%d met by the norm scan" % (len(first), h, D))
 
 
 def ideal_conj(I: QuadIdeal) -> QuadIdeal:

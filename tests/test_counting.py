@@ -11,7 +11,6 @@ import pytest
 from cubicount import counting
 from cubicount.cli import main
 from cubicount.counting import (
-    BudgetExceeded,
     _icbrt,
     _orbits_at,
     _scan_neg,
@@ -32,6 +31,7 @@ from cubicount.counting import (
 )
 from cubicount.forms import (
     BOUNDARY_MATRICES,
+    BudgetExceeded,
     InvariantError,
     UnimodularMatrix,
     boundary_signature,

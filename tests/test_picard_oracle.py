@@ -32,6 +32,7 @@ from cubicount.quad import (
 from reference import (
     class_inverse,
     extension_map_by_coprime_reps,
+    first_ideals_by_norm,
     ideal_mul,
     order_change_map,
     structure_by_products,
@@ -158,6 +159,13 @@ def test_picard_group_matches_oracle_table():
             assert G.is_cube(i) == (i in cubes), (D, i)
             for j in range(n):
                 assert G.mul(i, j) == row[j], (D, i, j)
+
+
+def test_reps_match_the_norm_scan():
+    # the representatives read off the class keys, and walked for D = m^2,
+    # are the scan's first ideals by norm, then b, in the scan's order
+    for D in discs(5000) + [m * m for m in range(71, 400)]:
+        assert picard_group(D).reps == tuple(first_ideals_by_norm(D).values()), D
 
 
 def test_class_of_matches_oracle_on_the_pool():

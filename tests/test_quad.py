@@ -505,13 +505,30 @@ def test_quad_failure_sites_raise_invariant_error_under_optimize():
         "chi = [c for c in quad.mu3_characters(-23) if any(c.values)][0]\n"
         "quad._extension_map = lambda Gf, Gt: (0, 0, 0)\n"
         "check('conductor', lambda: quad.conductor_of_char(chi))\n"
+        "quad._primitive_ideals = lambda D, a, invertible_only=True: iter(())\n"
+        "check('reps', lambda: quad.picard_group(25))\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
-    assert out.stdout.split() == ["extend", "conductor"], out.stderr
+    assert out.stdout.split() == ["extend", "conductor", "reps"], out.stderr
+
+
+def test_nonsquare_picard_build_enumerates_no_ideal(monkeypatch):
+    # for D not a square the representatives are read off the class keys;
+    # only the walk for D = m^2 enumerates ideals
+    want = {D: picard_group(D).reps for D in (-3999, -4, 5, 489, 3997)}
+
+    def enumerate_ideals(*args):
+        raise AssertionError("ideals enumerated")
+
+    monkeypatch.setattr(quad, "_primitive_ideals", enumerate_ideals)
+    for D, reps in want.items():
+        assert quad._picard_group.__wrapped__(D).reps == reps, D
+    with pytest.raises(AssertionError, match="ideals enumerated"):
+        quad._picard_group.__wrapped__(9)
 
 
 def test_cached_picard_group_is_read_only():

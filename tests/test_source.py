@@ -5,7 +5,8 @@ a traceback, which reads as a failed identity).  One enumeration budget:
 forms.disc_budget is its only source, so no function takes a budget
 parameter that some caller could forget to pass on.  One writer: every
 command's output goes through cli._write.  One library surface: every name
-defined in src is reached from what the program runs."""
+defined in src is reached from what the program runs, and every name a
+module imports is used in it."""
 
 import argparse
 import ast
@@ -258,6 +259,27 @@ def test_every_flag_is_read():
         read = reads(parser.get_default("func").__name__) | reads("main")
         bad += ["%s --%s" % (command, dest) for dest in sorted(dests - read)]
     assert len(sub.choices) == 4 and not bad, bad
+
+
+def test_every_import_is_used():
+    # every name a src module imports is used in that module; the package
+    # __init__ imports only to export
+    bad = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        if name == "__init__.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(((a.asname or a.name).split(".")[0], node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        bad += ["%s:%d %s" % (name, line, n) for n, line in sorted(imported.items()) if n not in used]
+    assert not bad, bad
 
 
 def _refs(node):
