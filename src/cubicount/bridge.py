@@ -1,30 +1,28 @@
 """Bridges between cubic rings and quadratic ideal theory.
 
-For an oriented ring with all traces in 3Z and discriminant -27*D, a
-trace-zero generic element alpha with char poly x^3 + 3t x + u = 0 is
-"solved" by the cubic formula: writing gamma for the root
-(-u + e*sqrt(D))/2 of the resolvent (e the Levi form value at alpha),
-the trace-zero part of the ring becomes {xi cbrt(gamma) + conj in a
-sextic algebra}, indexed by a lattice I in Q(sqrt(D)).  The resulting
-triple (O_D, I, gamma) satisfies gamma I^3 contained in O_D and
-|N(gamma)| N(I)^3 = 1, and the assignment inverts the classical cube
-parametrization.  Scaling I by g = gcd of its form coefficients yields an
-invertible ideal J = gamma I^3 / g of norm g in the order of discriminant
-D/g^2 whose class is a cube.
+An oriented ring with all traces in 3Z has a form f = (a, 3B, 3C, d)
+of discriminant -27*D, and Bhargava's bijection (Higher composition
+laws I, Ann. of Math. 159 (2004), section 3) reads its triple (O_D, I,
+gamma) off the covariants of f: the reduced Hessian Q = (B^2 - aC, BC -
+ad, C^2 - Bd) of discriminant D, the cubic covariant G and f itself,
+evaluated at the first point where Q and f are nonzero (`extract_triple`).
+With t, u, e the values of Q, G, f there, gamma = (-u + e sqrt D)/2 has
+N(gamma) = t^3, I = [1, (s + sqrt D)/2|t|] for s read off the polar form
+of Q, and the triple satisfies gamma I^3 contained in O_D and |N(gamma)|
+N(I)^3 = 1.  No ring arithmetic enters.  Scaling I by g = gcd of its form
+coefficients yields an invertible ideal J = gamma I^3 / g of norm g in
+the order of discriminant D/g^2 whose class is a cube.
 
-The extraction runs in integer arithmetic: gamma and c(sqrt D) have
-integer numerators over the denominators 2 and e, and the triple stores
-only those numerators.  Every lattice in Q(sqrt D) is a `RatLattice`, an
-integer Hermite normal form over one denominator reduced by the same
-kernel `quad.hnf2` as quadratic ideals.  The extracted I has the basis
-[1, tau], so gamma I^3 is one Hermite form of gamma, gamma tau, gamma
-tau^2 and gamma tau^3 (`gamma_cube`), built once per triple and stored
-on it for the containment check and `triple_to_J`; J's generators are
-read straight off its two rows, and J is invertible iff its quadratic
-form is primitive (`quad.is_invertible`).  The checks on a
-triple (char poly, resolvent, orientation, the balance conditions, the
-integrality and invertibility of J) raise `forms.InvariantError`, so they
-hold under `python -O` too.
+Every lattice in Q(sqrt D) is a `RatLattice`, an integer Hermite normal
+form over one denominator reduced by the same kernel `quad.hnf2` as
+quadratic ideals.  The extracted I has the basis [1, tau], so gamma I^3
+is one Hermite form of gamma, gamma tau, gamma tau^2 and gamma tau^3
+(`gamma_cube`), built once per triple and stored on it for the
+containment check and `triple_to_J`; J's generators are read straight off
+its two rows, and J is invertible iff its quadratic form is primitive
+(`quad.is_invertible`).  The checks on a triple (N(gamma) = t^3, the
+balance conditions, the integrality and invertibility of J) raise
+`forms.InvariantError`, so they hold under `python -O` too.
 
 On top of the triple extraction sit the two global counts: the ideal-side
 count (invertible cube-class ideals weighted by 3-torsion) equals
@@ -41,8 +39,8 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .forms import BinaryCubicForm, InvariantError, disc, is_zmat
-from .rings import CubicRing, _det3, is_maximal, ring_from_form
+from .forms import BinaryCubicForm, InvariantError, disc, evaluate, is_zmat
+from .rings import is_maximal
 from .counting import _orbits_at, h_value, factorize, report, s_sequence
 from .quad import (
     Mu3Char,
@@ -60,6 +58,7 @@ from .quad import (
     pic_3_torsion,
     picard_group,
     primitive_char,
+    xgcd,
 )
 
 
@@ -134,9 +133,8 @@ class SelfBalancedTriple(NamedTuple):
     s: int
     r: int
     u: int
-    e: int                    # Levi form value at alpha
+    e: int                    # f(x, y) times the orientation
     alpha: tuple              # ring coordinates of the chosen alpha
-    sqrt_num: tuple           # ring coordinates of c(sqrt D), times e
     gamma_I3: RatLattice      # gamma I^3, built once by `gamma_cube`
 
     @property
@@ -158,135 +156,83 @@ class SelfBalancedTriple(NamedTuple):
         return lat_subset_order(self.gamma_I3)
 
 
-def _trace_zero_basis(form):
+# the primitive (x, y) with max(|x|, |y|) = 1 or 2, by shell, then x, then y
+_POINTS = tuple(
+    (x, y) for m in (1, 2) for x in range(-m, m + 1) for y in range(-m, m + 1)
+    if max(abs(x), abs(y)) == m and gcd(x, y) == 1
+)
+
+
+def cubic_covariant(form) -> BinaryCubicForm:
+    """The cubic covariant G of f = (a, 3B, 3C, d), scaled so that
+    G^2 - f^2 D = 4 Q^3 for the reduced Hessian Q and D = -disc(f)/27."""
     a, b, c, d = form
-    if b % 3 or c % 3:
-        raise InvariantError("trace-zero basis of %r needs 3 | b, c" % (tuple(form),))
-    return ((b // 3, 1, 0), (-c // 3, 0, 1))
-
-
-def _alpha_candidates(form):
-    w1, w2 = _trace_zero_basis(form)
-    m = 0
-    while True:
-        m += 1
-        for x1 in range(-m, m + 1):
-            for x2 in range(-m, m + 1):
-                if max(abs(x1), abs(x2)) != m:
-                    continue
-                if gcd(x1, x2) != 1:
-                    continue
-                yield tuple(
-                    x1 * w1[i] + x2 * w2[i] for i in range(3)
-                )
-        if m > 64:
-            raise InvariantError("no generic trace-zero element found for %r" % (tuple(form),))
+    B, C = b // 3, c // 3
+    return BinaryCubicForm(
+        2 * B ** 3 - 3 * a * B * C + a * a * d,
+        3 * B * B * C + 3 * a * B * d - 6 * a * C * C,
+        6 * B * B * d - 3 * B * C * C - 3 * a * C * d,
+        3 * B * C * d - 2 * C ** 3 - a * d * d,
+    )
 
 
 def extract_triple(form, orientation: int = 1) -> SelfBalancedTriple:
-    """Deterministic triple extraction from an oriented ring with traces in
-    3Z: scan primitive trace-zero alpha by increasing coordinate size until
-    both genericity conditions hold."""
+    """The triple (O_D, I, gamma) of the oriented ring of f = (a, 3B, 3C, d),
+    read off the covariants of f (Bhargava, Higher composition laws I,
+    Ann. of Math. 159 (2004), section 3).
+
+    In the ring basis [1, omega, theta], alpha = (xB - yC) + x omega + y
+    theta is the trace-zero element at a point p = (x, y), and for Q =
+    (B^2 - aC, BC - ad, C^2 - Bd), the reduced Hessian of disc D =
+    -disc(f)/27, tr(alpha^2) = 6 Q(x, y) and
+    det[1, alpha, alpha^2] = f(x, y) hold identically.  So alpha is
+    generic when Q(x, y) and f(x, y) are nonzero, and the first primitive
+    p in shells max(|x|, |y|) = 1, 2, ... that is generic is taken.  f Q
+    is a nonzero binary quintic with at most 5 projective zeros, and the
+    shells 1 and 2 hold 8 projective points, so `_POINTS` always has one.
+
+    At p: t = Q(x, y), e = o f(x, y), u = G(x, y) for the cubic
+    covariant G, so N(gamma) = (u^2 - e^2 D)/4 = t^3 for gamma = (-u +
+    e sqrt D)/2.  I = [1, (s + sqrt D)/2|t|] with s = -o B_Q(p, p') mod
+    2|t|, where p' completes p to a basis, x y' - y x' = 1, and B_Q(p,
+    p') = 2P x x' + S(x y' + y x') + 2R y y' is the polar form of Q = (P,
+    S, R).  Another p' is p' + k p, which adds 2k Q(p) = 2kt to B_Q, so s
+    does not depend on it.  B_Q(p, p')^2 - 4 Q(p) Q(p') = D makes r = (s^2
+    - D)/4t an integer.  ValueError for a form not trace-divisible, a
+    degenerate one, or an orientation o outside {1, -1}."""
     f = BinaryCubicForm(*form)
     if not is_zmat(f):
         raise ValueError("ring does not have all traces divisible by 3")
+    if orientation not in (1, -1):
+        raise ValueError("orientation must be +1 or -1")
     Dring = disc(f)
     if Dring == 0:
         raise ValueError("degenerate ring")
     if Dring % 27:
         raise InvariantError("trace-divisible %r has disc %d not divisible by 27" % (tuple(f), Dring))
     D = -(Dring // 27)
-    ring = ring_from_form(f, orientation)
-    for alpha in _alpha_candidates(f):
-        tr2 = ring.trace(ring.mul(alpha, alpha))
-        det = _det3(((1, 0, 0), alpha, ring.mul(alpha, alpha)))
-        if tr2 == 0 or det == 0:
-            continue
-        return _triple_from_alpha(ring, D, alpha, tr2, det)
-    raise InvariantError("the trace-zero candidates of %r ran out" % (tuple(f),))
-
-
-def _triple_from_alpha(ring: CubicRing, D: int, alpha, tr2: int, det: int):
-    if tr2 % 6:
-        raise InvariantError("tr(alpha^2) = %d is not divisible by 6" % tr2)
-    t = -tr2 // 6
-    e = det * ring.orientation  # Levi form value at alpha
-    alpha2 = ring.mul(alpha, alpha)
-    alpha3 = ring.mul(alpha2, alpha)
-    u = -(alpha3[0] + 3 * t * alpha[0])
-    if alpha3 != (-3 * t * alpha[0] - u, -3 * t * alpha[1], -3 * t * alpha[2]):
-        raise InvariantError("alpha is not a root of x^3 + 3t x + u")
-    # the resolvent discriminant u^2 + 4t^3 = e^2 D says that
-    # gamma = (-u + e sqrt D)/2 has N(gamma) = (u^2 - e^2 D)/4 = -t^3
-    if u * u + 4 * t ** 3 != e * e * D:
-        raise InvariantError("resolvent discriminant mismatch: N(gamma) != -t^3")
-    # image of sqrt(D) under the lattice identification:
-    # c(sqrt D) = (t alpha^2 + 2 t^2 + gamma_x alpha)/gamma_y
-    #           = (2t alpha^2 - u alpha + 4t^2)/e, numerators vs over e
-    vs = (
-        2 * t * alpha2[0] - u * alpha[0] + 4 * t * t,
-        2 * t * alpha2[1] - u * alpha[1],
-        2 * t * alpha2[2] - u * alpha[2],
-    )
-    if ring.trace(vs):
-        raise InvariantError("c(sqrt D) does not have trace zero")
-    # express the trace-zero basis in terms of alpha, c(sqrt D)
-    w1, w2 = _trace_zero_basis(ring.form)
-    x1, den = _solve_in_plane(alpha, vs, e, w1)
-    x2, _ = _solve_in_plane(alpha, vs, e, w2)
-    I = int_lattice(D, den, [x1, x2])
-    if I.a != I.den:
-        raise InvariantError("1 must be a primitive vector of the extracted lattice")
-    # tau = (b + c sqrt D)/den; choose its sign so that [1, alpha, c(tau)]
-    # is positively oriented; this pins which of +-(t, s, r) the ring is
-    # assigned.  c(tau) = (b e alpha + c vs)/(den e), so the orientation
-    # is dd/(den e) for the determinant dd of the numerators.
-    ctau = tuple(I.b * e * alpha[i] + I.c * vs[i] for i in range(3))
-    dd = _det3(((1, 0, 0), alpha, ctau))
-    if abs(dd) != abs(I.den * e):
-        raise InvariantError("[1, alpha, c(tau)] is not a basis")
-    sign = 1 if dd // (I.den * e) == ring.orientation else -1
-    # tau = (s + sqrt D)/q with q = +-2t, so q = sign den/c and s = b/c
-    if I.den % I.c or I.den // I.c != 2 * abs(t) or I.b % I.c:
-        raise InvariantError("tau is not (s + sqrt D)/(+-2t) with s integral")
-    q = sign * (I.den // I.c)
-    s = I.b // I.c
-    if (s - D) % 2:
-        raise InvariantError("s and D differ in parity")
-    t_att = q // (-2)  # attached triple (t, s, r) read from the denominator
-    # orientation normalization realizes the converse convention
-    # sgn(t) = sgn(N(gamma)), i.e. N(gamma) = t^3 on the nose
-    if u * u - e * e * D != 4 * t_att ** 3:
+    a, b, c, d = f
+    B, C = b // 3, c // 3
+    P, S, R = B * B - a * C, B * C - a * d, C * C - B * d
+    for x, y in _POINTS:
+        t, e = P * x * x + S * x * y + R * y * y, orientation * evaluate(f, x, y)
+        if t and e:
+            break
+    else:
+        raise InvariantError("no generic element among the shell points of %r" % (tuple(f),))
+    u = evaluate(cubic_covariant(f), x, y)
+    if u * u - e * e * D != 4 * t ** 3:
         raise InvariantError("N(gamma) != t^3 for the attached triple")
-    # r completes t x^2 + s x y + r y^2 to the attached quadratic form of
-    # discriminant exactly D; its content is the conductor ratio of the
-    # multiplier ring of I
-    num = s * s - D
-    if num % (4 * t_att):
-        raise InvariantError("4t does not divide s^2 - D")
-    r = num // (4 * t_att)
-    trip = SelfBalancedTriple(D, I, t_att, s, r, u, e, tuple(alpha), vs, gamma_cube(I, u, e))
+    _, yp, xp = xgcd(x, -y)  # x yp - y xp = 1
+    s = -orientation * (2 * P * x * xp + S * (x * yp + y * xp) + 2 * R * y * yp) % (2 * abs(t))
+    r = (s * s - D) // (4 * t)
+    I = RatLattice(D, 2 * abs(t), 2 * abs(t), s, 1)
+    trip = SelfBalancedTriple(D, I, t, s, r, u, e, (x * B - y * C, x, y), gamma_cube(I, u, e))
     if not trip.norm_condition():
         raise InvariantError("balance norm condition failed")
     if not trip.containment_condition():
         raise InvariantError("gamma I^3 not inside the order")
     return trip
-
-
-def _solve_in_plane(alpha, vs, vden, w):
-    """((x, y), den) with den > 0 and w = (x alpha + y vs/vden)/den, solved
-    on the last two coordinates and checked on the first; alpha and w are
-    integer vectors, vs the integer numerators over vden."""
-    det = alpha[1] * vs[2] - alpha[2] * vs[1]
-    if det == 0:
-        raise InvariantError("alpha and the image of sqrt D are dependent on the plane")
-    x = w[1] * vs[2] - w[2] * vs[1]
-    y = (alpha[1] * w[2] - alpha[2] * w[1]) * vden
-    if det < 0:
-        det, x, y = -det, -x, -y
-    if x * alpha[0] * vden + y * vs[0] != w[0] * det * vden:
-        raise InvariantError("no solution on the constant coordinate")
-    return (x, y), det
 
 
 # ---------------------------------------------------------------------------

@@ -140,11 +140,6 @@ def hessian(form) -> Hessian:
     return Hessian(t, s, r, gcd(gcd(t, s), r))
 
 
-def content(form) -> int:
-    a, b, c, d = form
-    return gcd(gcd(a, b), gcd(c, d))
-
-
 # ---------------------------------------------------------------------------
 # Reduction
 

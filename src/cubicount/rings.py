@@ -10,7 +10,10 @@ the unique choice making the table associative.  Elements are integer
 coordinate triples (x0, x1, x2).  The orientation sign fixes a generator
 of the top exterior power (basis wedge times the sign).
 
-Also here: the maximal subring with all traces divisible by 3; local
+Also here: the maximal subring with all traces divisible by 3, the first
+trace-divisible one among the ring, its subrings of index 3 and Z + 3C,
+each with its form F(e x, f x + g y)/(e g) read off its triangular basis
+1, e*alpha + f*beta, g*beta (no multiplication table is built); local
 maximality of a form at a prime p and its splitting type there, both in
 closed form (when p does not divide the discriminant the roots mod p are
 simple and their number gives the type; otherwise the one multiple root,
@@ -28,7 +31,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .forms import BinaryCubicForm, BudgetExceeded, InvariantError, disc, evaluate, is_zmat
-from .quad import divisors, factorize, hnf2, require_prime
+from .quad import divisors, factorize, require_prime
 
 class CubicRing:
     """Multiplication table attached to a binary cubic form."""
@@ -76,44 +79,17 @@ class CubicRing:
             x0 * y2 + x2 * y0 + s11 * p2 + s22 * r2,
         )
 
-    def power(self, x, n: int):
-        out = (1, 0, 0)
-        for _ in range(n):
-            out = self.mul(out, x)
-        return out
-
     def trace(self, x) -> int:
         a, b, c, d = self.form
         return 3 * x[0] - b * x[1] + c * x[2]
-
-
-def _det3(m) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
 
 
 def ring_from_form(form, orientation: int = 1) -> CubicRing:
     return CubicRing(form, orientation)
 
 
-def is_zmat_ring(ring: CubicRing) -> bool:
-    """3 | tr(x) for all x; equivalent to is_zmat of the form."""
-    return is_zmat(ring.form)
-
-
 # ---------------------------------------------------------------------------
-# Sublattices and subrings
-
-def index_in(parent_basis, sub_basis) -> int:
-    det_p = _det3(parent_basis)
-    det_s = _det3(sub_basis)
-    if not det_p or det_s % det_p:
-        raise InvariantError("index of a lattice of determinant %d in one of determinant %d" % (det_s, det_p))
-    return abs(det_s // det_p)
-
+# Subrings
 
 # the largest index subrings_of_index enumerates (it tries sigma(n) lattices)
 MAX_SUBRING_INDEX = 1000
@@ -165,90 +141,37 @@ def subrings_of_index(ring: CubicRing, n: int):
 # The maximal subring with all traces divisible by 3
 
 def max_zmat_subring(ring: CubicRing):
-    """The unique largest subring whose elements all have trace in 3Z,
-    namely {x : x^3 in Z + 3C}.  Returns (subring, index, basis_rows)."""
+    """The unique largest subring whose elements all have trace in 3Z.  It
+    holds Z + 3C and every trace-divisible subring, so it is the first
+    trace-divisible one of: the ring itself, its subrings of index 3 in the
+    order `subrings_of_index` lists them, and Z + 3C.  The subring with
+    basis 1, e*alpha + f*beta, g*beta has the form F(e x, f x + g y)/(e g),
+    so Z + 3C has the form 3F.  Returns (subring, index, basis_rows)."""
     if ring.discriminant == 0:
         raise ValueError("degenerate ring")
-    # the lattice holds 1 and 3C, and (x0 + x)^3 - x^3 lies in Z + 3C, so it
-    # is 1 and the Hermite form of the (alpha, beta) parts of 3*alpha,
-    # 3*beta and the x = x1*alpha + x2*beta, 0 <= x1, x2 < 3, that qualify
-    gens = [(0, 3), (3, 0)]  # (x2, x1)
-    for x1 in range(3):
-        for x2 in range(3):
-            cube = ring.power((0, x1, x2), 3)
-            if cube[1] % 3 == 0 and cube[2] % 3 == 0:
-                gens.append((x2, x1))
-    a, b, c = hnf2(gens)
-    basis = [(1, 0, 0), (0, c, b), (0, 0, a)]
-    idx = index_in([[1, 0, 0], [0, 1, 0], [0, 0, 1]], basis)
-    if idx not in (1, 3, 9):
-        raise InvariantError("trace-divisible subring of %r has index %d" % (tuple(ring.form), idx))
-    sub = lattice_ring(ring, basis)
-    if not is_zmat_ring(sub):
-        raise InvariantError("subring %r of %r is not trace-divisible" % (tuple(sub.form), tuple(ring.form)))
-    if sub.discriminant != idx * idx * ring.discriminant:
-        raise InvariantError(
-            "index-%d subring of %r has disc %d, not %d" % (idx, tuple(ring.form), sub.discriminant, idx * idx * ring.discriminant)
-        )
-    return sub, idx, basis
+    whole = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    z_plus_3c = ((1, 0, 0), (0, 3, 0), (0, 0, 3))
+    for basis in [whole] + subrings_of_index(ring, 3) + [z_plus_3c]:
+        (_, e, f), (_, _, g) = basis[1:]
+        sub = CubicRing(_sub_form(ring.form, e, f, g), ring.orientation)
+        if not is_zmat(sub.form):
+            continue
+        if sub.discriminant != (e * g) ** 2 * ring.discriminant:
+            raise InvariantError("index-%d subring %r of %r has the wrong disc" % (e * g, tuple(sub.form), tuple(ring.form)))
+        return sub, e * g, list(basis)
+    raise InvariantError("Z + 3C of %r is not trace-divisible" % (tuple(ring.form),))
 
 
-def lattice_ring(ring: CubicRing, basis_rows) -> CubicRing:
-    """Interpret a full-rank multiplicatively closed sublattice (rows starting
-    with a vector proportional to 1) as a CubicRing: renormalize to a normal
-    basis with positive determinant and read off the structure form."""
-    b0, b1, b2 = ([list(r) for r in basis_rows])
-    if b0[1] or b0[2] or abs(b0[0]) != 1:
-        raise InvariantError("first basis vector %r of a subring is not +-1" % (b0,))
-    if b0[0] < 0:
-        b0 = [-x for x in b0]
-    det = _det3([b0, b1, b2])
-    if det < 0:
-        b2 = [-x for x in b2]
-        det = -det
-    u, v = tuple(b1), tuple(b2)
-    # normal basis: alpha*beta must be an integer
-    prod = ring.mul(u, v)
-    x, y = _solve2(u, v, prod)
-    u = (u[0] - y * 1, u[1], u[2])
-    v = (v[0] - x * 1, v[1], v[2])
-    uu = ring.mul(u, u)
-    uv = ring.mul(u, v)
-    vv = ring.mul(v, v)
-    cu = _solve2_full(u, v, uu)
-    cv = _solve2_full(u, v, vv)
-    cm = _solve2_full(u, v, uv)
-    if cm[1] or cm[2]:
-        raise InvariantError("not a normal basis: alpha beta = %r" % (cm,))
-    # alpha^2 = l - b alpha + a beta ; beta^2 = n - d alpha + c beta
-    b = -cu[1]
-    a = cu[2]
-    d = -cv[1]
-    c = cv[2]
-    form = BinaryCubicForm(a, b, c, d)
-    sub = CubicRing(form, ring.orientation)
-    # the table constants must be -ac, -ad, -bd
-    if (cu[0], cm[0], cv[0]) != (-a * c, -a * d, -b * d):
-        raise InvariantError("table constants %r do not match the form %r" % ((cu[0], cm[0], cv[0]), tuple(form)))
-    return sub
-
-
-def _solve2(u, v, w):
-    """(x, y) with w = w0*1 + x*u + y*v in the alpha,beta coordinates."""
-    det = u[1] * v[2] - u[2] * v[1]
-    if det == 0:
-        raise InvariantError("dependent vectors %r, %r" % (u, v))
-    x_num = w[1] * v[2] - w[2] * v[1]
-    y_num = u[1] * w[2] - u[2] * w[1]
-    if x_num % det or y_num % det:
-        raise InvariantError("%r is not an integer combination of %r, %r" % (w, u, v))
-    return x_num // det, y_num // det
-
-
-def _solve2_full(u, v, w):
-    x, y = _solve2(u, v, w)
-    const = w[0] - x * u[0] - y * v[0]
-    return (const, x, y)
+def _sub_form(form, e: int, f: int, g: int) -> BinaryCubicForm:
+    """F(e x, f x + g y)/(e g), the form of the subring with basis 1,
+    e*alpha + f*beta, g*beta (exact whenever that lattice is a ring)."""
+    _, b, c, d = form
+    return BinaryCubicForm(
+        evaluate(form, e, f) // (e * g),
+        b * e + 2 * c * f + 3 * d * f * f // e,
+        c * g + 3 * d * f * g // e,
+        d * g * g // e,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Reference code the tests check the library against: brute-force oracles
-(stabilizer matrices, superrings of index p, ideal and lattice products,
-the Picard representatives from a norm scan, the Picard structure from
-ideal products, extension maps through conductor-coprime representatives,
-character sums over ideals) and small helpers that only tests call.  The
-library holds only what the program runs; test_source enforces that.
+(stabilizer matrices, superrings of index p, the maximal trace-divisible
+subring and the self-balanced triple by ring arithmetic, ideal and lattice
+products, the Picard representatives from a norm scan, the Picard
+structure from ideal products, extension maps through conductor-coprime
+representatives, character sums over ideals) and small helpers that only
+tests call.  The library holds only what the program runs; test_source
+enforces that.
 
 Not collected by pytest (no test_ prefix); test files import it as
 `reference`, which works because pytest puts tests/ on sys.path.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from cubicount.bridge import RatLattice, SelfBalancedTriple, _solve_in_plane, int_lattice, k2_mul
+from cubicount.bridge import RatLattice, SelfBalancedTriple, gamma_cube, int_lattice, k2_mul
 from cubicount.forms import (
     MAT_ID,
     MAT_NEG,
@@ -22,6 +24,7 @@ from cubicount.forms import (
     InvariantError,
     UnimodularMatrix,
     disc,
+    is_zmat,
     is_reduced_neg,
     is_reduced_pos,
     mat_mul,
@@ -41,6 +44,7 @@ from cubicount.quad import (
     extend_ideal,
     factorize,
     fundamental_part,
+    hnf2,
     ideal_form_coefficients,
     ideal_from_generators,
     ideals_of_norm,
@@ -50,7 +54,7 @@ from cubicount.quad import (
     picard_group,
     xgcd,
 )
-from cubicount.rings import CubicRing, _det3
+from cubicount.rings import CubicRing
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +114,24 @@ def random_unimodular(rng, steps: int = 8) -> UnimodularMatrix:
 _BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def det3(m) -> int:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def ring_power(ring: CubicRing, x, n: int):
+    out = (1, 0, 0)
+    for _ in range(n):
+        out = ring.mul(out, x)
+    return out
+
+
 def trace_pairing_disc(ring: CubicRing) -> int:
     m = [[ring.trace(ring.mul(u, v)) for v in _BASIS] for u in _BASIS]
-    return _det3(m)
+    return det3(m)
 
 
 def is_associative(ring: CubicRing) -> bool:
@@ -200,6 +219,91 @@ def _in_mod_line_sq(ring, w, v, p):
         return False
     w2 = tuple(x // p for x in w)
     return _in_mod_line(w2, v, p)
+
+
+def lattice_ring(ring: CubicRing, basis_rows) -> CubicRing:
+    """Interpret a full-rank multiplicatively closed sublattice (rows starting
+    with a vector proportional to 1) as a CubicRing: renormalize to a normal
+    basis with positive determinant and read off the structure form."""
+    b0, b1, b2 = ([list(r) for r in basis_rows])
+    if b0[1] or b0[2] or abs(b0[0]) != 1:
+        raise InvariantError("first basis vector %r of a subring is not +-1" % (b0,))
+    if b0[0] < 0:
+        b0 = [-x for x in b0]
+    det = det3([b0, b1, b2])
+    if det < 0:
+        b2 = [-x for x in b2]
+        det = -det
+    u, v = tuple(b1), tuple(b2)
+    # normal basis: alpha*beta must be an integer
+    prod = ring.mul(u, v)
+    x, y = _solve2(u, v, prod)
+    u = (u[0] - y * 1, u[1], u[2])
+    v = (v[0] - x * 1, v[1], v[2])
+    uu = ring.mul(u, u)
+    uv = ring.mul(u, v)
+    vv = ring.mul(v, v)
+    cu = _solve2_full(u, v, uu)
+    cv = _solve2_full(u, v, vv)
+    cm = _solve2_full(u, v, uv)
+    if cm[1] or cm[2]:
+        raise InvariantError("not a normal basis: alpha beta = %r" % (cm,))
+    # alpha^2 = l - b alpha + a beta ; beta^2 = n - d alpha + c beta
+    b = -cu[1]
+    a = cu[2]
+    d = -cv[1]
+    c = cv[2]
+    form = BinaryCubicForm(a, b, c, d)
+    sub = CubicRing(form, ring.orientation)
+    # the table constants must be -ac, -ad, -bd
+    if (cu[0], cm[0], cv[0]) != (-a * c, -a * d, -b * d):
+        raise InvariantError("table constants %r do not match the form %r" % ((cu[0], cm[0], cv[0]), tuple(form)))
+    return sub
+
+
+def _solve2(u, v, w):
+    """(x, y) with w = w0*1 + x*u + y*v in the alpha,beta coordinates."""
+    det = u[1] * v[2] - u[2] * v[1]
+    if det == 0:
+        raise InvariantError("dependent vectors %r, %r" % (u, v))
+    x_num = w[1] * v[2] - w[2] * v[1]
+    y_num = u[1] * w[2] - u[2] * w[1]
+    if x_num % det or y_num % det:
+        raise InvariantError("%r is not an integer combination of %r, %r" % (w, u, v))
+    return x_num // det, y_num // det
+
+
+def _solve2_full(u, v, w):
+    x, y = _solve2(u, v, w)
+    const = w[0] - x * u[0] - y * v[0]
+    return (const, x, y)
+
+
+def max_zmat_subring_by_cubes(ring: CubicRing):
+    """The largest subring whose elements all have trace in 3Z, as the
+    lattice {x : x^3 in Z + 3C} read back through `lattice_ring`: the
+    construction rings.max_zmat_subring replaced, kept as its oracle.
+    Returns (subring, index, basis_rows)."""
+    # the lattice holds 1 and 3C, and (x0 + x)^3 - x^3 lies in Z + 3C, so it
+    # is 1 and the Hermite form of the (alpha, beta) parts of 3*alpha,
+    # 3*beta and the x = x1*alpha + x2*beta, 0 <= x1, x2 < 3, that qualify
+    gens = [(0, 3), (3, 0)]  # (x2, x1)
+    for x1 in range(3):
+        for x2 in range(3):
+            cube = ring_power(ring, (0, x1, x2), 3)
+            if cube[1] % 3 == 0 and cube[2] % 3 == 0:
+                gens.append((x2, x1))
+    a, b, c = hnf2(gens)
+    basis = [(1, 0, 0), (0, c, b), (0, 0, a)]
+    idx = det3(basis)
+    if idx not in (1, 3, 9):
+        raise InvariantError("trace-divisible subring of %r has index %d" % (tuple(ring.form), idx))
+    sub = lattice_ring(ring, basis)
+    if not is_zmat(sub.form):
+        raise InvariantError("subring %r of %r is not trace-divisible" % (tuple(sub.form), tuple(ring.form)))
+    if sub.discriminant != idx * idx * ring.discriminant:
+        raise InvariantError("index-%d subring of %r has the wrong disc" % (idx, tuple(ring.form)))
+    return sub, idx, basis
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +519,152 @@ def lat_contains(L: RatLattice, el) -> bool:
     return rem == 0 and (x * L.den - k * L.b * den) % (den * L.a) == 0
 
 
-def triples_equivalent(t1: SelfBalancedTriple, t2: SelfBalancedTriple):
+def _trace_zero_basis(form):
+    a, b, c, d = form
+    if b % 3 or c % 3:
+        raise InvariantError("trace-zero basis of %r needs 3 | b, c" % (tuple(form),))
+    return ((b // 3, 1, 0), (-c // 3, 0, 1))
+
+
+def _alpha_candidates(form):
+    w1, w2 = _trace_zero_basis(form)
+    m = 0
+    while True:
+        m += 1
+        for x1 in range(-m, m + 1):
+            for x2 in range(-m, m + 1):
+                if max(abs(x1), abs(x2)) != m:
+                    continue
+                if gcd(x1, x2) != 1:
+                    continue
+                yield tuple(
+                    x1 * w1[i] + x2 * w2[i] for i in range(3)
+                )
+        if m > 64:
+            raise InvariantError("no generic trace-zero element found for %r" % (tuple(form),))
+
+
+def extract_triple_by_ring(form, orientation: int = 1, skip: int = 0):
+    """(triple, sqrt_num): the triple of an oriented trace-divisible ring by
+    ring arithmetic, the extraction bridge.extract_triple replaced, kept as
+    its oracle.  It scans primitive trace-zero alpha by increasing
+    coordinate size, passes over the first skip generic ones, and solves
+    the cubic x^3 + 3t x + u of the next by the cubic formula; sqrt_num is
+    e times the ring coordinates of c(sqrt D), the image of sqrt D."""
+    f = BinaryCubicForm(*form)
+    if not is_zmat(f):
+        raise ValueError("ring does not have all traces divisible by 3")
+    Dring = disc(f)
+    if Dring == 0:
+        raise ValueError("degenerate ring")
+    if Dring % 27:
+        raise InvariantError("trace-divisible %r has disc %d not divisible by 27" % (tuple(f), Dring))
+    D = -(Dring // 27)
+    ring = CubicRing(f, orientation)
+    for alpha in _alpha_candidates(f):
+        tr2 = ring.trace(ring.mul(alpha, alpha))
+        det = det3(((1, 0, 0), alpha, ring.mul(alpha, alpha)))
+        if tr2 == 0 or det == 0:
+            continue
+        if skip == 0:
+            return _triple_from_alpha(ring, D, alpha, tr2, det)
+        skip -= 1
+    raise InvariantError("the trace-zero candidates of %r ran out" % (tuple(f),))
+
+
+def _triple_from_alpha(ring: CubicRing, D: int, alpha, tr2: int, det: int):
+    if tr2 % 6:
+        raise InvariantError("tr(alpha^2) = %d is not divisible by 6" % tr2)
+    t = -tr2 // 6
+    e = det * ring.orientation  # Levi form value at alpha
+    alpha2 = ring.mul(alpha, alpha)
+    alpha3 = ring.mul(alpha2, alpha)
+    u = -(alpha3[0] + 3 * t * alpha[0])
+    if alpha3 != (-3 * t * alpha[0] - u, -3 * t * alpha[1], -3 * t * alpha[2]):
+        raise InvariantError("alpha is not a root of x^3 + 3t x + u")
+    # the resolvent discriminant u^2 + 4t^3 = e^2 D says that
+    # gamma = (-u + e sqrt D)/2 has N(gamma) = (u^2 - e^2 D)/4 = -t^3
+    if u * u + 4 * t ** 3 != e * e * D:
+        raise InvariantError("resolvent discriminant mismatch: N(gamma) != -t^3")
+    # image of sqrt(D) under the lattice identification:
+    # c(sqrt D) = (t alpha^2 + 2 t^2 + gamma_x alpha)/gamma_y
+    #           = (2t alpha^2 - u alpha + 4t^2)/e, numerators vs over e
+    vs = (
+        2 * t * alpha2[0] - u * alpha[0] + 4 * t * t,
+        2 * t * alpha2[1] - u * alpha[1],
+        2 * t * alpha2[2] - u * alpha[2],
+    )
+    if ring.trace(vs):
+        raise InvariantError("c(sqrt D) does not have trace zero")
+    # express the trace-zero basis in terms of alpha, c(sqrt D)
+    w1, w2 = _trace_zero_basis(ring.form)
+    x1, den = _solve_in_plane(alpha, vs, e, w1)
+    x2, _ = _solve_in_plane(alpha, vs, e, w2)
+    I = int_lattice(D, den, [x1, x2])
+    if I.a != I.den:
+        raise InvariantError("1 must be a primitive vector of the extracted lattice")
+    # tau = (b + c sqrt D)/den; choose its sign so that [1, alpha, c(tau)]
+    # is positively oriented; this pins which of +-(t, s, r) the ring is
+    # assigned.  c(tau) = (b e alpha + c vs)/(den e), so the orientation
+    # is dd/(den e) for the determinant dd of the numerators.
+    ctau = tuple(I.b * e * alpha[i] + I.c * vs[i] for i in range(3))
+    dd = det3(((1, 0, 0), alpha, ctau))
+    if abs(dd) != abs(I.den * e):
+        raise InvariantError("[1, alpha, c(tau)] is not a basis")
+    sign = 1 if dd // (I.den * e) == ring.orientation else -1
+    # tau = (s + sqrt D)/q with q = +-2t, so q = sign den/c and s = b/c
+    if I.den % I.c or I.den // I.c != 2 * abs(t) or I.b % I.c:
+        raise InvariantError("tau is not (s + sqrt D)/(+-2t) with s integral")
+    q = sign * (I.den // I.c)
+    s = I.b // I.c
+    if (s - D) % 2:
+        raise InvariantError("s and D differ in parity")
+    t_att = q // (-2)  # attached triple (t, s, r) read from the denominator
+    # orientation normalization realizes the converse convention
+    # sgn(t) = sgn(N(gamma)), i.e. N(gamma) = t^3 on the nose
+    if u * u - e * e * D != 4 * t_att ** 3:
+        raise InvariantError("N(gamma) != t^3 for the attached triple")
+    # r completes t x^2 + s x y + r y^2 to the attached quadratic form of
+    # discriminant exactly D
+    num = s * s - D
+    if num % (4 * t_att):
+        raise InvariantError("4t does not divide s^2 - D")
+    r = num // (4 * t_att)
+    trip = SelfBalancedTriple(D, I, t_att, s, r, u, e, tuple(alpha), gamma_cube(I, u, e))
+    if not trip.norm_condition():
+        raise InvariantError("balance norm condition failed")
+    if not trip.containment_condition():
+        raise InvariantError("gamma I^3 not inside the order")
+    return trip, vs
+
+
+def _solve_in_plane(alpha, vs, vden, w):
+    """((x, y), den) with den > 0 and w = (x alpha + y vs/vden)/den, solved
+    on the last two coordinates and checked on the first; alpha and w are
+    integer vectors, vs the integer numerators over vden."""
+    det = alpha[1] * vs[2] - alpha[2] * vs[1]
+    if det == 0:
+        raise InvariantError("alpha and the image of sqrt D are dependent on the plane")
+    x = w[1] * vs[2] - w[2] * vs[1]
+    y = (alpha[1] * w[2] - alpha[2] * w[1]) * vden
+    if det < 0:
+        det, x, y = -det, -x, -y
+    if x * alpha[0] * vden + y * vs[0] != w[0] * det * vden:
+        raise InvariantError("no solution on the constant coordinate")
+    return (x, y), det
+
+
+def triples_equivalent(t1: SelfBalancedTriple, t2: SelfBalancedTriple, sqrt_num2):
     """For triples extracted from the same oriented ring with different
-    generic elements: exhibit lambda with I2 = lambda I1 and
+    generic elements, t2 with the image sqrt_num2 of sqrt D from
+    `extract_triple_by_ring`: exhibit lambda with I2 = lambda I1 and
     gamma1 = lambda^3 gamma2 (the identification sending c1 to c2).
     Returns lambda or None."""
     if t1.D != t2.D:
         return None
     D = t1.D
     # lambda = c2^{-1}(c1(1)) = c2^{-1}(alpha1)
-    (x, y), den = _solve_in_plane(t2.alpha, t2.sqrt_num, t2.e, t1.alpha)
+    (x, y), den = _solve_in_plane(t2.alpha, sqrt_num2, t2.e, t1.alpha)
     lam = (Fraction(x, den), Fraction(y, den))
     if k2_norm(D, lam) == 0:
         return None

@@ -10,9 +10,7 @@ import pytest
 
 from cubicount.bridge import (
     SelfBalancedTriple,
-    _alpha_candidates,
     _character_sum,
-    _triple_from_alpha,
     check_fields_pic,
     check_prop_3notdiv,
     check_scholz,
@@ -32,7 +30,7 @@ from cubicount.bridge import (
     weight_w,
 )
 from cubicount.counting import h_value, orbit_table
-from cubicount.forms import InvariantError, disc, hessian, is_zmat
+from cubicount.forms import InvariantError, hessian, is_zmat
 from cubicount.quad import (
     divisors,
     extend_ideal,
@@ -44,9 +42,9 @@ from cubicount.quad import (
     pic_3_torsion,
     picard_group,
 )
-from cubicount.rings import _det3, ring_from_form
 from reference import (
     chi_term_sum,
+    extract_triple_by_ring,
     is_cube_class,
     k2_norm,
     lat_contains,
@@ -107,27 +105,34 @@ def test_triple_invariants_on_enumerated_rings():
     assert count >= 20
 
 
-def _later_triple(form, skip):
-    """The triple from the generic alpha that comes skip candidates after
-    the one extract_triple takes."""
-    ring = ring_from_form(form, 1)
-    for alpha in _alpha_candidates(form):
-        tr2 = ring.trace(ring.mul(alpha, alpha))
-        det = _det3(((1, 0, 0), alpha, ring.mul(alpha, alpha)))
-        if tr2 == 0 or det == 0:
-            continue
-        if skip == 0:
-            return _triple_from_alpha(ring, -(disc(form) // 27), alpha, tr2, det)
-        skip -= 1
-
-
 def test_two_alphas_give_equivalent_triples():
     for form in [T3M1, (2, 3, 3, 1), (1, 3, -3, 2)]:
         t1 = extract_triple(form, 1)
-        t2 = _later_triple(form, 3)
+        t2, sqrt_num2 = extract_triple_by_ring(form, 1, skip=3)
         assert t1.alpha != t2.alpha
-        lam = triples_equivalent(t1, t2)
+        lam = triples_equivalent(t1, t2, sqrt_num2)
         assert lam is not None
+
+
+def test_closed_form_triples_match_ring_arithmetic():
+    # every field, I and gamma I^3 included, equals the triple the ring
+    # arithmetic oracle extracts, at every oriented trace-divisible ring
+    # with |disc| <= 54000
+    table = orbit_table(54000, True)
+    count = 0
+    for D in sorted(table):
+        for orb in table[D]:
+            for sign in (1, -1):
+                want, _ = extract_triple_by_ring(orb.form, sign)
+                assert extract_triple(orb.form, sign) == want, (orb.form, sign)
+                count += 1
+    assert count == 9528
+
+
+def test_extract_triple_rejects_bad_orientation():
+    for orientation in (0, 2):
+        with pytest.raises(ValueError, match="orientation"):
+            extract_triple(T3M1, orientation)
 
 
 def _gamma_cube_by_products(trip):
@@ -239,11 +244,11 @@ def test_non_integral_gamma_cube_raises_under_optimize():
 
 
 def test_bridge_fault_raises_invariant_error_under_optimize():
-    # running out of trace-zero candidates is an internal fault (CLI exit
-    # 3), not a failed identity (exit 1), also under -O
+    # running out of shell points is an internal fault (CLI exit 3), not a
+    # failed identity (exit 1), also under -O
     code = (
         "from cubicount import bridge, forms\n"
-        "bridge._alpha_candidates = lambda form: iter(())\n"
+        "bridge._POINTS = ()\n"
         "try:\n"
         "    bridge.extract_triple((1, 0, 0, -1), 1)\n"
         "except forms.InvariantError:\n"
@@ -278,17 +283,17 @@ def test_bridge_and_ring_invariants_survive_optimize():
         "check('split-prime', lambda: bridge.splitting_type_from_char(trivial, 2))\n"
         "bridge.pic_3_torsion = lambda D: 2\n"
         "check('pic3-odd', lambda: bridge.check_fields_pic(-23))\n"
+        "covariant, xgcd = bridge.cubic_covariant, bridge.xgcd\n"
+        "bridge.cubic_covariant = lambda f: (1, 0, 0, 0)\n"
+        "check('gamma-norm', lambda: bridge.extract_triple((1, 0, 0, -1)))\n"
+        "bridge.cubic_covariant = covariant\n"
+        "bridge.xgcd = lambda x, y: (1, 0, 0)\n"
+        "check('containment', lambda: bridge.extract_triple((1, 0, 0, -1)))\n"
+        "bridge.xgcd = xgcd\n"
         "bridge.disc = lambda f: 28\n"
         "check('disc-27', lambda: bridge.extract_triple((1, 0, 0, -1)))\n"
-        "ring = rings.ring_from_form((1, 0, 0, -1))\n"
-        "solve = rings._solve2_full\n"
-        "rings._solve2_full = lambda u, v, w: (0, 1, 1)\n"
-        "check('normal-basis', lambda: rings.lattice_ring(ring, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))\n"
-        "rings._solve2_full = solve\n"
-        "rings.is_zmat_ring = lambda ring: False\n"
-        "check('zmat-subring', lambda: rings.max_zmat_subring(ring))\n"
-        "rings.index_in = lambda parent, sub: 2\n"
-        "check('zmat-index', lambda: rings.max_zmat_subring(ring))\n"
+        "rings._sub_form = lambda form, e, f, g: (0, 3, 3, 0)\n"
+        "check('sub-disc', lambda: rings.max_zmat_subring(rings.ring_from_form((1, 0, 0, -1))))\n"
     )
     here = os.path.dirname(__file__)
     src = os.path.join(here, os.pardir, "src")
@@ -297,8 +302,8 @@ def test_bridge_and_ring_invariants_survive_optimize():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
     assert out.stdout.split() == [
-        "chi-sum", "split-prime", "pic3-odd", "disc-27", "normal-basis",
-        "zmat-subring", "zmat-index",
+        "chi-sum", "split-prime", "pic3-odd", "gamma-norm", "containment",
+        "disc-27", "sub-disc",
     ], out.stderr
 
 

@@ -4,16 +4,16 @@ import random
 import subprocess
 import sys
 from itertools import product
+from math import gcd
 
 import pytest
 
 from cubicount import rings
-from cubicount.forms import BudgetExceeded, act, content, disc, evaluate, is_zmat
+from cubicount.forms import BudgetExceeded, act, disc, evaluate, is_zmat
 from cubicount.quad import xgcd
 from cubicount.rings import (
     is_maximal,
     is_maximal_at_p,
-    is_zmat_ring,
     max_zmat_subring,
     ring_from_form,
     roots_in_p1,
@@ -24,7 +24,10 @@ from cubicount.bridge import is_irreducible
 from cubicount.counting import _S1, _S2, enumerate_orbits
 from reference import (
     is_associative,
+    lattice_ring,
+    max_zmat_subring_by_cubes,
     random_unimodular,
+    ring_power,
     sublattice_members,
     superrings_of_index_p,
     trace_pairing_disc,
@@ -86,13 +89,17 @@ def test_disc_equals_trace_pairing():
         assert trace_pairing_disc(ring_from_form(f)) == disc(f)
 
 
+def _traces_divisible_by_3(ring):
+    return all(ring.trace(v) % 3 == 0 for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
 def test_zmat_ring_examples_and_agreement():
-    assert is_zmat_ring(ring_from_form(T3M1))
-    assert not is_zmat_ring(ring_from_form((1, 1, 0, 0)))
+    assert _traces_divisible_by_3(ring_from_form(T3M1))
+    assert not _traces_divisible_by_3(ring_from_form((1, 1, 0, 0)))
     rng = random.Random(7)
     for _ in range(300):
         f = tuple(rng.randint(-9, 9) for _ in range(4))
-        assert is_zmat_ring(ring_from_form(f)) == is_zmat(f)
+        assert _traces_divisible_by_3(ring_from_form(f)) == is_zmat(f)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +111,7 @@ def test_max_zmat_subring_of_z3():
     sub, idx, basis = max_zmat_subring(C)
     assert idx == 9
     assert sub.discriminant == 81
-    assert is_zmat_ring(sub)
+    assert _traces_divisible_by_3(sub)
 
 
 def test_max_zmat_subring_fixes_zmat_rings():
@@ -131,10 +138,8 @@ def test_max_zmat_contains_z_plus_3c_and_all_zmat_subrings():
         # every index-3 or index-9 subring that is zmat sits inside
         for n in (3, 9):
             for sb in subrings_of_index(C, n):
-                from cubicount.rings import lattice_ring
-
                 S = lattice_ring(C, sb)
-                if is_zmat_ring(S):
+                if _traces_divisible_by_3(S):
                     for v in sb:
                         assert sublattice_members(tri, v)
         checked += 1
@@ -147,9 +152,39 @@ def test_max_zmat_lattice_is_the_cube_condition():
             C = ring_from_form(f, sign)
             _, _, basis = max_zmat_subring(C)
             for x in product(range(3), repeat=3):
-                cube = C.power(x, 3)
+                cube = ring_power(C, x, 3)
                 want = cube[1] % 3 == 0 and cube[2] % 3 == 0
                 assert sublattice_members(basis, x) == want, (f, sign, x)
+
+
+def _oracle_forms():
+    return enumerate_orbits(3000) + _random_forms(43, 3000)
+
+
+def test_max_zmat_subring_matches_the_cube_lattice():
+    # the first trace-divisible candidate is the oracle's subring {x : x^3
+    # in Z + 3C}, read back by lattice_ring: same ring, index and basis
+    count = 0
+    for f in _oracle_forms():
+        for sign in (1, -1):
+            C = ring_from_form(f, sign)
+            assert max_zmat_subring(C) == max_zmat_subring_by_cubes(C), (f, sign)
+            count += 1
+    assert count > 10000
+
+
+def test_sub_form_matches_lattice_ring():
+    # F(e x, f x + g y)/(e g) is the form lattice_ring reads off the
+    # multiplication table of the subring
+    count = 0
+    for form in _oracle_forms():
+        C = ring_from_form(form)
+        for n in (2, 3, 4, 9):
+            for basis in subrings_of_index(C, n):
+                (_, e, f), (_, _, g) = basis[1:]
+                assert rings._sub_form(form, e, f, g) == lattice_ring(C, basis).form, (form, basis)
+                count += 1
+    assert count > 10000
 
 
 def test_max_zmat_index3_iff_split_type_121_at_3():
@@ -217,7 +252,7 @@ def test_maximality_invariant_under_action():
 def _maximal_by_p2_sweep(f, p):
     """Reference: not maximal iff p divides f, or some point v of P^1(Z/p^2)
     with p^2 | f(v), moved to [1:0] by a unimodular matrix, leaves p | b."""
-    if content(f) % p == 0:
+    if gcd(*f) % p == 0:
         return False
     p2 = p * p
     for v in [(1, t) for t in range(p2)] + [(t * p, 1) for t in range(p)]:
@@ -249,7 +284,7 @@ def test_maximality_against_superring_oracle_and_p2_sweep():
     for f, p in _local_cases():
         got = is_maximal_at_p(f, p)
         assert got == _maximal_by_p2_sweep(f, p), (f, p)
-        if content(f) % p == 0:
+        if gcd(*f) % p == 0:
             assert not got, (f, p)
             multiples += 1
         else:
@@ -307,7 +342,7 @@ def _local_type_by_root_walk(f, p):
     its multiplicity is the number of leading coefficients of the moved
     form that p divides, and a multiple root with p^2 | f(v) makes the
     form non-maximal.  None when not maximal at p."""
-    if content(f) % p == 0:
+    if gcd(*f) % p == 0:
         return None
     mults = []
     for v in roots_in_p1(f, p):
@@ -412,8 +447,6 @@ def test_subring_counts_multiplicative():
 
 
 def test_subrings_are_rings_with_scaled_disc():
-    from cubicount.rings import lattice_ring
-
     C = ring_from_form((1, 0, -1, 1))
     for n in (2, 3, 4):
         for basis in subrings_of_index(C, n):

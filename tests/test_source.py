@@ -165,6 +165,32 @@ def test_subring_enumeration_reads_no_splitting_type():
     assert not bad, bad
 
 
+def test_triple_extraction_uses_no_ring_arithmetic():
+    # the triple is read off the covariants of the form: extract_triple,
+    # and every bridge function or method it reaches, builds no ring and
+    # takes no ring product or determinant
+    with open(os.path.join(SRC, "bridge.py")) as fh:
+        tree = ast.parse(fh.read())
+    funcs = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    forbidden = {"CubicRing", "ring_from_form", "mul", "_det3"}
+    bad = []
+    seen = set()
+    todo = ["extract_triple"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if ref in forbidden:
+                bad.append("%s:%d %s" % (name, node.lineno, ref))
+            elif ref in funcs:
+                todo.append(ref)
+    assert not bad, bad
+    assert {"cubic_covariant", "gamma_cube", "norm_condition", "containment_condition"} <= seen
+
+
 def _top_level(tree):
     """name -> node for the top-level functions and assigned names."""
     defs = {}
@@ -282,26 +308,39 @@ def test_every_import_is_used():
     assert not bad, bad
 
 
-def _refs(node):
-    """Every identifier node mentions: names, attributes, and the dotted
-    parts of string constants that are identifiers."""
+# the names of the cubicount modules: obj.name reaches a top-level name
+# only when obj is one of them
+_MODULES = {"cubicount"} | {os.path.basename(p)[:-3] for p in glob.glob(os.path.join(SRC, "*.py"))}
+
+
+def _refs(node, strings=False):
+    """Every reference node makes, as (identifier, methods_only): the names
+    it reads (a name stored to is not a reference), the attributes it
+    reads, which reach only methods and fields unless read off a cubicount
+    module, and with strings the dotted parts of string constants that are
+    identifiers."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id, False
+        elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
+            obj = sub.value
+            owner = obj.id if isinstance(obj, ast.Name) else obj.attr if isinstance(obj, ast.Attribute) else None
+            yield sub.attr, owner not in _MODULES
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             parts = sub.value.split(".")
             if all(part.isidentifier() for part in parts):
-                yield from parts
+                yield from ((part, False) for part in parts)
 
 
 def test_every_library_name_is_reached():
     # every top-level function, class, constant and method in src is
     # reached, by name, from what the program runs: cli.main, the package
     # exports, the demos and the benchmark (whose tracer names its spans
-    # in strings); a helper only a test calls lives in the tests
-    defs = {}  # name -> [(label, node)]; a name reaches every def of it
+    # in strings, so only there do strings count); an attribute reaches a
+    # top-level name only when read off a module, so a dead function is
+    # not hidden by a live method or field of its name; a helper only a
+    # test calls lives in the tests
+    defs = {}  # name -> [(label, node, is_method)]; a name reaches every def of it
     implicit = {}  # class name -> the dunder methods Python calls itself
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         module = os.path.basename(path)[:-3]
@@ -310,33 +349,36 @@ def test_every_library_name_is_reached():
         with open(path) as fh:
             tree = ast.parse(fh.read(), path)
         for top, node in _top_level(tree).items():
-            defs.setdefault(top, []).append(("%s.%s" % (module, top), node))
+            defs.setdefault(top, []).append(("%s.%s" % (module, top), node, False))
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
-            defs.setdefault(cls.name, []).append(("%s.%s" % (module, cls.name), cls))
+            defs.setdefault(cls.name, []).append(("%s.%s" % (module, cls.name), cls, False))
             for fn in cls.body:
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     if fn.name.startswith("__") and fn.name.endswith("__"):
                         implicit.setdefault(cls.name, []).append(fn)
                     else:
-                        defs.setdefault(fn.name, []).append(("%s.%s.%s" % (module, cls.name, fn.name), fn))
+                        defs.setdefault(fn.name, []).append(("%s.%s.%s" % (module, cls.name, fn.name), fn, True))
 
     with open(os.path.join(SRC, "__init__.py")) as fh:
         init = ast.parse(fh.read())
-    todo = ["main"] + [a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    todo = [("main", False)] + [(a.name, False) for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
     for pattern in ("demos/*.py", "perfbench/*.py"):
         for path in sorted(glob.glob(os.path.join(ROOT, pattern))):
             with open(path) as fh:
-                todo.extend(_refs(ast.parse(fh.read(), path)))
+                todo.extend(_refs(ast.parse(fh.read(), path), strings=pattern.startswith("perfbench")))
 
-    seen = set()
+    seen, reached = set(), set()
     while todo:
-        name = todo.pop()
-        if name in seen:
+        name, methods_only = todo.pop()
+        if (name, methods_only) in seen:
             continue
-        seen.add(name)
-        for label, node in defs.get(name, ()):
+        seen.add((name, methods_only))
+        for label, node, is_method in defs.get(name, ()):
+            if methods_only and not is_method:
+                continue
+            reached.add(label)
             if isinstance(node, ast.ClassDef):
                 # bases, decorators, fields and dunders, not the methods
                 body = [n for n in node.body if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
@@ -344,5 +386,5 @@ def test_every_library_name_is_reached():
                     todo.extend(_refs(part))
             else:
                 todo.extend(_refs(node))
-    unreached = sorted(label for name, nodes in defs.items() if name not in seen for label, _ in nodes)
+    unreached = sorted(label for nodes in defs.values() for label, _, _ in nodes if label not in reached)
     assert not unreached, "unreached: " + " ".join(unreached)
