@@ -183,14 +183,14 @@ def build_parser():
     v = sub.add_parser("verify", help="run identity checks")
     common(v)
     v.add_argument("which", nargs="+", choices=CHECKS, help="checks to run")
-    v.add_argument("--primes", type=int, nargs="*", default=[2, 3])
-    v.add_argument("--D", type=int, nargs="*", default=None, help="the deltas of every per-delta check")
+    v.add_argument("--primes", type=int, nargs="+", default=[2, 3])
+    v.add_argument("--D", type=int, nargs="+", default=None, help="the deltas of every per-delta check")
     v.add_argument("--no-hhat", dest="hhat", action="store_false", help="skip the hhat recursion variant")
     v.set_defaults(func=cmd_verify, hhat=True)
 
     d = sub.add_parser("dump-pic", help="Picard group dumps as JSON")
     common(d)
-    d.add_argument("--delta", type=int, nargs="*", default=None)
+    d.add_argument("--delta", type=int, nargs="+", default=None)
     d.set_defaults(func=cmd_dump_pic)
     return ap
 
@@ -219,7 +219,8 @@ _CONFIG_TYPES = {
     "budget": (lambda v: v is None or _is_int(v), "an integer or null"),
     "format": (lambda v: v in ("csv", "json"), '"csv" or "json"'),
     "out": (lambda v: isinstance(v, str), "a string"),
-    "primes": (lambda v: isinstance(v, list) and all(_is_int(p) for p in v), "a list of integers"),
+    "primes": (lambda v: isinstance(v, list) and v and all(_is_int(p) for p in v),
+               "a nonempty list of integers"),
 }
 
 

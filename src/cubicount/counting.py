@@ -9,20 +9,19 @@ stabilizer order divides 6) and turned into fractions.Fraction at the end.
 The primary enumeration scans the reduced domains of `forms` directly with
 proven coefficient bounds and yields each sign class once: of the four
 sign variants f, -f, (-a, b, -c, d), (a, -b, c, -d) of a reduced form only
-the lexicographically largest.  Interior forms are then their orbit's
-largest reduced form; so is an a = 0 form on the line Re = 0 or the edge
-Re = -1/2 (c = 0 or c = b) off the arc, with stabilizer orders 2 and 1,
-because the reflection in that line fixes it.  Other boundary forms learn
-whether they are, and their stabilizers, from the boundary-matrix table of
-`forms`.  That per-form step (`_orbits`) feeds two tables, each cached per
+the lexicographically largest.  One per-form step (`_scanned`: the disc,
+its range check, the boundary signature) feeds two tables, each cached per
 zmat flag:
 
   sixths_table  disc -> the integer sum of 6/|stabilizer|; the counts
-                path, which keeps no form.  class_numbers and h_value read
-                only this, so the CLI's table, zeta and verify on,
-                recursion, rhs, lhs and prop6 never build an Orbit.
+                path, which keeps no form and acts on none: by orbit-
+                stabilizer a scanned form weighs 6k/|M| for its k sign
+                variants and its matrices M in `forms.BOUNDARY_MATRICES`.
+                class_numbers and h_value read only this, so the CLI's
+                table, zeta and verify on, recursion, rhs, lhs and prop6
+                never build an Orbit.
   orbit_table   disc -> tuple of Orbit (canonical form, stabilizer
-                orders), for verify fields-pic and oracle,
+                order), for verify fields-pic and oracle,
                 enumerate_orbits and the ring-side code.
 
 A secondary coefficient-box method (reduce everything in a box, close
@@ -43,6 +42,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .forms import (
+    BOUNDARY_MATRICES,
     INTERIOR,
     BinaryCubicForm,
     InvariantError,
@@ -53,6 +53,7 @@ from .forms import (
     is_reduced_pos,
     orbit_closure,
     reduced_orbit,
+    reduced_stabilizer_order,
 )
 from .quad import factorize, in_discs, require_prime
 from .rings import _local_type
@@ -217,11 +218,10 @@ def _scan_neg(X, zmat):
 
 
 class Orbit(NamedTuple):
-    """One GL2(Z)-orbit: canonical form, stabilizer data."""
+    """One GL2(Z)-orbit: canonical form, stabilizer order."""
 
     form: BinaryCubicForm
     stabilizer_order: int
-    proper_stabilizer_order: int
 
     def __repr__(self):
         return "Orbit(%s, stab=%d)" % (self.form, self.stabilizer_order)
@@ -236,33 +236,18 @@ _SIXTHS_CACHE = {}
 # or c = b (the edge Re = -1/2), off the arc.  The reflection in that line,
 # diag(1, -1) or (1, 0, 1, -1), fixes f, so every image under the
 # signature's matrices is a sign variant of f: f is its orbit's largest
-# reduced form, with stabilizer order 2 and proper stabilizer order 1.
+# reduced form, with stabilizer order 2.
 _A0_EDGES = ((True, 0, False), (False, -1, False))
 
 
-def _orbits(X, zmat_only):
-    """(disc, form, stabilizer order, proper stabilizer order) for the
-    largest reduced form of every orbit with 0 < |disc| <= X (3 | b, c
-    when zmat_only), in scan order: the one per-form step behind both
-    tables."""
+def _scanned(X, zmat_only):
+    """(disc, form, boundary signature) of every scanned form, in scan
+    order, checking 0 < |disc| <= X: the per-form step of both tables."""
     for f in chain(_scan_pos(X, zmat_only), _scan_neg(X, zmat_only)):
         D = disc(f)
         if not 0 < abs(D) <= X:
             raise InvariantError("scanned %r has disc %d outside 0 < |disc| <= %d" % (f, D, X))
-        # an interior form's only other reduced forms are its sign
-        # variants, and the scan yields the largest of those
-        sig = boundary_signature(f, D)
-        if sig == INTERIOR:
-            yield D, f, 1, 1
-        elif f[0] == 0 and sig in _A0_EDGES:
-            yield D, f, 2, 1
-        else:
-            cl = reduced_orbit(f)
-            if max(cl.forms) != f:
-                continue
-            if cl.stabilizer_order not in (1, 2, 3, 6):
-                raise InvariantError("stabilizer of %r has order %d" % (f, cl.stabilizer_order))
-            yield D, f, cl.stabilizer_order, cl.proper_stabilizer_order
+        yield D, f, boundary_signature(f, D)
 
 
 def _cached_table(cache, build, X, zmat_only):
@@ -292,16 +277,34 @@ def _cached_at(cache, table, D, zmat_only, empty):
 
 def _build_orbit_table(X, zmat_only):
     table = {}
-    for D, f, stab, proper in _orbits(X, zmat_only):
-        table.setdefault(D, []).append(Orbit(BinaryCubicForm(*f), stab, proper))
+    for D, f, sig in _scanned(X, zmat_only):
+        # an interior form's only other reduced forms are its sign
+        # variants, and the scan yields the largest of those
+        if sig == INTERIOR:
+            stab = 1
+        elif f[0] == 0 and sig in _A0_EDGES:
+            stab = 2
+        else:
+            orbit = reduced_orbit(f)
+            if max(orbit) != f:
+                continue
+            stab = reduced_stabilizer_order(f, orbit)
+        table.setdefault(D, []).append(Orbit(BinaryCubicForm(*f), stab))
     return {D: tuple(sorted(orbs)) for D, orbs in table.items()}
 
 
 def _build_sixths_table(X, zmat_only):
-    sixths = {}
-    for D, _, stab, _ in _orbits(X, zmat_only):
-        sixths[D] = sixths.get(D, 0) + 6 // stab
-    return sixths
+    # in 24ths a scanned form adds 24 k/|M| (k = 2 when a = c = 0 or
+    # b = d = 0, else 4), and an orbit 24/|stabilizer|: four times its sixths
+    table = {}
+    for D, (a, b, c, d), sig in _scanned(X, zmat_only):
+        k = 2 if a == c == 0 or b == d == 0 else 4
+        table[D] = table.get(D, 0) + 24 * k // len(BOUNDARY_MATRICES[sig])
+    for D, n in table.items():
+        if n % 4:
+            raise InvariantError("weights at disc %d sum to %d/24" % (D, n))
+        table[D] = n // 4
+    return table
 
 
 def orbit_table(X: int, zmat_only: bool = False):

@@ -24,12 +24,12 @@ disc > 0, w for disc < 0) lies on, each read off one integer equality.
 The constant table BOUNDARY_MATRICES lists them per signature, in blocks
 of four that differ by the four sign matrices, so the images of a block
 are the sign variants f, -f, (-a, b, -c, d), (a, -b, c, -d) of one image
-and one `act` per block finds them.  Canonical representatives (the
-lexicographically largest reduced form of the orbit) and stabilizers come
-from one lookup.  `orbit_closure`, a breadth-first
-closure under the matrices with entries in {-1, 0, 1}, finds the same sets
-independently and is kept as the oracle for that table.  No floating point
-enters anywhere.
+and one `act` per block finds them.  The largest is the canonical
+representative, and as the matrices split into one coset of the stabilizer
+per reduced form, the table size over their number is the stabilizer
+order.  `orbit_closure`, a breadth-first closure under the matrices with
+entries in {-1, 0, 1}, finds the same matrices independently and is kept
+as the oracle for that table.  No floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -420,39 +420,38 @@ def orbit_closure(form) -> OrbitClosure:
     return OrbitClosure(frozenset(seen.values()), seen, stab, proper)
 
 
-def reduced_orbit(form) -> OrbitClosure:
-    """The same data as `orbit_closure`, read from BOUNDARY_MATRICES: every
-    matrix carrying the reduced form `form` to a reduced form, with the
-    images and the stabilizer orders.  One `act` per block of four; the
-    other images of the block are the sign variants of that one, which are
-    reduced exactly when it is.  Raises InvariantError if an image is not
-    reduced."""
+def reduced_orbit(form) -> frozenset:
+    """The reduced forms of the orbit of the reduced form `form`, read from
+    BOUNDARY_MATRICES: one `act` per block of four; the other images of
+    the block are the sign variants of that one, which are reduced exactly
+    when it is.  Raises InvariantError if an image is not reduced."""
     f0 = tuple(form)
     D = disc(f0)
     pred = is_reduced_pos if D > 0 else is_reduced_neg
     if not pred(f0):
         raise ValueError("reduced_orbit wants a reduced form")
-    images = {}
-    mats = BOUNDARY_MATRICES[boundary_signature(f0, D)]
-    for i in range(0, len(mats), 4):
-        block = mats[i:i + 4]
-        image = act(block[0], f0)
+    out = set()
+    for g in BOUNDARY_MATRICES[boundary_signature(f0, D)][::4]:
+        image = act(g, f0)
         if not pred(image):
             raise InvariantError(
-                "%r maps reduced %r to unreduced %r" % (tuple(block[0]), f0, tuple(image))
+                "%r maps reduced %r to unreduced %r" % (tuple(g), f0, tuple(image))
             )
         a, b, c, d = image
-        variants = (
-            image,
-            BinaryCubicForm(-a, -b, -c, -d),
-            BinaryCubicForm(-a, b, -c, d),
-            BinaryCubicForm(a, -b, c, -d),
-        )
-        for g, ff in zip(block, variants):
-            images[g] = ff
-    stab = sum(1 for ff in images.values() if ff == f0)
-    proper = sum(1 for g, ff in images.items() if ff == f0 and g.det == 1)
-    return OrbitClosure(frozenset(images.values()), images, stab, proper)
+        flip = BinaryCubicForm(-a, b, -c, d)
+        out.update((image, neg(image), flip, neg(flip)))
+    return frozenset(out)
+
+
+def reduced_stabilizer_order(form, orbit) -> int:
+    """|Stab| of the reduced form `form` from the N reduced forms `orbit` of
+    its orbit: its BOUNDARY_MATRICES entry M holds one stabilizer coset per
+    form, so |Stab| = |M| / N, an InvariantError unless in {1, 2, 3, 6}."""
+    size = len(BOUNDARY_MATRICES[boundary_signature(form)])
+    n, r = divmod(size, len(orbit))
+    if r or n not in (1, 2, 3, 6):
+        raise InvariantError("stabilizer of %r has order %d/%d" % (tuple(form), size, len(orbit)))
+    return n
 
 
 def canonicalize(form) -> BinaryCubicForm:
@@ -460,13 +459,10 @@ def canonicalize(form) -> BinaryCubicForm:
     reduced form in the orbit.  Two forms are GL2(Z)-equivalent iff their
     canonical representatives coincide."""
     f, _ = reduce_form(form)
-    return max(reduced_orbit(f).forms)
+    return max(reduced_orbit(f))
 
 
 def stabilizer_order(form) -> int:
     """|Aut C| of the associated cubic ring; always in {1, 2, 3, 6}."""
     f, _ = reduce_form(form)
-    n = reduced_orbit(f).stabilizer_order
-    if n not in (1, 2, 3, 6):
-        raise InvariantError("stabilizer of %r has order %d" % (tuple(form), n))
-    return n
+    return reduced_stabilizer_order(f, reduced_orbit(f))

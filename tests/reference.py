@@ -1,11 +1,11 @@
 """Reference code the tests check the library against: brute-force oracles
-(stabilizer matrices, superrings of index p, the maximal trace-divisible
-subring and the self-balanced triple by ring arithmetic, ideal and lattice
-products, the Picard representatives from a norm scan, the Picard
-structure from ideal products, extension maps through conductor-coprime
-representatives, character sums over ideals) and small helpers that only
-tests call.  The library holds only what the program runs; test_source
-enforces that.
+(stabilizer matrices, proper stabilizer orders, superrings of index p, the
+maximal trace-divisible subring and the self-balanced triple by ring
+arithmetic, ideal and lattice products, the Picard representatives from a
+norm scan, the Picard structure from ideal products, extension maps
+through conductor-coprime representatives, character sums over ideals)
+and small helpers that only tests call.  The library holds only what the
+program runs; test_source enforces that.
 
 Not collected by pytest (no test_ prefix); test files import it as
 `reference`, which works because pytest puts tests/ on sys.path.
@@ -18,18 +18,21 @@ from math import gcd, isqrt, lcm
 
 from cubicount.bridge import RatLattice, SelfBalancedTriple, gamma_cube, int_lattice, k2_mul
 from cubicount.forms import (
+    BOUNDARY_MATRICES,
     MAT_ID,
     MAT_NEG,
     BinaryCubicForm,
     InvariantError,
     UnimodularMatrix,
+    act,
+    boundary_signature,
     disc,
     is_zmat,
     is_reduced_neg,
     is_reduced_pos,
     mat_mul,
+    orbit_closure,
     reduce_form,
-    reduced_orbit,
 )
 from cubicount.quad import (
     Mu3Char,
@@ -77,14 +80,24 @@ def is_reduced(form) -> bool:
 
 def stabilizer_matrices(form) -> list:
     """The full stabilizer of `form` in GL2(Z) (conjugated computation via
-    the reduced representative)."""
+    the reduced representative, whose stabilizer lies in its boundary
+    table entry)."""
     f, g = reduce_form(form)
     ginv = _mat_inverse(g)
     out = []
-    for m, image in reduced_orbit(f).matrices.items():
-        if image == f:
+    for m in BOUNDARY_MATRICES[boundary_signature(f)]:
+        if act(m, f) == f:
             out.append(mat_mul(ginv, mat_mul(m, g)))
     return out
+
+
+def proper_stabilizer_order(orbit) -> int:
+    """The number of det 1 matrices fixing the form of a counting.Orbit,
+    from the breadth-first oracle, which only a nontrivial stabilizer
+    needs."""
+    if orbit.stabilizer_order == 1:
+        return 1
+    return orbit_closure(orbit.form).proper_stabilizer_order
 
 
 def _mat_inverse(g) -> UnimodularMatrix:

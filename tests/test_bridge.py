@@ -52,6 +52,7 @@ from reference import (
     lat_norm,
     lat_scale,
     order_change_map,
+    proper_stabilizer_order,
     triples_equivalent,
 )
 
@@ -178,7 +179,7 @@ def test_oriented_automorphism_iff_eisenstein_multiplier():
     for D in sorted(table):
         for orb in table[D]:
             t = extract_triple(orb.form, 1)
-            has_rot = orb.proper_stabilizer_order == 3
+            has_rot = proper_stabilizer_order(orb) == 3
             assert has_rot == (t.D // (t.content ** 2) == -3), orb
 
 

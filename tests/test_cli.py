@@ -262,6 +262,28 @@ def test_verify_without_a_check_exits_2(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "rhs", "--D", "--max", "5"],
+    ["dump-pic", "--delta", "--max", "5"],
+    ["verify", "recursion", "--D", "5", "--primes"],
+])
+def test_empty_list_flag_exits_2(argv, capsys):
+    # an empty --D, --delta or --primes used to be ignored (a sweep of
+    # [-max, max]) or to run no check and pass
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_config_empty_primes_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"primes": []}))
+    code, out, err = run_cli(["verify", "recursion", "--D", "5", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert "bad config" in err
+
+
 def test_config_list_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps([1, 2]))

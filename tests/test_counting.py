@@ -34,13 +34,16 @@ from cubicount.forms import (
     BudgetExceeded,
     InvariantError,
     UnimodularMatrix,
+    act,
     boundary_signature,
     canonicalize,
     disc,
     is_zmat,
     reduced_orbit,
+    reduced_stabilizer_order,
 )
 from cubicount.rings import ring_from_form, splitting_type, subrings_of_index
+from reference import proper_stabilizer_order
 
 
 def test_enumerate_x1():
@@ -113,7 +116,7 @@ def test_orbit_table_digest(monkeypatch, X, zmat, lines, sha):
     monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
     table = orbit_table(X, zmat)
     text = [
-        "%d %s %d %d\n" % (D, o.form, o.stabilizer_order, o.proper_stabilizer_order)
+        "%d %s %d %d\n" % (D, o.form, o.stabilizer_order, proper_stabilizer_order(o))
         for D in sorted(table)
         for o in table[D]
     ]
@@ -216,8 +219,11 @@ def test_scan_neg_window_matches_box(X, zmat):
 
 def test_a0_edge_forms_are_kept_with_stabilizer_2():
     # orbit_table gives a = 0 forms on the line Re = 0 or the edge
-    # Re = -1/2, off the arc, Orbit(f, 2, 1) without reduced_orbit; the
-    # arc forms with c in {0, b} have other data and stay outside the rule
+    # Re = -1/2, off the arc, Orbit(f, 2) without reduced_orbit, and their
+    # proper stabilizer is trivial; the arc forms with c in {0, b} have
+    # other data and stay outside the rule.  The proper stabilizer order
+    # counts the det 1 matrices of the table entry that fix f (the table
+    # is checked against the breadth-first closure in test_forms)
     edges = arcs = 0
     arc_data = set()
     for X, zmat in ((20000, False), (540000, True)):
@@ -229,8 +235,9 @@ def test_a0_edge_forms_are_kept_with_stabilizer_2():
                 edge = sig in counting._A0_EDGES
                 if not (edge or sig[2] and f[2] in (0, f[1])):
                     continue
-                cl = reduced_orbit(f)
-                data = (max(cl.forms) == f, cl.stabilizer_order, cl.proper_stabilizer_order)
+                orbit = reduced_orbit(f)
+                proper = sum(g.det == 1 and act(g, f) == f for g in BOUNDARY_MATRICES[sig])
+                data = (max(orbit) == f, reduced_stabilizer_order(f, orbit), proper)
                 if edge:
                     assert data == (True, 2, 1), f
                     edges += 1
@@ -282,10 +289,11 @@ def test_orbit_table_rejects_wrong_boundary_matrix(monkeypatch):
 
 @pytest.mark.parametrize("zmat", [False, True])
 def test_sixths_table_matches_orbit_table_weights(monkeypatch, zmat):
-    # the counts path sums the same orbits as the Orbit tables, at every D
+    # the counts path weighs every scanned form by its boundary-table size
+    # and the Orbit tables look up each orbit: the same sums at every D
     monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
     monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
-    X = 20000
+    X = 540000 if zmat else 20000
     want = {D: sum(6 // o.stabilizer_order for o in orbs) for D, orbs in orbit_table(X, zmat).items()}
     got = sixths_table(X, zmat)
     assert dict(got) == want
@@ -316,26 +324,44 @@ def test_sixths_table_is_read_only_and_cached(monkeypatch):
         sixths_table(300)
 
 
+def _run_optimized(code):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+
+
 def test_counts_path_stabilizer_check_survives_optimize():
-    # a stabilizer order outside {1, 2, 3, 6} must stop class_numbers, and
-    # verify on exits 3, also under python -O
-    code = (
+    # a boundary-table size that breaks orbit-stabilizer leaves a weight
+    # sum that is not a multiple of 4: class_numbers raises, and verify on
+    # exits 3, also under python -O
+    out = _run_optimized(
         "from cubicount import counting, forms\n"
         "from cubicount.cli import main\n"
-        "real = counting.reduced_orbit\n"
-        "counting.reduced_orbit = lambda f: real(f)._replace(stabilizer_order=4)\n"
+        "forms.BOUNDARY_MATRICES[forms.INTERIOR] += (forms.MAT_ID,)\n"
         "try:\n"
         "    counting.class_numbers(300)\n"
         "except forms.InvariantError:\n"
         "    print('raised')\n"
         "print(main(['verify', 'on', '--max', '300']))\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
-    )
     assert out.stdout.split() == ["raised", "3"], out.stderr
+    assert "weights" in out.stderr
+
+
+def test_orbit_path_stabilizer_check_survives_optimize():
+    # a reduced_orbit that drops one form of the orbit leaves |M| / N
+    # outside {1, 2, 3, 6} or inexact: verify fields-pic exits 3, also
+    # under python -O
+    out = _run_optimized(
+        "from cubicount import counting\n"
+        "from cubicount.cli import main\n"
+        "real = counting.reduced_orbit\n"
+        "counting.reduced_orbit = lambda f: frozenset(sorted(real(f))[1:])\n"
+        "print(main(['verify', 'fields-pic', '--max', '50']))\n"
+    )
+    assert out.stdout.split() == ["3"], out.stderr
     assert "stabilizer" in out.stderr
 
 
@@ -349,7 +375,7 @@ def test_box_oracle_checks_the_budget(monkeypatch):
 
 
 def test_invariant_checks_survive_optimize():
-    code = (
+    out = _run_optimized(
         "from cubicount import counting, forms\n"
         "key = (False, 0, True)\n"
         "forms.BOUNDARY_MATRICES[key] += (forms.UnimodularMatrix(1, 0, 2, 1),)\n"
@@ -358,27 +384,17 @@ def test_invariant_checks_survive_optimize():
         "except forms.InvariantError:\n"
         "    print('raised')\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
-    )
     assert out.stdout.strip() == "raised", out.stderr
 
 
 def test_s_sequence_check_survives_optimize():
-    code = (
+    out = _run_optimized(
         "from cubicount import counting, forms\n"
         "counting.s_closed_form = lambda sigma, p, n: -1\n"
         "try:\n"
         "    counting.s_sequence('111', 2, 3)\n"
         "except forms.InvariantError:\n"
         "    print('raised')\n"
-    )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
     assert out.stdout.strip() == "raised", out.stderr
 

@@ -87,17 +87,19 @@ def test_budget_has_one_source():
     assert not bad, bad
 
 
-def test_counts_path_builds_no_orbit():
-    # class_numbers and h_value, and every counting function they reach,
-    # read the integer counts table only: none may fall back to building
-    # Orbit tables
-    with open(os.path.join(SRC, "counting.py")) as fh:
+def _reach(module, start, forbidden, methods=False):
+    """Walk the call graph of src/cubicount/<module>.py from the functions
+    named in start, following every reference to a top-level function of
+    the module (and to a method, when methods is true).  Returns the names
+    reached and, as "function:line name", every reference to a name in
+    forbidden."""
+    with open(os.path.join(SRC, module + ".py")) as fh:
         tree = ast.parse(fh.read())
-    funcs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-    forbidden = {"orbit_table", "_orbits_at", "_build_orbit_table", "_ORBIT_CACHE", "Orbit"}
+    nodes = ast.walk(tree) if methods else tree.body
+    funcs = {fn.name: fn for fn in nodes if isinstance(fn, ast.FunctionDef)}
     bad = []
     seen = set()
-    todo = ["class_numbers", "h_value"]
+    todo = list(start)
     while todo:
         name = todo.pop()
         if name in seen:
@@ -109,32 +111,27 @@ def test_counts_path_builds_no_orbit():
                 bad.append("%s:%d %s" % (name, node.lineno, ref))
             elif ref in funcs:
                 todo.append(ref)
-    assert {"sixths_table", "_orbits"} <= seen
+    return seen, bad
+
+
+def test_counts_path_builds_no_orbit():
+    # class_numbers and h_value, and every counting function they reach,
+    # read the integer counts table only: none may fall back to building
+    # Orbit tables, and none acts on a form, looks up its orbit or counts
+    # its stabilizer
+    seen, bad = _reach("counting", ["class_numbers", "h_value"], {
+        "orbit_table", "_orbits_at", "_build_orbit_table", "_ORBIT_CACHE", "Orbit",
+        "reduced_orbit", "reduced_stabilizer_order", "orbit_closure", "act"})
     assert not bad, bad
+    assert {"sixths_table", "_build_sixths_table", "_scanned"} <= seen
 
 
 def test_picard_law_builds_no_ideal():
     # the group law composes the forms of the representatives: quad._structure,
     # and every quad function it reaches, builds no ideal and takes no
     # ideal product or conjugate
-    with open(os.path.join(SRC, "quad.py")) as fh:
-        tree = ast.parse(fh.read())
-    funcs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-    forbidden = {"ideal_from_generators", "make_ideal", "hnf2", "QuadIdeal", "mul", "conj"}
-    bad = []
-    seen = set()
-    todo = ["_structure"]
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        for node in ast.walk(funcs[name]):
-            ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-            if ref in forbidden:
-                bad.append("%s:%d %s" % (name, node.lineno, ref))
-            elif ref in funcs:
-                todo.append(ref)
+    seen, bad = _reach("quad", ["_structure"], {
+        "ideal_from_generators", "make_ideal", "hnf2", "QuadIdeal", "mul", "conj"})
     assert not bad, bad
     assert {"_compose", "_key", "_smith"} <= seen
 
@@ -143,24 +140,8 @@ def test_subring_enumeration_reads_no_splitting_type():
     # criterion 4 compares subrings_of_index with s_sequence of the
     # splitting type; the enumeration, and every rings function it
     # reaches, must stay independent of that side
-    with open(os.path.join(SRC, "rings.py")) as fh:
-        tree = ast.parse(fh.read())
-    funcs = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
-    forbidden = {"s_sequence", "s_closed_form", "splitting_type", "_local_type", "counting"}
-    bad = []
-    seen = set()
-    todo = ["subrings_of_index"]
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        for node in ast.walk(funcs[name]):
-            ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-            if ref in forbidden:
-                bad.append("%s:%d %s" % (name, node.lineno, ref))
-            elif ref in funcs:
-                todo.append(ref)
+    seen, bad = _reach("rings", ["subrings_of_index"], {
+        "s_sequence", "s_closed_form", "splitting_type", "_local_type", "counting"}, methods=True)
     assert {"subrings_of_index", "discriminant"} <= seen
     assert not bad, bad
 
@@ -169,24 +150,7 @@ def test_triple_extraction_uses_no_ring_arithmetic():
     # the triple is read off the covariants of the form: extract_triple,
     # and every bridge function or method it reaches, builds no ring and
     # takes no ring product or determinant
-    with open(os.path.join(SRC, "bridge.py")) as fh:
-        tree = ast.parse(fh.read())
-    funcs = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
-    forbidden = {"CubicRing", "ring_from_form", "mul", "_det3"}
-    bad = []
-    seen = set()
-    todo = ["extract_triple"]
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        for node in ast.walk(funcs[name]):
-            ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-            if ref in forbidden:
-                bad.append("%s:%d %s" % (name, node.lineno, ref))
-            elif ref in funcs:
-                todo.append(ref)
+    seen, bad = _reach("bridge", ["extract_triple"], {"CubicRing", "ring_from_form", "mul", "_det3"}, methods=True)
     assert not bad, bad
     assert {"cubic_covariant", "gamma_cube", "norm_condition", "containment_condition"} <= seen
 
