@@ -53,7 +53,6 @@ from .quad import (
     is_fundamental,
     is_invertible,
     is_square,
-    kronecker,
     mu3_characters,
     pic_3_torsion,
     picard_group,
@@ -308,7 +307,10 @@ def splitting_type_from_char(chi: Mu3Char, p: int) -> str:
         return "1^3"
     if D0 % p == 0:
         return "1^2 1"
-    if kronecker(D0, p) == -1:
+    # Euler's criterion: p is inert when D0 is not a square mod p; for p = 2,
+    # D0 = 1 mod 4 and 2 is inert when D0 = 5 mod 8
+    inert = D0 % 8 == 5 if p == 2 else pow(D0, (p - 1) // 2, p) != 1
+    if inert:
         return "12"
     primes = [I for I in ideals_of_norm(chi.D, p, invertible_only=True)]
     if len(primes) != 2:

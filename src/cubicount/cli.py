@@ -249,9 +249,10 @@ def main(argv=None) -> int:
             dests = {a.dest for a in p._actions}
             p.set_defaults(**{k: v for k, v in cfg.items() if k in _CONFIG_TYPES and k in dests})
     args = ap.parse_args(argv)
-    if args.max < 0:
-        print("--max must be >= 0, got %d" % args.max, file=sys.stderr)
-        return 2
+    for flag, value in (("max", args.max), ("budget", args.budget or 0)):
+        if value < 0:
+            print("--%s must be >= 0, got %d" % (flag, value), file=sys.stderr)
+            return 2
     saved = os.environ.get(BUDGET_ENV)
     if args.budget is not None:
         os.environ[BUDGET_ENV] = str(args.budget)

@@ -10,8 +10,8 @@ The primary enumeration scans the reduced domains of `forms` directly with
 proven coefficient bounds and yields each sign class once: of the four
 sign variants f, -f, (-a, b, -c, d), (a, -b, c, -d) of a reduced form only
 the lexicographically largest.  One per-form step (`_scanned`: the disc,
-its range check, the boundary signature) feeds two tables, each cached per
-zmat flag:
+its range check, the boundary signature, the number k of sign variants)
+feeds two tables, each cached per zmat flag:
 
   sixths_table  disc -> the integer sum of 6/|stabilizer|; the counts
                 path, which keeps no form and acts on none: by orbit-
@@ -21,7 +21,8 @@ zmat flag:
                 table, zeta and verify on, recursion, rhs, lhs and prop6
                 never build an Orbit.
   orbit_table   disc -> tuple of Orbit (canonical form, stabilizer
-                order), for verify fields-pic and oracle,
+                order: |M|/k when the orbit is f's sign class, else from
+                reduced_orbit), for verify fields-pic and oracle,
                 enumerate_orbits and the ring-side code.
 
 A secondary coefficient-box method (reduce everything in a box, close
@@ -43,7 +44,6 @@ from typing import NamedTuple
 
 from .forms import (
     BOUNDARY_MATRICES,
-    INTERIOR,
     BinaryCubicForm,
     InvariantError,
     boundary_signature,
@@ -232,22 +232,25 @@ class Orbit(NamedTuple):
 _ORBIT_CACHE = {}
 _SIXTHS_CACHE = {}
 
-# Boundary signatures of a scanned a = 0 form with c = 0 (the line Re = 0)
-# or c = b (the edge Re = -1/2), off the arc.  The reflection in that line,
-# diag(1, -1) or (1, 0, 1, -1), fixes f, so every image under the
-# signature's matrices is a sign variant of f: f is its orbit's largest
-# reduced form, with stabilizer order 2.
-_A0_EDGES = ((True, 0, False), (False, -1, False))
+# The boundary signature of a scanned a = 0 form with c = b (the edge
+# Re = -1/2), off the arc.  The reflection in that edge, (1, 0, 1, -1),
+# fixes f, so every image under the signature's matrices is a sign variant
+# of f: f is its orbit's largest reduced form, with stabilizer order 2.
+_A0_EDGE = (-1, False)
 
 
 def _scanned(X, zmat_only):
-    """(disc, form, boundary signature) of every scanned form, in scan
-    order, checking 0 < |disc| <= X: the per-form step of both tables."""
-    for f in chain(_scan_pos(X, zmat_only), _scan_neg(X, zmat_only)):
+    """(disc, form, boundary signature, k) of every scanned form, in scan
+    order, checking 0 < |disc| <= X: the per-form step of both tables.  k
+    is the number of distinct sign variants of the form: 2 when it equals
+    (-a, b, -c, d) (a = c = 0) or (a, -b, c, -d) (b = d = 0), else 4."""
+    for a, b, c, d in chain(_scan_pos(X, zmat_only), _scan_neg(X, zmat_only)):
+        f = a, b, c, d
         D = disc(f)
         if not 0 < abs(D) <= X:
             raise InvariantError("scanned %r has disc %d outside 0 < |disc| <= %d" % (f, D, X))
-        yield D, f, boundary_signature(f, D)
+        k = 2 if a == c == 0 or b == d == 0 else 4
+        yield D, f, boundary_signature(f, D), k
 
 
 def _cached_table(cache, build, X, zmat_only):
@@ -277,13 +280,12 @@ def _cached_at(cache, table, D, zmat_only, empty):
 
 def _build_orbit_table(X, zmat_only):
     table = {}
-    for D, f, sig in _scanned(X, zmat_only):
-        # an interior form's only other reduced forms are its sign
-        # variants, and the scan yields the largest of those
-        if sig == INTERIOR:
-            stab = 1
-        elif f[0] == 0 and sig in _A0_EDGES:
-            stab = 2
+    for D, f, sig, k in _scanned(X, zmat_only):
+        size = len(BOUNDARY_MATRICES[sig])
+        # the orbit is f's sign class when only the four sign matrices keep
+        # f reduced, or on the a = 0 edge, and the scan yields its largest
+        if size == 4 or f[0] == 0 and sig == _A0_EDGE:
+            stab = size // k
         else:
             orbit = reduced_orbit(f)
             if max(orbit) != f:
@@ -294,11 +296,10 @@ def _build_orbit_table(X, zmat_only):
 
 
 def _build_sixths_table(X, zmat_only):
-    # in 24ths a scanned form adds 24 k/|M| (k = 2 when a = c = 0 or
-    # b = d = 0, else 4), and an orbit 24/|stabilizer|: four times its sixths
+    # in 24ths a scanned form adds 24 k/|M| for its k sign variants, and an
+    # orbit 24/|stabilizer|: four times its sixths
     table = {}
-    for D, (a, b, c, d), sig in _scanned(X, zmat_only):
-        k = 2 if a == c == 0 or b == d == 0 else 4
+    for D, _, sig, k in _scanned(X, zmat_only):
         table[D] = table.get(D, 0) + 24 * k // len(BOUNDARY_MATRICES[sig])
     for D, n in table.items():
         if n % 4:
@@ -492,7 +493,6 @@ def check_recursion(D: int, p: int, include_hhat: bool = True):
     reports = []
     variants = [("h", False)] + ([("hhat", True)] if include_hhat else [])
     for name, zv in variants:
-        check_budget(abs(D) * p ** 6 * (27 if zv else 1))
         vals = {}
         for t in sorted(set(terms), key=abs, reverse=True):  # warm the cache once
             vals[t] = h_value(t, zv)

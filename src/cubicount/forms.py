@@ -18,18 +18,18 @@ are decided in exact integer arithmetic (the position of the real root
 against a rational is the sign of a single form evaluation).
 
 The matrices carrying a reduced form to the reduced forms of its orbit
-depend only on its boundary signature: which of the lines Re = 0,
-Re = -1/2, Re = +1/2 and the arc |z| = 1 its point (the Hessian root for
-disc > 0, w for disc < 0) lies on, each read off one integer equality.
-The constant table BOUNDARY_MATRICES lists them per signature, in blocks
-of four that differ by the four sign matrices, so the images of a block
-are the sign variants f, -f, (-a, b, -c, d), (a, -b, c, -d) of one image
-and one `act` per block finds them.  The largest is the canonical
-representative, and as the matrices split into one coset of the stabilizer
-per reduced form, the table size over their number is the stabilizer
-order.  `orbit_closure`, a breadth-first closure under the matrices with
-entries in {-1, 0, 1}, finds the same matrices independently and is kept
-as the oracle for that table.  No floating point enters anywhere.
+depend only on its boundary signature: which of the edges Re = -1/2,
+Re = +1/2 and the arc |z| = 1 its point (the Hessian root for disc > 0,
+w for disc < 0) lies on, each read off one integer equality.  The constant
+table BOUNDARY_MATRICES lists them per signature, in blocks of four that
+differ by the four sign matrices, so the images of a block are the sign
+variants f, -f, (-a, b, -c, d), (a, -b, c, -d) of one image and one `act`
+per block finds them.  The largest is the canonical representative, and as
+the matrices split into one coset of the stabilizer per reduced form, the
+table size over their number is the stabilizer order.  `orbit_closure`, a
+breadth-first closure under the matrices with entries in {-1, 0, 1}, finds
+the same matrices independently and is kept as the oracle for that table.
+No floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -225,44 +225,38 @@ _RIGHT_CORNER = (
     (0, 1, -1, -1), (0, -1, 1, 1), (0, 1, 1, 1), (0, -1, -1, -1),
 )
 
-# Boundary signature (re0, half, unit) of a reduced form -> every matrix g
-# with act(g, f) reduced.  re0: the point lies on Re = 0; half: -1 or +1 on
-# the edge Re = -1/2 or Re = +1/2, else 0; unit: on the arc |z| = 1.  The
-# point is the Hessian root for disc > 0 and w for disc < 0, and one table
-# serves both signs.  The line Re = 0 adds no matrix, but a form on it may
-# equal one of its sign variants; it is in the key so that exactly the
-# INTERIOR forms are known to have a trivial stabilizer without a lookup.
-# Each entry is a run of blocks of four, and element j of a block is
+# Boundary signature (half, unit) of a reduced form -> every matrix g with
+# act(g, f) reduced.  half: -1 or +1 on the edge Re = -1/2 or Re = +1/2,
+# else 0; unit: on the arc |z| = 1.  The point is the Hessian root for
+# disc > 0 and w for disc < 0, and one table serves both signs.  Each entry
+# is a run of blocks of four, and element j of a block is
 # mat_mul(_SIGNS[j], block[0]); reduced_orbit relies on that.
 BOUNDARY_MATRICES = {
     key: tuple(UnimodularMatrix(*m) for m in mats)
     for key, mats in {
-        (False, 0, False): _SIGNS,
-        (True, 0, False): _SIGNS,
-        (False, -1, False): _SIGNS + _LEFT,
-        (False, 1, False): _SIGNS + _RIGHT,
-        (False, 0, True): _SIGNS + _ARC,
-        (True, 0, True): _SIGNS + _ARC,
-        (False, -1, True): _SIGNS + _ARC + _LEFT + _LEFT_CORNER,
-        (False, 1, True): _SIGNS + _ARC + _RIGHT + _RIGHT_CORNER,
+        (0, False): _SIGNS,
+        (-1, False): _SIGNS + _LEFT,
+        (1, False): _SIGNS + _RIGHT,
+        (0, True): _SIGNS + _ARC,
+        (-1, True): _SIGNS + _ARC + _LEFT + _LEFT_CORNER,
+        (1, True): _SIGNS + _ARC + _RIGHT + _RIGHT_CORNER,
     }.items()
 }
-INTERIOR = (False, 0, False)
 
 
 def boundary_signature(form, D=None) -> tuple:
-    """(re0, half, unit) of a reduced form, the key of BOUNDARY_MATRICES;
-    D is disc(form), computed here unless the caller has it."""
+    """(half, unit) of a reduced form, the key of BOUNDARY_MATRICES; D is
+    disc(form), computed here unless the caller has it."""
     if D is None:
         D = disc(form)
     if D > 0:  # the Hessian (t, s, r)
         a, b, c, d = form
         t = b * b - 3 * a * c
         s = b * c - 9 * a * d
-        return s == 0, (s == -t) - (s == t), t == c * c - 3 * b * d
+        return (s == -t) - (s == t), t == c * c - 3 * b * d
     a, b, c, d = _norm_sign(form)
     if a == 0:  # w = (-c +- sqrt(c^2 - 4bd)) / 2b
-        return c == 0, (c == -b) - (c == b), d == b
+        return (c == -b) - (c == b), d == b
     # the roots sum to -b/a, so Re w = -k/2 exactly when f(k a - b, a) = 0,
     # and f(k a - b, a) = a^2 (k u^2 + c u + a d) with u = k a - b; |w| = 1
     # exactly when f(-d, a) = a d (a^2 - a c + b d - d^2) = 0 (c = a if d = 0)
@@ -270,7 +264,7 @@ def boundary_signature(form, D=None) -> tuple:
     u, v = a + b, a - b
     half = (ad == u * (u + c)) - (ad == -v * (v + c))
     unit = c == a if d == 0 else a * (a - c) + b * d == d * d
-    return ad == b * c, half, unit
+    return half, unit
 
 
 def _reduce_pos(form):

@@ -158,37 +158,6 @@ def is_fundamental(D: int) -> bool:
     return in_discs(D) and fundamental_part(D)[1] == 1
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n)."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -sign
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
-
-
 class QuadOrder(NamedTuple):
     D: int
 
@@ -818,15 +787,14 @@ def pic_3_torsion(D: int) -> int:
 
 
 class Mu3Char(NamedTuple):
-    """Homomorphism Pic(O_D) -> Z/3, stored as the value on every class."""
+    """Homomorphism Pic(O_D) -> Z/3, stored as the value on every class;
+    chi(I) is its value on the class of the ideal I."""
 
     D: int
     values: tuple
 
-    def __call__(self, arg) -> int:
-        if isinstance(arg, QuadIdeal):
-            return self.values[picard_group(self.D).class_of(arg)]
-        return self.values[arg]
+    def __call__(self, ideal) -> int:
+        return self.values[picard_group(self.D).class_of(ideal)]
 
 
 def mu3_characters(D: int):

@@ -3,9 +3,9 @@
 maximal trace-divisible subring and the self-balanced triple by ring
 arithmetic, ideal and lattice products, the Picard representatives from a
 norm scan, the Picard structure from ideal products, extension maps
-through conductor-coprime representatives, character sums over ideals)
-and small helpers that only tests call.  The library holds only what the
-program runs; test_source enforces that.
+through conductor-coprime representatives, character sums over ideals,
+the Kronecker symbol) and small helpers that only tests call.  The library
+holds only what the program runs; test_source enforces that.
 
 Not collected by pytest (no test_ prefix); test files import it as
 `reference`, which works because pytest puts tests/ on sys.path.
@@ -362,6 +362,37 @@ def fundamental_part_by_search(D: int):
         if is_fundamental_by_factoring(D // (f * f)):
             return D // (f * f), f
     raise InvariantError("no fundamental decomposition for %d" % D)
+
+
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a|n), for any integers a and n."""
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    sign = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            sign = -sign
+    t = 0
+    while n % 2 == 0:
+        n //= 2
+        t += 1
+    if t:
+        if a % 2 == 0:
+            return 0
+        if t % 2 and a % 8 in (3, 5):
+            sign = -sign
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
 
 def first_ideals_by_norm(D: int):

@@ -41,12 +41,14 @@ from cubicount.quad import (
     mu3_characters,
     pic_3_torsion,
     picard_group,
+    primitive_char,
 )
 from reference import (
     chi_term_sum,
     extract_triple_by_ring,
     is_cube_class,
     k2_norm,
+    kronecker,
     lat_contains,
     lat_mul,
     lat_norm,
@@ -450,6 +452,36 @@ def test_splitting_type_from_char_ramified_conductor():
         assert conductor_of_char(chi) == 13
         assert splitting_type_from_char(chi, 13) == "1^3"
         assert splitting_type_from_char(chi, 2) == "1^2 1"
+
+
+def test_splitting_type_from_char_matches_kronecker_and_ideal_count():
+    # Euler's criterion against the Kronecker symbol and against the number
+    # of invertible ideals of norm p, at every primitive cubic character
+    # with |D| <= 1500 and every p <= 31; 2 is inert at D0 = 5 mod 8
+    ideals = {"111": 2, "3": 2, "12": 0, "1^2 1": 1, "1^3": 0}
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    seen = set()
+    for D in range(-1500, 1501):
+        if not in_discs(D):
+            continue
+        D0, d = fundamental_part(D)
+        for chi in mu3_characters(D):
+            if primitive_char(chi).D != D:
+                continue
+            for p in primes:
+                got = splitting_type_from_char(chi, p)
+                if d % p == 0:
+                    want = ("1^3",)
+                elif D0 % p == 0:
+                    want = ("1^2 1",)
+                elif kronecker(D0, p) == -1:
+                    want = ("12",)
+                else:
+                    want = ("111", "3")
+                assert got in want, (D, chi.values, p)
+                assert len(ideals_of_norm(D, p, invertible_only=True)) == ideals[got], (D, p)
+                seen.add((p, got))
+    assert {(2, t) for t in ideals} <= seen
 
 
 def test_lhs_delta_1():

@@ -57,6 +57,24 @@ def test_negative_max_from_config_exits_2(tmp_path):
         assert "--max must be >= 0" in err
 
 
+@pytest.mark.parametrize("command", [["table", "--budget", "-5"], ["dump-pic", "--budget", "-1"]])
+def test_negative_budget_exits_2_before_any_work(command):
+    # table used to exit 2 with "budget exceeded ... over budget -5", and
+    # dump-pic to exit 0
+    code, out, err = run_cli(command + ["--max", "0"])
+    assert (code, out) == (2, "")
+    assert "--budget must be >= 0" in err
+
+
+def test_negative_budget_from_config_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budget": -5}))
+    for command in (["table"], ["dump-pic"]):
+        code, out, err = run_cli(command + ["--max", "0", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert "--budget must be >= 0" in err
+
+
 @pytest.mark.parametrize("command", _NEGATIVE_MAX_COMMANDS[:4])
 def test_zero_max_is_an_empty_run(command):
     code, out, err = run_cli(command + ["--max", "0"])
@@ -88,6 +106,24 @@ def test_command_output_digest(argv, sha):
     assert hashlib.sha256(out.encode()).hexdigest() == sha
     if argv.startswith("verify"):
         assert err.endswith("386 checks passed\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "table --max 60", "table --max 60 --format json", "verify on --max 10", "dump-pic --delta -23",
+])
+def test_out_writes_the_stdout_bytes_to_the_file(argv, tmp_path):
+    code, want, _ = run_cli(argv.split())
+    assert code == 0 and want
+    path = tmp_path / "out"
+    code, out, _ = run_cli(argv.split() + ["--out", str(path)])
+    assert (code, out) == (0, "")
+    assert path.read_bytes() == want.encode()
+
+
+def test_out_to_a_missing_directory_exits_2(tmp_path):
+    code, out, err = run_cli(["table", "--max", "1", "--out", str(tmp_path / "missing" / "x")])
+    assert (code, out) == (2, "")
+    assert "io failure" in err
 
 
 def test_verify_on_small():

@@ -218,12 +218,13 @@ def test_scan_neg_window_matches_box(X, zmat):
 
 
 def test_a0_edge_forms_are_kept_with_stabilizer_2():
-    # orbit_table gives a = 0 forms on the line Re = 0 or the edge
-    # Re = -1/2, off the arc, Orbit(f, 2) without reduced_orbit, and their
-    # proper stabilizer is trivial; the arc forms with c in {0, b} have
-    # other data and stay outside the rule.  The proper stabilizer order
-    # counts the det 1 matrices of the table entry that fix f (the table
-    # is checked against the breadth-first closure in test_forms)
+    # orbit_table gives a = 0 forms on the line Re = 0 (c = 0, whose entry
+    # has the four sign matrices only) or the edge Re = -1/2, off the arc,
+    # Orbit(f, 2) without reduced_orbit, and their proper stabilizer is
+    # trivial; the arc forms with c in {0, b} have other data and stay
+    # outside the rule.  The proper stabilizer order counts the det 1
+    # matrices of the table entry that fix f (the table is checked against
+    # the breadth-first closure in test_forms)
     edges = arcs = 0
     arc_data = set()
     for X, zmat in ((20000, False), (540000, True)):
@@ -232,8 +233,8 @@ def test_a0_edge_forms_are_kept_with_stabilizer_2():
                 if f[0] != 0:
                     continue
                 sig = boundary_signature(f)
-                edge = sig in counting._A0_EDGES
-                if not (edge or sig[2] and f[2] in (0, f[1])):
+                edge = sig == counting._A0_EDGE or sig == (0, False) and f[2] == 0
+                if not (edge or sig[1] and f[2] in (0, f[1])):
                     continue
                 orbit = reduced_orbit(f)
                 proper = sum(g.det == 1 and act(g, f) == f for g in BOUNDARY_MATRICES[sig])
@@ -246,8 +247,8 @@ def test_a0_edge_forms_are_kept_with_stabilizer_2():
                     arc_data.add((sig, data))
                     arcs += 1
     assert edges > 40000 and arcs > 50
-    assert {sig for sig, _ in arc_data} == {(True, 0, True), (False, -1, True)}
-    assert ((False, -1, True), (True, 6, 3)) in arc_data
+    assert {sig for sig, _ in arc_data} == {(0, True), (-1, True)}
+    assert ((-1, True), (True, 6, 3)) in arc_data
 
 
 def test_orbits_at_reads_the_cached_table(monkeypatch):
@@ -280,7 +281,7 @@ def test_orbit_table_rejects_wrong_boundary_matrix(monkeypatch):
     # a matrix that maps reduced forms off the domain must raise, not
     # silently produce a wrong table
     monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
-    key = (False, 0, True)
+    key = (0, True)
     bad = BOUNDARY_MATRICES[key] + (UnimodularMatrix(1, 0, 2, 1),)
     monkeypatch.setitem(BOUNDARY_MATRICES, key, bad)
     with pytest.raises(InvariantError):
@@ -339,7 +340,7 @@ def test_counts_path_stabilizer_check_survives_optimize():
     out = _run_optimized(
         "from cubicount import counting, forms\n"
         "from cubicount.cli import main\n"
-        "forms.BOUNDARY_MATRICES[forms.INTERIOR] += (forms.MAT_ID,)\n"
+        "forms.BOUNDARY_MATRICES[0, False] += (forms.MAT_ID,)\n"
         "try:\n"
         "    counting.class_numbers(300)\n"
         "except forms.InvariantError:\n"
@@ -377,7 +378,7 @@ def test_box_oracle_checks_the_budget(monkeypatch):
 def test_invariant_checks_survive_optimize():
     out = _run_optimized(
         "from cubicount import counting, forms\n"
-        "key = (False, 0, True)\n"
+        "key = (0, True)\n"
         "forms.BOUNDARY_MATRICES[key] += (forms.UnimodularMatrix(1, 0, 2, 1),)\n"
         "try:\n"
         "    counting.orbit_table(300)\n"

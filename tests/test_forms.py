@@ -7,7 +7,6 @@ from cubicount import forms
 from cubicount.counting import _scan_neg, _scan_pos
 from cubicount.forms import (
     BOUNDARY_MATRICES,
-    INTERIOR,
     BinaryCubicForm,
     MAT_ID,
     UnimodularMatrix,
@@ -256,21 +255,33 @@ def _assert_table_matches_bfs(f):
     assert reduced_stabilizer_order(f, orbit) == bfs.stabilizer_order, f
 
 
+def _on_re0(f):
+    # the point lies on the line Re = 0, which adds no matrix to the table
+    # but holds every form equal to one of its sign variants
+    a, b, c, d = f
+    if disc(f) > 0:
+        return b * c == 9 * a * d  # the Hessian's middle coefficient is 0
+    if a == 0:
+        return c == 0
+    return a * d == b * c  # Re w = 0 exactly when f(-b, a) = a^2 (ad - bc) = 0
+
+
 def test_boundary_table_matches_orbit_closure():
-    # every boundary form of both scans, and every 40th interior one
+    # every boundary form of both scans, every interior one on the line
+    # Re = 0, and every 40th other interior one
     seen = set()
     interior = 0
     for f in _scanned_forms():
         sig = boundary_signature(f)
         seen.add(sig)
-        if sig == INTERIOR:
+        if sig == (0, False) and not _on_re0(f):
             interior += 1
             if interior % 40:
                 continue
         _assert_table_matches_bfs(f)
-    # all seven boundary signatures occur, plus the interior
+    # all five boundary signatures occur, plus the interior
     assert seen == set(BOUNDARY_MATRICES)
-    assert len(seen - {INTERIOR}) == 7
+    assert len(seen - {(0, False)}) == 5
 
 
 def test_boundary_matrices_are_sign_blocks():
@@ -287,24 +298,24 @@ def test_boundary_matrices_are_sign_blocks():
 def test_boundary_signature_reads_each_edge():
     cases = {
         # disc > 0: the root of the Hessian (t, s, r) has Re = -s/2t
-        (0, 1, 0, -1): (True, 0, False),  # (1, 0, 3)
-        (0, 1, 1, -1): (False, -1, False),  # (1, 1, 4)
-        (0, 1, -1, -1): (False, 1, False),  # (1, -1, 4)
-        (0, 3, 0, -1): (True, 0, True),  # (9, 0, 9)
-        (1, 1, -2, -1): (False, -1, True),  # (7, 7, 7)
-        (1, -1, -3, 1): INTERIOR,  # (10, -6, 12)
+        (0, 1, 0, -1): (0, False),  # (1, 0, 3)
+        (0, 1, 1, -1): (-1, False),  # (1, 1, 4)
+        (0, 1, -1, -1): (1, False),  # (1, -1, 4)
+        (0, 3, 0, -1): (0, True),  # (9, 0, 9)
+        (1, 1, -2, -1): (-1, True),  # (7, 7, 7)
+        (1, -1, -3, 1): (0, False),  # (10, -6, 12)
         # disc < 0, a = 0: w = (-c + sqrt(c^2 - 4bd)) / 2b
-        (0, 1, 0, 2): (True, 0, False),  # i sqrt 2
-        (0, 1, 1, 2): (False, -1, False),  # (-1 + i sqrt 7) / 2
-        (0, 2, -1, 2): (False, 0, True),  # |w| = 1, Re w = 1/4
-        (0, 1, -1, 1): (False, 1, True),  # e^(pi i/3)
+        (0, 1, 0, 2): (0, False),  # i sqrt 2
+        (0, 1, 1, 2): (-1, False),  # (-1 + i sqrt 7) / 2
+        (0, 2, -1, 2): (0, True),  # |w| = 1, Re w = 1/4
+        (0, 1, -1, 1): (1, True),  # e^(pi i/3)
         # disc < 0, a >= 1: f = (x - theta)(x - w)(x - wbar)
-        (1, 0, 2, 0): (True, 0, False),  # theta = 0, w = i sqrt 2
-        (1, 0, 1, 0): (True, 0, True),  # theta = 0, w = i
-        (1, 1, 1, 0): (False, -1, True),  # theta = 0, w = e^(2 pi i/3)
-        (1, -2, 3, -2): (False, 1, False),  # theta = 1, w = (1 + i sqrt 7) / 2
-        (1, -2, 2, -1): (False, 1, True),  # theta = 1, w = e^(pi i/3)
-        (1, -1, 2, -1): INTERIOR,  # the disc -23 field
+        (1, 0, 2, 0): (0, False),  # theta = 0, w = i sqrt 2
+        (1, 0, 1, 0): (0, True),  # theta = 0, w = i
+        (1, 1, 1, 0): (-1, True),  # theta = 0, w = e^(2 pi i/3)
+        (1, -2, 3, -2): (1, False),  # theta = 1, w = (1 + i sqrt 7) / 2
+        (1, -2, 2, -1): (1, True),  # theta = 1, w = e^(pi i/3)
+        (1, -1, 2, -1): (0, False),  # the disc -23 field
     }
     for f, want in cases.items():
         assert is_reduced(f), f

@@ -24,7 +24,6 @@ from cubicount.quad import (
     ideals_of_norm,
     in_discs,
     is_square,
-    kronecker,
     mu3_characters,
     order,
     picard_group,
@@ -34,6 +33,7 @@ from reference import (
     extension_map_by_coprime_reps,
     first_ideals_by_norm,
     ideal_mul,
+    kronecker,
     order_change_map,
     structure_by_products,
 )

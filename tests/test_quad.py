@@ -29,7 +29,6 @@ from cubicount.quad import (
     is_invertible,
     is_principal,
     is_square,
-    kronecker,
     make_ideal,
     mu3_characters,
     order,
@@ -47,6 +46,7 @@ from reference import (
     ideal_mul,
     is_cube_class,
     is_fundamental_by_factoring,
+    kronecker,
     order_change_map,
     parse_ideal,
 )
