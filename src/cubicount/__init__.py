@@ -46,6 +46,7 @@ from .bridge import (
     extract_triple,
     lhs_count,
     rhs_count,
+    splitting_type_from_char,
     triple_to_J,
 )
 

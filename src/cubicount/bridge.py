@@ -299,10 +299,16 @@ def rhs_identity_check(D: int) -> dict:
 
 def splitting_type_from_char(chi: Mu3Char, p: int) -> str:
     """Splitting type at p of the cubic algebra attached to a primitive
-    character of conductor d on Pic(O_{D0 d^2})."""
-    D0, d = fundamental_part(chi.D)
+    character of conductor d on Pic(O_{D0 d^2}); ValueError unless chi is
+    primitive on its own order."""
     if primitive_char(chi).D != chi.D:
         raise ValueError("character must be primitive on its own order")
+    return _splitting_type(chi, p)
+
+
+def _splitting_type(chi: Mu3Char, p: int) -> str:
+    """splitting_type_from_char for a chi known to be primitive."""
+    D0, d = fundamental_part(chi.D)
     if d % p == 0:
         return "1^3"
     if D0 % p == 0:
@@ -345,7 +351,7 @@ def _character_sum(D: int) -> int:
         m1 = m // fundamental_part(chi_prim.D)[1]
         term = 1
         for p, v in factorize(m1).items():
-            term *= s_sequence(splitting_type_from_char(chi_prim, p), p, v)
+            term *= s_sequence(_splitting_type(chi_prim, p), p, v)
         total += term
     return total
 

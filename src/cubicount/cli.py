@@ -9,8 +9,9 @@ bad arguments or config), 3 an internal invariant of the computation broke
 
 verify runs the checks named in CHECKS, each a list of identity reports
 (counting.report), and writes them as one JSON list.  on and oracle sweep
-[-max, max]; every other check, and dump-pic, is per delta: it takes the
-deltas --D (--delta) names, else those in [-max, max] that it accepts.
+[-max, max], and say so on stderr when --D is given; every other check,
+and dump-pic, is per delta: it takes the deltas --D (--delta) names, else
+those in [-max, max] that it accepts.
 Every command writes its rows through _write.  --format (csv or json)
 belongs to table and zeta; verify and dump-pic always write JSON.
 
@@ -64,13 +65,22 @@ def _capped_max(name, args, cap):
     return cap
 
 
+def _swept_max(name, args, cap=None):
+    """The --max a sweep check runs to: _capped_max, after one stderr line
+    saying that the check does not use --D when --D is given."""
+    if args.D:
+        print("%s: sweeps |delta| <= --max and does not use --D" % name, file=sys.stderr)
+    return _capped_max(name, args, cap)
+
+
 def _verify_on(name, args):
+    X = _swept_max(name, args)
     return [counting.report(name, D, hh, 3 * h if D > 0 else h)
-            for D, (h, hh) in counting.class_numbers(args.max).items()]
+            for D, (h, hh) in counting.class_numbers(X).items()]
 
 
 def _verify_oracle(name, args):
-    X = _capped_max(name, args, 200)
+    X = _swept_max(name, args, 200)
     table = counting.orbit_table(X, False)
     box = counting.box_orbit_counts(X)
     return [counting.report(name, D, Fraction(len(table.get(D, []))), Fraction(box.get(D, 0)))

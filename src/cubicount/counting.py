@@ -6,12 +6,12 @@ each weighted by 1/|stabilizer|; hhat(D) does the same over forms with
 integer-only, and the weights are added as integer sixths (every
 stabilizer order divides 6) and turned into fractions.Fraction at the end.
 
-The primary enumeration scans the reduced domains of `forms` directly with
-proven coefficient bounds and yields each sign class once: of the four
-sign variants f, -f, (-a, b, -c, d), (a, -b, c, -d) of a reduced form only
-the lexicographically largest.  One per-form step (`_scanned`: the disc,
-its range check, the boundary signature, the number k of sign variants)
-feeds two tables, each cached per zmat flag:
+The primary enumeration scans the reduced domains of `forms`, (a, b, c)
+within proven bounds and d over exact intervals, and yields each sign
+class once: of the four sign variants f, -f, (-a, b, -c, d), (a, -b, c, -d)
+of a reduced form only the lexicographically largest.  One per-form step
+(`_scanned`: the disc, its range check, the boundary signature, the
+number k of sign variants) feeds two tables, each cached per zmat flag:
 
   sixths_table  disc -> the integer sum of 6/|stabilizer|; the counts
                 path, which keeps no form and acts on none: by orbit-
@@ -84,31 +84,44 @@ def _ceil_div(a, b):
 # discriminant sign and 0 < |disc| <= X that is the largest of its four sign
 # variants: b >= 0, and d >= 0 when b = 0, for a >= 1; b > 0 and c >= 0 for
 # a = 0.  (Negation, and the reflection diag(1, -1), map reduced forms to
-# reduced forms.)
+# reduced forms.)  Each condition on d is an interval, or an open band that
+# `_cut` takes out.  For a >= 1, D(d) = -27 a^2 d^2 + bq d + gq is the disc:
+# 108 a^2 D(d) = e - (54 a^2 d - bq)^2 with e = bq^2 + 108 a^2 gq.
+
+def _cut(spans, m, k, r):
+    """The inclusive d-intervals of spans, in order, without the open band
+    (m d - k)^2 < r (m >= 1): the d with |m d - k| <= isqrt(r - 1)."""
+    if r <= 0:
+        return spans
+    s = isqrt(r - 1)
+    lo, hi = _ceil_div(k - s, m), (k + s) // m
+    out = []
+    for dl, dh in spans:
+        if dl < lo:
+            out.append((dl, min(dh, lo - 1)))
+        if dh > hi:
+            out.append((max(dl, hi + 1), dh))
+    return out
+
 
 def _scan_pos(X, zmat):
     step = 3 if zmat else 1
     Pmax = isqrt(X)
-    # a = 0: P = b^2, Q = bc, R = c^2 - 3bd
+    # a = 0: P = b^2, Q = bc, R = c^2 - 3bd.  0 <= c <= b gives |Q| <= P,
+    # and d in [dl, dh] is P <= R <= Rhi, so 3X >= 4PR - Q^2 >= 3P^2 >= 3
     for b in range(step, isqrt(Pmax) + 1, step):
         P = b * b
         for c in range(0, b + 1, step):
-            Q = b * c
-            Rhi = (3 * X + Q * Q) // (4 * P)
-            # P <= c^2 - 3 b d <= Rhi
+            Rhi = (3 * X + P * c * c) // (4 * P)
             dl = _ceil_div(c * c - Rhi, 3 * b)
             dh = (c * c - P) // (3 * b)
             for d in range(dl, dh + 1):
-                R = c * c - 3 * b * d
-                if R < P or abs(Q) > P:
-                    continue
-                D3 = 4 * P * R - Q * Q
-                if D3 < 3 or D3 > 3 * X:
-                    continue
                 yield 0, b, c, d
     amax = isqrt((4 * isqrt(X)) // 27) + 2
     for a in range(1, amax + 1):
+        a2 = a * a
         a9 = 9 * a
+        a54 = 54 * a2
         bmax = isqrt(Pmax) + (3 * a) // 2 + 2
         for b in range(0, bmax + 1, step):
             # 1 <= P = b^2 - 3ac <= Pmax
@@ -118,37 +131,36 @@ def _scan_pos(X, zmat):
                 cl += (-cl) % 3
             for c in range(cl, ch + 1, step):
                 P = b * b - 3 * a * c
-                if P < 1 or P > Pmax:
-                    continue
                 bc = b * c
+                # |Q| <= P and R >= P, with Q = bc - 9ad and R = c^2 - 3bd
                 dl = _ceil_div(bc - P, a9)
-                if b == 0 and dl < 0:
-                    dl = 0
                 dh = (bc + P) // a9
-                cc = c * c
-                for d in range(dl, dh + 1):
-                    Q = bc - a9 * d
-                    R = cc - 3 * b * d
-                    if R < P or abs(Q) > P:
-                        continue
-                    D3 = 4 * P * R - Q * Q
-                    if D3 < 3 or D3 > 3 * X:
-                        continue
-                    yield a, b, c, d
+                if b:
+                    dh = min(dh, (c * c - P) // (3 * b))
+                elif c * c < P:
+                    continue
+                else:
+                    dl = max(dl, 0)
+                # minus the band D(d) > X; R >= P >= |Q| then gives
+                # 4PR - Q^2 = 3 D(d) >= 3P^2 >= 3
+                bq = 18 * a * bc - 4 * b ** 3
+                e = bq * bq + 108 * a2 * (bc * bc - 4 * a * c ** 3)
+                for lo, hi in _cut([(dl, dh)], a54, bq, e - 108 * a2 * X):
+                    for d in range(lo, hi + 1):
+                        yield a, b, c, d
 
 
 def _scan_neg(X, zmat):
     step = 3 if zmat else 1
-    # a = 0 family: (0, b, c, d), b >= 1, 0 <= c <= b, d >= b
+    # a = 0 family: (0, b, c, d), b >= 1, 0 <= c <= b, d >= b, so
+    # disc = b^2 (c^2 - 4bd) <= -3b^4, and d <= dhi is disc >= -X
     bmax = _i4root(X // 3) + 2
     for b in range(step, bmax + 1, step):
         bb = b * b
         for c in range(0, b + 1, step):
             dhi = (X // bb + c * c) // (4 * b)
             for d in range(b, dhi + 1):
-                D = bb * (c * c - 4 * b * d)
-                if -X <= D <= -1:
-                    yield 0, b, c, d
+                yield 0, b, c, d
     # a >= 1.  Write f(x, 1) = a (x - theta)(x - w)(x - conj w) with
     # u = Re w, v = Im w > 0.  Then b/a = -theta - 2u,
     # c/a = -2u b/a - 3u^2 + v^2 and |disc| = 4 a^4 v^2 |theta - w|^4.
@@ -162,9 +174,9 @@ def _scan_neg(X, zmat):
         a2 = a * a
         a3 = a2 * a
         a4 = a2 * a2
+        a54 = 54 * a2
         T = _i4root(X // (3 * a4)) + 1
         M2 = _icbrt(X // (4 * a4)) + 1
-        capd = a * (T + isqrt(M2) + 2) * (M2 + 1) + 1
         for b in range(0, a * T + (3 * a) // 2 + 1, step):
             amb = a - b
             apb = a + b
@@ -176,44 +188,23 @@ def _scan_neg(X, zmat):
                 K2 = K2base - a2 * c * apb
                 dl = -(K1 // a3)
                 dh = (-K2) // a3
-                if dl > dh:
-                    continue
                 if b == 0 and dl < 0:
                     dl = 0
-                # disc D(d) = -27 a^2 d^2 + bq d + gq, and with
-                # e = bq^2 + 108 a^2 gq, -108 a^2 D(d) = (54 a^2 d - bq)^2 - e.
-                # d window from disc >= -X:
+                # and from D(d) >= -X: |54 a^2 d - bq| <= isqrt(dq)
                 bq = 18 * a * b * c - 4 * b ** 3
-                gq = b * b * c * c - 4 * a * c ** 3
-                a54 = 54 * a2
-                e = bq * bq + 108 * a2 * gq
+                e = bq * bq + 108 * a2 * (b * b * c * c - 4 * a * c ** 3)
                 dq = e + 108 * a2 * X
                 if dq < 0:
                     continue
                 rt = isqrt(dq)
-                dl = max(dl, (bq - rt) // a54 - 1, -capd)
-                dh = min(dh, (bq + rt) // a54 + 1, capd)
-                # D(d) >= 0 exactly on |54 a^2 d - bq| <= isqrt(e): scan the
-                # two flanks of that band
-                if e >= 0:
-                    rb = isqrt(e)
-                    flanks = ((dl, min(dh, _ceil_div(bq - rb, a54) - 1)),
-                              (max(dl, (bq + rb) // a54 + 1), dh))
-                else:
-                    flanks = ((dl, dh),)
-                for lo, hi in flanks:
+                dl = max(dl, _ceil_div(bq - rt, a54))
+                dh = min(dh, (bq + rt) // a54)
+                # minus the band D(d) >= 0, and minus the band |w| < 1: as
+                # d^2 - b d + a c - a^2 = a^2 (|w|^2 - 1) |theta w - 1|^2,
+                # |w| >= 1 is (2d - b)^2 >= b^2 - 4a (c - a)
+                spans = _cut([(dl, dh)], a54, bq, e + 1)
+                for lo, hi in _cut(spans, 2, b, b * b - 4 * a * (c - a)):
                     for d in range(lo, hi + 1):
-                        D = -27 * a2 * d * d + bq * d + gq
-                        if D > -1 or D < -X:
-                            continue
-                        # |w| >= 1
-                        if d == 0:
-                            if c < a:
-                                continue
-                        else:
-                            val = -a * d ** 3 + a * b * d * d - a2 * c * d + a3 * d
-                            if (val < 0) if d < 0 else (val > 0):
-                                continue
                         yield a, b, c, d
 
 
@@ -255,8 +246,10 @@ def _scanned(X, zmat_only):
 
 def _cached_table(cache, build, X, zmat_only):
     """build(X, zmat_only) as a read-only view, taken from cache when it
-    holds a table for some X' >= X (a filtered copy when X' > X).  The
-    budget is checked on every call, also when the table is cached."""
+    holds a table for some X' >= X (a filtered copy when X' > X).  X < 0
+    is a ValueError; the budget is checked on every call, cached or not."""
+    if X < 0:
+        raise ValueError("X must be >= 0, got %d" % X)
     check_budget(X)
     cached = cache.get(zmat_only)
     if cached is not None and cached[0] >= X:
@@ -358,7 +351,7 @@ def class_numbers(X: int):
     """dict D -> (h(D), hhat(D)) for every discriminant 0 < |D| <= X, D
     ascending, exact rationals.  No other D has an orbit: a cubic form's
     disc is 0 or 1 mod 4, and -27 D = D mod 4."""
-    check_budget(max(X, 27 * X))
+    check_budget(27 * X)
     h6 = sixths_table(X, False)
     hh6 = sixths_table(27 * X, True)
     # one Fraction per distinct count, shared (a Fraction is immutable)
@@ -388,8 +381,10 @@ def box_orbit_counts(X: int):
 def box_reduced_forms(X: int, zmat_only: bool = False):
     """Yield (disc, form) for every reduced form with 0 < |disc| <= X, a >= 0
     and b > 0 when a = 0 (3 | b, c when zmat_only), by testing each form of
-    a coefficient box guaranteed to contain them all.  The budget is
-    checked before the first form."""
+    a coefficient box guaranteed to contain them all.  ValueError when
+    X < 0; the budget is checked before the first form."""
+    if X < 0:
+        raise ValueError("X must be >= 0, got %d" % X)
     check_budget(X)
     step = 3 if zmat_only else 1
     amax = max(_i4root((16 * X) // 27) + 1, isqrt((4 * isqrt(X)) // 27) + 2)

@@ -1,10 +1,11 @@
 """Reference code the tests check the library against: brute-force oracles
-(stabilizer matrices, proper stabilizer orders, superrings of index p, the
-maximal trace-divisible subring and the self-balanced triple by ring
-arithmetic, ideal and lattice products, the Picard representatives from a
-norm scan, the Picard structure from ideal products, extension maps
-through conductor-coprime representatives, character sums over ideals,
-the Kronecker symbol) and small helpers that only tests call.  The library
+(the reduced-domain scans with per-d filters, stabilizer matrices, proper
+stabilizer orders, superrings of index p, the maximal trace-divisible
+subring and the self-balanced triple by ring arithmetic, ideal and
+lattice products, the Picard representatives from a norm scan, the
+Picard structure from ideal products, extension maps through
+conductor-coprime representatives, character sums over ideals, the
+Kronecker symbol) and small helpers that only tests call.  The library
 holds only what the program runs; test_source enforces that.
 
 Not collected by pytest (no test_ prefix); test files import it as
@@ -17,6 +18,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from cubicount.bridge import RatLattice, SelfBalancedTriple, gamma_cube, int_lattice, k2_mul
+from cubicount.counting import _ceil_div, _i4root, _icbrt
 from cubicount.forms import (
     BOUNDARY_MATRICES,
     MAT_ID,
@@ -119,6 +121,130 @@ def random_unimodular(rng, steps: int = 8) -> UnimodularMatrix:
     for _ in range(steps):
         g = mat_mul(rng.choice(gens), g)
     return g
+
+
+# The reduced-domain scans with every condition on d tested per d: the d
+# windows carry slack, and the a >= 1 negative scan a clamp capd.  The
+# oracle for the exact d-intervals of counting._scan_pos and _scan_neg,
+# which must yield the same forms in the same order.
+
+def scan_pos_filtered(X, zmat):
+    step = 3 if zmat else 1
+    Pmax = isqrt(X)
+    # a = 0: P = b^2, Q = bc, R = c^2 - 3bd
+    for b in range(step, isqrt(Pmax) + 1, step):
+        P = b * b
+        for c in range(0, b + 1, step):
+            Q = b * c
+            Rhi = (3 * X + Q * Q) // (4 * P)
+            # P <= c^2 - 3 b d <= Rhi
+            dl = _ceil_div(c * c - Rhi, 3 * b)
+            dh = (c * c - P) // (3 * b)
+            for d in range(dl, dh + 1):
+                R = c * c - 3 * b * d
+                if R < P or abs(Q) > P:
+                    continue
+                D3 = 4 * P * R - Q * Q
+                if D3 < 3 or D3 > 3 * X:
+                    continue
+                yield 0, b, c, d
+    amax = isqrt((4 * isqrt(X)) // 27) + 2
+    for a in range(1, amax + 1):
+        a9 = 9 * a
+        bmax = isqrt(Pmax) + (3 * a) // 2 + 2
+        for b in range(0, bmax + 1, step):
+            # 1 <= P = b^2 - 3ac <= Pmax
+            cl = _ceil_div(b * b - Pmax, 3 * a)
+            ch = (b * b - 1) // (3 * a)
+            if zmat:
+                cl += (-cl) % 3
+            for c in range(cl, ch + 1, step):
+                P = b * b - 3 * a * c
+                if P < 1 or P > Pmax:
+                    continue
+                bc = b * c
+                dl = _ceil_div(bc - P, a9)
+                if b == 0 and dl < 0:
+                    dl = 0
+                dh = (bc + P) // a9
+                cc = c * c
+                for d in range(dl, dh + 1):
+                    Q = bc - a9 * d
+                    R = cc - 3 * b * d
+                    if R < P or abs(Q) > P:
+                        continue
+                    D3 = 4 * P * R - Q * Q
+                    if D3 < 3 or D3 > 3 * X:
+                        continue
+                    yield a, b, c, d
+
+
+def scan_neg_filtered(X, zmat):
+    step = 3 if zmat else 1
+    # a = 0 family: (0, b, c, d), b >= 1, 0 <= c <= b, d >= b
+    bmax = _i4root(X // 3) + 2
+    for b in range(step, bmax + 1, step):
+        bb = b * b
+        for c in range(0, b + 1, step):
+            dhi = (X // bb + c * c) // (4 * b)
+            for d in range(b, dhi + 1):
+                D = bb * (c * c - 4 * b * d)
+                if -X <= D <= -1:
+                    yield 0, b, c, d
+    amax = _i4root((16 * X) // 27) + 1
+    for a in range(1, amax + 1):
+        a2 = a * a
+        a3 = a2 * a
+        a4 = a2 * a2
+        T = _i4root(X // (3 * a4)) + 1
+        M2 = _icbrt(X // (4 * a4)) + 1
+        capd = a * (T + isqrt(M2) + 2) * (M2 + 1) + 1
+        for b in range(0, a * T + (3 * a) // 2 + 1, step):
+            amb = a - b
+            apb = a + b
+            K1base = a * amb ** 3 + a * b * amb * amb
+            K2base = -a * apb ** 3 + a * b * apb * apb
+            for c in range(-b, b + a * M2 + 1, step):
+                # d window from the strip condition |Re w| <= 1/2
+                K1 = K1base + a2 * c * amb
+                K2 = K2base - a2 * c * apb
+                dl = -(K1 // a3)
+                dh = (-K2) // a3
+                if dl > dh:
+                    continue
+                if b == 0 and dl < 0:
+                    dl = 0
+                # d window from disc >= -X, with slack
+                bq = 18 * a * b * c - 4 * b ** 3
+                gq = b * b * c * c - 4 * a * c ** 3
+                a54 = 54 * a2
+                e = bq * bq + 108 * a2 * gq
+                dq = e + 108 * a2 * X
+                if dq < 0:
+                    continue
+                rt = isqrt(dq)
+                dl = max(dl, (bq - rt) // a54 - 1, -capd)
+                dh = min(dh, (bq + rt) // a54 + 1, capd)
+                if e >= 0:
+                    rb = isqrt(e)
+                    flanks = ((dl, min(dh, _ceil_div(bq - rb, a54) - 1)),
+                              (max(dl, (bq + rb) // a54 + 1), dh))
+                else:
+                    flanks = ((dl, dh),)
+                for lo, hi in flanks:
+                    for d in range(lo, hi + 1):
+                        D = -27 * a2 * d * d + bq * d + gq
+                        if D > -1 or D < -X:
+                            continue
+                        # |w| >= 1
+                        if d == 0:
+                            if c < a:
+                                continue
+                        else:
+                            val = -a * d ** 3 + a * b * d * d - a2 * c * d + a3 * d
+                            if (val < 0) if d < 0 else (val > 0):
+                                continue
+                        yield a, b, c, d
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,14 @@ def test_splitting_type_from_char_ramified_conductor():
         assert splitting_type_from_char(chi, 2) == "1^2 1"
 
 
+def test_splitting_type_from_char_rejects_a_non_primitive_character():
+    # the trivial character on Pic(O_{-92}) factors through Pic(O_{-23})
+    trivial = mu3_characters(-92)[0]
+    assert not any(trivial.values) and primitive_char(trivial).D == -23
+    with pytest.raises(ValueError, match="must be primitive"):
+        splitting_type_from_char(trivial, 5)
+
+
 def test_splitting_type_from_char_matches_kronecker_and_ideal_count():
     # Euler's criterion against the Kronecker symbol and against the number
     # of invertible ideals of norm p, at every primitive cubic character

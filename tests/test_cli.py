@@ -376,6 +376,19 @@ def test_oracle_cap_is_stated_on_stderr():
     assert "%d checks passed" % len(reports) in err
 
 
+def test_sweep_checks_say_they_do_not_use_D():
+    # on and oracle sweep --max: given --D, each says so in one stderr
+    # line, and stdout and the exit code are those of the run without --D;
+    # a per-delta check run beside them reads --D and says nothing
+    for which in ("on", "oracle"):
+        code, out, err = run_cli(["verify", which, "--D", "-23", "--max", "3"])
+        plain = run_cli(["verify", which, "--max", "3"])
+        assert (code, out) == plain[:2]
+        assert err == "%s: sweeps |delta| <= --max and does not use --D\n" % which + plain[2]
+    err = run_cli(["verify", "on", "rhs", "--D", "-23", "--max", "3"])[2]
+    assert err.count("does not use --D") == 1
+
+
 _BUDGET_RUNS = [["verify", name] for name in CHECKS] + [
     ["table"], ["zeta"], ["dump-pic", "--delta", "-23"]]
 

@@ -11,6 +11,7 @@ import pytest
 from cubicount import counting
 from cubicount.cli import main
 from cubicount.counting import (
+    _cut,
     _icbrt,
     _orbits_at,
     _scan_neg,
@@ -43,7 +44,7 @@ from cubicount.forms import (
     reduced_stabilizer_order,
 )
 from cubicount.rings import ring_from_form, splitting_type, subrings_of_index
-from reference import proper_stabilizer_order
+from reference import proper_stabilizer_order, scan_neg_filtered, scan_pos_filtered
 
 
 def test_enumerate_x1():
@@ -215,6 +216,45 @@ def test_scan_neg_window_matches_box(X, zmat):
     # the (b, c) window for a >= 1 drops no form the earlier box yielded,
     # and the forms come out in the same order
     assert [f for f in _scan_neg(X, zmat) if f[0]] == _scan_neg_box(X, zmat)
+
+
+@pytest.mark.parametrize("zmat, bounds", [
+    (False, list(range(401)) + [20000]),
+    (True, list(range(0, 8101, 27)) + [540000]),
+])
+def test_scans_match_the_per_d_filters(zmat, bounds):
+    # the exact d-intervals yield the forms the per-d filters keep, in the
+    # same order
+    for X in bounds:
+        assert list(_scan_pos(X, zmat)) == list(scan_pos_filtered(X, zmat)), X
+        assert list(_scan_neg(X, zmat)) == list(scan_neg_filtered(X, zmat)), X
+
+
+def test_cut_matches_brute_force():
+    # _cut drops exactly the d with (m d - k)^2 < r and keeps the rest in
+    # order, for empty, non-positive and perfect-square r and empty spans
+    span_sets = ([(-12, 12)], [(-12, -4), (-1, 2), (5, 13)], [(3, 1)], [(0, 0), (2, 1), (4, 9)], [])
+    for m in range(1, 6):
+        for k in range(-9, 10):
+            for r in range(-3, 50):
+                for spans in span_sets:
+                    got = [d for lo, hi in _cut(spans, m, k, r) for d in range(lo, hi + 1)]
+                    want = [d for lo, hi in spans for d in range(lo, hi + 1) if (m * d - k) ** 2 >= r]
+                    assert got == want, (spans, m, k, r)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: class_numbers(-1),
+    lambda: sixths_table(-1),
+    lambda: orbit_table(-5),
+    lambda: zeta_coefficients(-2),
+    lambda: enumerate_orbits(-1),
+    lambda: list(box_reduced_forms(-1)),
+], ids=["class_numbers", "sixths_table", "orbit_table", "zeta_coefficients", "enumerate_orbits",
+        "box_reduced_forms"])
+def test_negative_bound_is_rejected(call):
+    with pytest.raises(ValueError, match="X must be >= 0, got -"):
+        call()
 
 
 def test_a0_edge_forms_are_kept_with_stabilizer_2():

@@ -6,7 +6,8 @@ forms.disc_budget is its only source, so no function takes a budget
 parameter that some caller could forget to pass on.  One writer: every
 command's output goes through cli._write.  One library surface: every name
 defined in src is reached from what the program runs, and every name a
-module imports is used in it."""
+module imports is used in it.  One decision per condition: the d loops of
+the reduced-domain scans only yield."""
 
 import argparse
 import ast
@@ -124,6 +125,31 @@ def test_counts_path_builds_no_orbit():
         "reduced_orbit", "reduced_stabilizer_order", "orbit_closure", "act"})
     assert not bad, bad
     assert {"sixths_table", "_build_sixths_table", "_scanned"} <= seen
+
+
+def test_scan_d_loops_only_yield():
+    # the reduced-domain scans decide every condition on d before the d
+    # loop: each `for d in range(...)` body is one yield, and no clamp
+    # named capd bounds d anywhere in src
+    with open(os.path.join(SRC, "counting.py")) as fh:
+        tree = ast.parse(fh.read())
+    funcs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    loops, bad = 0, []
+    for name in ("_scan_pos", "_scan_neg"):
+        for node in ast.walk(funcs[name]):
+            if not (isinstance(node, ast.For) and isinstance(node.target, ast.Name) and node.target.id == "d"):
+                continue
+            loops += 1
+            ranged = isinstance(node.iter, ast.Call) and getattr(node.iter.func, "id", None) == "range"
+            body = node.body
+            if not ranged or node.orelse or len(body) != 1 or not (
+                    isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Yield)):
+                bad.append("%s:%d" % (name, node.lineno))
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            if "capd" in fh.read():
+                bad.append("%s capd" % os.path.basename(path))
+    assert loops == 4 and not bad, bad
 
 
 def test_picard_law_builds_no_ideal():
