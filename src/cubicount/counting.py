@@ -37,6 +37,7 @@ h(D/p^2), and Dirichlet coefficient tables for the four associated series.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import isqrt
 from types import MappingProxyType
@@ -340,7 +341,7 @@ def enumerate_orbits(X: int, zmat_only: bool = False):
 
 def h_value(D: int, zmat_variant: bool = False) -> Fraction:
     """h(D) (or hhat(D) when zmat_variant), single value."""
-    if D == 0 or not in_discs(D):
+    if not in_discs(D):
         return Fraction(0)
     if zmat_variant:
         return Fraction(_sixths_at(-27 * D, True), 6)
@@ -417,10 +418,14 @@ _S1 = {"111": 3, "12": 1, "3": 0, "1^2 1": 2, "1^3": 1}
 _S2 = {"111": 4, "12": 2, "3": 1, "1^2 1": 2, "1^3": 1}
 
 
+@lru_cache(maxsize=1024)
 def s_sequence(sigma: str, p: int, n: int) -> int:
     """Number of index-p^n subrings of a maximal ring with splitting type
     sigma at p, by the three-term recursion seeded from the table.
-    ValueError unless p is a prime."""
+    ValueError unless p is a prime.  Memoized on (sigma, p, n): the
+    recursion and its check against the closed form run once per distinct
+    argument, and a bad argument raises on every call (a raised error is
+    not cached)."""
     if sigma not in _S1:
         raise ValueError("unknown splitting type %r" % (sigma,))
     require_prime(p)

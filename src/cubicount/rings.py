@@ -23,12 +23,16 @@ enumeration of finite-index subrings (which backs the counting recursions
 covers every triangular sublattice basis Z*1 + Z*(e*alpha + f*beta) +
 Z*(g*beta) with e*g = n and 0 <= f < g, but tries only the f that are
 roots of F(e, x) mod g, as closure forces n | F(e, f), found by lifting
-the roots one prime of g at a time.
+the roots one prime of g at a time.  Every closure condition is a
+congruence modulo a divisor of n, so the index-n subrings depend only on
+the form mod n: they are computed once per residue (a, b, c, d) mod n,
+in a bounded memo, and the divisors of n with their lifting steps once
+per n.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .forms import BinaryCubicForm, BudgetExceeded, InvariantError, disc, evaluate, is_zmat
 from .quad import divisors, factorize, require_prime
@@ -91,7 +95,8 @@ def ring_from_form(form, orientation: int = 1) -> CubicRing:
 # ---------------------------------------------------------------------------
 # Subrings
 
-# the largest index subrings_of_index enumerates (it tries sigma(n) lattices)
+# the largest index subrings_of_index enumerates; the root lifting tries
+# far fewer, but sigma(n) lattices at worst
 MAX_SUBRING_INDEX = 1000
 
 
@@ -107,7 +112,13 @@ def subrings_of_index(ring: CubicRing, n: int):
     root of F(e, x) mod g.  For q | g and a prime p with q p | g, the
     roots mod q p are the lifts r + t q (0 <= t < p) of the roots r mod q
     that qualify, so lifting one prime of g at a time from q = 1 reaches
-    the roots mod g, and only those are tried."""
+    the roots mod g, and only those are tried.
+
+    Each of these conditions is a congruence modulo a divisor of n (e, n,
+    or a divisor q p of g), with integer polynomials in a, b, c, d on
+    both sides.  So the list is a function of (a mod n, b mod n, c mod n,
+    d mod n, n), and it is computed once per such residue; the checks on
+    the ring and on n come first, on every call."""
     if ring.discriminant == 0:
         raise ValueError("degenerate ring")
     if n > MAX_SUBRING_INDEX:
@@ -115,26 +126,53 @@ def subrings_of_index(ring: CubicRing, n: int):
     if n < 1:
         raise ValueError("index must be positive")
     a, b, c, d = ring.form
-    primes = factorize(n)
+    return list(_subrings_mod(a % n, b % n, c % n, d % n, n))
+
+
+@lru_cache(maxsize=4096)
+def _subrings_mod(a: int, b: int, c: int, d: int, n: int):
+    """The bases of subrings_of_index for the form (a, b, c, d) taken mod
+    n, as a tuple."""
     out = []
-    for e in divisors(n):
-        g = n // e
+    for e, g, steps in _index_steps(n):
         if d * g * g % e:
             continue
         # F(e, x) = d x^3 + k2 x^2 + k1 x + k0
         k2, k1, k0 = c * e, b * e * e, a * e ** 3
-        roots, q = [0], 1  # the roots mod q
-        for p in primes:
-            while g % (q * p) == 0:
-                lift = q * p
-                roots = [x for r in roots for x in range(r, lift, q) if (((d * x + k2) * x + k1) * x + k0) % lift == 0]
-                q = lift
+        roots = [0]  # the roots mod 1, then mod each lift
+        for q, lift in steps:
+            roots = [x for r in roots for x in range(r, lift, q) if (((d * x + k2) * x + k1) * x + k0) % lift == 0]
         roots.sort()
         for f in roots:
             if d * f * f % e or d * f * g % e or (((d * f + k2) * f + k1) * f + k0) % n:
                 continue
-            out.append(((1, 0, 0), (0, e, f), (0, 0, g)))
-    return out
+            out.append(_basis(e, f, g))
+    return tuple(out)
+
+
+@lru_cache(maxsize=MAX_SUBRING_INDEX)
+def _index_steps(n: int):
+    """(e, g, steps) for each divisor e of n in increasing order, g = n/e,
+    where steps are the (q, q p) that lift roots mod q = 1 to roots mod g,
+    one prime p of g at a time."""
+    primes = factorize(n)
+    out = []
+    for e in divisors(n):
+        g = n // e
+        steps, q = [], 1
+        for p in primes:
+            while g % (q * p) == 0:
+                steps.append((q, q * p))
+                q *= p
+        out.append((e, g, tuple(steps)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1 << 14)
+def _basis(e: int, f: int, g: int):
+    """The basis rows 1, e*alpha + f*beta, g*beta, one tuple shared by
+    every residue whose subrings include it."""
+    return (1, 0, 0), (0, e, f), (0, 0, g)
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,11 @@ def scan_pos_filtered(X, zmat):
                     yield a, b, c, d
 
 
-def scan_neg_filtered(X, zmat):
+def scan_neg_filtered(X, zmat, box=False):
+    """The negative scan with per-d filters.  With box, the a >= 1 forms
+    come from the earlier, wider (b, c) box b <= a (tmax + 1) + 1,
+    |c| <= a (vmax + tmax) + 1, with tmax = T + isqrt(M2) + 2 and
+    vmax = M2 + 1: the reference for the tight (b, c) window."""
     step = 3 if zmat else 1
     # a = 0 family: (0, b, c, d), b >= 1, 0 <= c <= b, d >= b
     bmax = _i4root(X // 3) + 2
@@ -198,13 +202,18 @@ def scan_neg_filtered(X, zmat):
         a4 = a2 * a2
         T = _i4root(X // (3 * a4)) + 1
         M2 = _icbrt(X // (4 * a4)) + 1
-        capd = a * (T + isqrt(M2) + 2) * (M2 + 1) + 1
-        for b in range(0, a * T + (3 * a) // 2 + 1, step):
+        tmax = T + isqrt(M2) + 2
+        vmax = M2 + 1
+        capd = a * tmax * vmax + 1
+        bmax = a * (tmax + 1) + 1 if box else a * T + (3 * a) // 2
+        cmax = a * (vmax + tmax) + 1
+        for b in range(0, bmax + 1, step):
             amb = a - b
             apb = a + b
             K1base = a * amb ** 3 + a * b * amb * amb
             K2base = -a * apb ** 3 + a * b * apb * apb
-            for c in range(-b, b + a * M2 + 1, step):
+            clo, chi = (-(cmax // step) * step, cmax) if box else (-b, b + a * M2)
+            for c in range(clo, chi + 1, step):
                 # d window from the strip condition |Re w| <= 1/2
                 K1 = K1base + a2 * c * amb
                 K2 = K2base - a2 * c * apb

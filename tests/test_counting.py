@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -145,77 +144,13 @@ def test_scans_match_brute_force(X, zmat):
         assert set(got) == want[sign]
 
 
-def _scan_neg_box(X, zmat):
-    """The a >= 1 part of _scan_neg with its earlier coefficient box,
-    b <= a (tmax + 1) + 1 and |c| <= a (vmax + tmax) + 1: the reference
-    for the tight (b, c) window."""
-    step = 3 if zmat else 1
-    out = []
-    amax = counting._i4root((16 * X) // 27) + 1
-    for a in range(1, amax + 1):
-        a2 = a * a
-        a3 = a2 * a
-        a4 = a2 * a2
-        T = counting._i4root(X // (3 * a4)) + 1
-        M2 = _icbrt(X // (4 * a4)) + 1
-        tmax = T + isqrt(M2) + 2
-        vmax = M2 + 1
-        capd = a * tmax * vmax + 1
-        bmax = a * (tmax + 1) + 1
-        cmax = a * (vmax + tmax) + 1
-        for b in range(0, bmax + 1, step):
-            amb = a - b
-            apb = a + b
-            K1base = a * amb ** 3 + a * b * amb * amb
-            K2base = -a * apb ** 3 + a * b * apb * apb
-            for c in range(-(cmax // step) * step, cmax + 1, step):
-                K1 = K1base + a2 * c * amb
-                K2 = K2base - a2 * c * apb
-                dl = -(K1 // a3)
-                dh = (-K2) // a3
-                if dl > dh:
-                    continue
-                if b == 0 and dl < 0:
-                    dl = 0
-                bq = 18 * a * b * c - 4 * b ** 3
-                gq = b * b * c * c - 4 * a * c ** 3
-                a54 = 54 * a2
-                e = bq * bq + 108 * a2 * gq
-                dq = e + 108 * a2 * X
-                if dq < 0:
-                    continue
-                rt = isqrt(dq)
-                dl = max(dl, (bq - rt) // a54 - 1, -capd)
-                dh = min(dh, (bq + rt) // a54 + 1, capd)
-                if e >= 0:
-                    rb = isqrt(e)
-                    flanks = ((dl, min(dh, counting._ceil_div(bq - rb, a54) - 1)),
-                              (max(dl, (bq + rb) // a54 + 1), dh))
-                else:
-                    flanks = ((dl, dh),)
-                for lo, hi in flanks:
-                    for d in range(lo, hi + 1):
-                        D = -27 * a2 * d * d + bq * d + gq
-                        if D > -1 or D < -X:
-                            continue
-                        if d == 0:
-                            if c < a:
-                                continue
-                        else:
-                            val = -a * d ** 3 + a * b * d * d - a2 * c * d + a3 * d
-                            if (val < 0) if d < 0 else (val > 0):
-                                continue
-                        out.append((a, b, c, d))
-    return out
-
-
 @pytest.mark.parametrize(
     "X, zmat", [(2000, False), (20000, False), (54000, True), (540000, True)]
 )
 def test_scan_neg_window_matches_box(X, zmat):
     # the (b, c) window for a >= 1 drops no form the earlier box yielded,
     # and the forms come out in the same order
-    assert [f for f in _scan_neg(X, zmat) if f[0]] == _scan_neg_box(X, zmat)
+    assert [f for f in _scan_neg(X, zmat) if f[0]] == [f for f in scan_neg_filtered(X, zmat, box=True) if f[0]]
 
 
 @pytest.mark.parametrize("zmat, bounds", [

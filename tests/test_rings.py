@@ -463,6 +463,56 @@ def test_subring_index_budget():
         subrings_of_index(C, rings.MAX_SUBRING_INDEX + 1)
 
 
+def test_subrings_depend_on_the_form_mod_n():
+    # F and F + n G have the same index-n subrings; the reference tries
+    # every lattice of F + n G, so this checks the residue argument the
+    # memo rests on, not the memo against itself
+    rng = random.Random(27)
+    pairs = 0
+    while pairs < 12:
+        f = tuple(rng.randint(-9, 9) for _ in range(4))
+        g = tuple(rng.randint(-9, 9) for _ in range(4))
+        if disc(f) == 0:
+            continue
+        pairs += 1
+        for n in list(range(1, 61)) + [125, 720]:
+            h = tuple(x + n * y for x, y in zip(f, g))
+            if disc(h) == 0:
+                continue
+            want = subrings_of_index(ring_from_form(f), n)
+            assert subrings_of_index(ring_from_form(h), n) == want, (f, g, n)
+            assert _subrings_by_product_checks(ring_from_form(h), n) == want, (f, g, n)
+
+
+def test_subring_lists_are_fresh():
+    # the memo hands out a new list each call: mutating one leaves the
+    # next call's result as it was
+    C = ring_from_form(Z3)
+    want = _subrings_by_product_checks(C, 6)
+    first = subrings_of_index(C, 6)
+    assert first == want and len(want) == 9
+    first.append("x")
+    first[0] = None
+    del first[1]
+    again = subrings_of_index(C, 6)
+    assert again == want
+    assert again is not subrings_of_index(C, 6)
+
+
+def test_subring_checks_run_before_the_memo():
+    # (0, 0, 1, 0) is degenerate and agrees mod 2 with (0, 2, 1, 0), whose
+    # residue is cached first; the budget and the sign of n are checked
+    # with a cached residue too
+    C = ring_from_form((0, 2, 1, 0))
+    assert subrings_of_index(C, 2) == _subrings_by_product_checks(C, 2)
+    with pytest.raises(ValueError, match="degenerate"):
+        subrings_of_index(ring_from_form((0, 0, 1, 0)), 2)
+    with pytest.raises(BudgetExceeded):
+        subrings_of_index(C, 1001)
+    with pytest.raises(ValueError, match="positive"):
+        subrings_of_index(C, 0)
+
+
 def _subrings_by_generic_closure(ring, n):
     """Every triangular basis of index n whose generator products pass the
     generic membership test, in the order subrings_of_index lists them."""

@@ -7,11 +7,13 @@ parameter that some caller could forget to pass on.  One writer: every
 command's output goes through cli._write.  One library surface: every name
 defined in src is reached from what the program runs, and every name a
 module imports is used in it.  One decision per condition: the d loops of
-the reduced-domain scans only yield."""
+the reduced-domain scans only yield.  Bounded memos: every cache in src has
+an integer maxsize, save a listed few."""
 
 import argparse
 import ast
 import glob
+import importlib
 import os
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -150,6 +152,43 @@ def test_scan_d_loops_only_yield():
             if "capd" in fh.read():
                 bad.append("%s capd" % os.path.basename(path))
     assert loops == 4 and not bad, bad
+
+
+# the caches that may still grow without bound, as module.function; the
+# rule below fails when one of them is bounded, so the list shrinks with them
+_UNBOUNDED_CACHES = {"quad.fundamental_part", "quad._unit_upper_bound", "quad._picard_group", "quad._extension_map"}
+
+
+def test_every_cache_is_bounded():
+    # every lru_cache (or functools.cache) in src has an integer maxsize,
+    # read off the decorated function (lru_cache takes an int or None),
+    # except the listed ones, which are unbounded
+    bad, unbounded = [], set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        owners = {fn: None for fn in tree.body}
+        owners.update((fn, cls.name) for cls in tree.body if isinstance(cls, ast.ClassDef) for fn in cls.body)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in fn.decorator_list:
+                name = dec.func if isinstance(dec, ast.Call) else dec
+                name = name.id if isinstance(name, ast.Name) else name.attr if isinstance(name, ast.Attribute) else None
+                if name not in ("lru_cache", "cache"):
+                    continue
+                label = "%s.%s" % (module, fn.name)
+                if fn not in owners:
+                    bad.append("%s:%d cache on a nested function" % (label, fn.lineno))
+                    continue
+                obj = importlib.import_module("cubicount." + module)
+                if owners[fn] is not None:
+                    obj = getattr(obj, owners[fn])
+                if getattr(obj, fn.name).cache_parameters()["maxsize"] is None:
+                    unbounded.add(label)
+    assert not bad, bad
+    assert unbounded == _UNBOUNDED_CACHES, (sorted(unbounded - _UNBOUNDED_CACHES), sorted(_UNBOUNDED_CACHES - unbounded))
 
 
 def test_picard_law_builds_no_ideal():
