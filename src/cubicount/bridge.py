@@ -30,7 +30,8 @@ count (invertible cube-class ideals weighted by 3-torsion) equals
 types read off ideal characters) equals 2 w h.  The remaining checks --
 the 3-torsion reflection between discriminants D and -3D, the restricted
 ideal count for 3 not dividing D, and the field count against
-(|Pic[3]|-1)/2 -- are small corollaries verified directly.
+(|Pic[3]|-1)/2 -- are small corollaries verified directly; the field
+count reads the fields-only counts table by weight and builds no orbit.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .forms import BinaryCubicForm, InvariantError, disc, evaluate, is_zmat
-from .rings import is_maximal
-from .counting import _orbits_at, h_value, factorize, report, s_sequence
+from .counting import h_value, factorize, report, s_sequence, sixths_table
 from .quad import (
     Mu3Char,
     divisors,
@@ -364,41 +364,23 @@ def lhs_identity_check(D: int) -> dict:
 
 def check_fields_pic(D: int) -> dict:
     """Count cubic fields whose discriminant squarely divides D against
-    (|Pic(O_D)[3]| - 1)/2."""
+    (|Pic(O_D)[3]| - 1)/2.  A field's orbit has the stabilizer Aut of its
+    ring, of order w(D') at its disc D' (3 for a cyclic field, whose disc
+    is a square), so the fields at D' are w(D') times their sixths, over 6."""
     if not in_discs(D):
         raise ValueError("not a discriminant")
     fields = 0
     for k in divisors(fundamental_part(D)[1]):
-        for orb in _orbits_at(D // (k * k), False):
-            if _is_field_form(orb.form):
-                fields += 1
+        Dk = D // (k * k)
+        n = weight_w(Dk) * sixths_table(abs(Dk), False, True).get(Dk, 0)
+        if n % 6:
+            raise InvariantError("fields at disc %d weigh %d/6" % (Dk, n))
+        fields += n // 6
     t3 = pic_3_torsion(D)
     if t3 % 2 == 0:
         raise InvariantError("|Pic(O_%d)[3]| = %d is even" % (D, t3))
     expected = (t3 - 1) // 2
     return report("fields-pic", D, Fraction(fields), Fraction(expected))
-
-
-def _is_field_form(form) -> bool:
-    return is_irreducible(form) and is_maximal(form)
-
-
-def is_irreducible(form) -> bool:
-    """No rational projective root (degree 3: reducible iff a linear factor)."""
-    a, b, c, d = form
-    if a == 0:
-        return False
-    if d == 0:
-        return False
-    qs = divisors(abs(a))
-    for k in divisors(abs(d)):
-        for p in (k, -k):
-            for q in qs:
-                if gcd(p, q) != 1:
-                    continue
-                if a * p ** 3 + b * p * p * q + c * p * q * q + d * q ** 3 == 0:
-                    return False
-    return True
 
 
 def check_prop_3notdiv(D: int) -> dict:

@@ -11,18 +11,21 @@ within proven bounds and d over exact intervals, and yields each sign
 class once: of the four sign variants f, -f, (-a, b, -c, d), (a, -b, c, -d)
 of a reduced form only the lexicographically largest.  One per-form step
 (`_scanned`: the disc, its range check, the boundary signature, the
-number k of sign variants) feeds two tables, each cached per zmat flag:
+number k of sign variants) feeds two tables:
 
   sixths_table  disc -> the integer sum of 6/|stabilizer|; the counts
                 path, which keeps no form and acts on none: by orbit-
                 stabilizer a scanned form weighs 6k/|M| for its k sign
                 variants and its matrices M in `forms.BOUNDARY_MATRICES`.
-                class_numbers and h_value read only this, so the CLI's
-                table, zeta and verify on, recursion, rhs, lhs and prop6
-                never build an Orbit.
+                With fields_only it weighs only the field forms
+                (`rings.is_field_form`, a GL2(Z)-invariant test), for the
+                field count of `bridge.check_fields_pic`.  class_numbers
+                and h_value read only this, so no CLI command but verify
+                oracle builds an Orbit.  The one cached table of the
+                module, per (zmat_only, fields_only).
   orbit_table   disc -> tuple of Orbit (canonical form, stabilizer
                 order: |M|/k when the orbit is f's sign class, else from
-                reduced_orbit), for verify fields-pic and oracle,
+                reduced_orbit), built on every call, for verify oracle,
                 enumerate_orbits and the ring-side code.
 
 A secondary coefficient-box method (reduce everything in a box, close
@@ -57,7 +60,7 @@ from .forms import (
     reduced_stabilizer_order,
 )
 from .quad import factorize, in_discs, require_prime
-from .rings import _local_type
+from .rings import _local_type, is_field_form
 
 def _i4root(n):
     return isqrt(isqrt(n)) if n > 0 else 0
@@ -219,9 +222,8 @@ class Orbit(NamedTuple):
         return "Orbit(%s, stab=%d)" % (self.form, self.stabilizer_order)
 
 
-# Both tables are cached per zmat flag as (X, read-only view); a smaller X
-# is served from the cached table.
-_ORBIT_CACHE = {}
+# (zmat_only, fields_only) -> (X, read-only sixths table to X); a call
+# with a smaller X gets the cached table
 _SIXTHS_CACHE = {}
 
 # The boundary signature of a scanned a = 0 form with c = b (the edge
@@ -245,34 +247,17 @@ def _scanned(X, zmat_only):
         yield D, f, boundary_signature(f, D), k
 
 
-def _cached_table(cache, build, X, zmat_only):
-    """build(X, zmat_only) as a read-only view, taken from cache when it
-    holds a table for some X' >= X (a filtered copy when X' > X).  X < 0
-    is a ValueError; the budget is checked on every call, cached or not."""
+def _check_bound(X):
+    """ValueError when X < 0, BudgetExceeded when X is over the budget."""
     if X < 0:
         raise ValueError("X must be >= 0, got %d" % X)
     check_budget(X)
-    cached = cache.get(zmat_only)
-    if cached is not None and cached[0] >= X:
-        if cached[0] == X:
-            return cached[1]
-        return MappingProxyType({D: v for D, v in cached[1].items() if abs(D) <= X})
-    view = MappingProxyType(build(X, zmat_only))
-    cache[zmat_only] = (X, view)
-    return view
 
 
-def _cached_at(cache, table, D, zmat_only, empty):
-    """table(abs(D), zmat_only).get(D, empty), read straight from the
-    cached table when it reaches |D|, without a filtered copy."""
-    check_budget(abs(D))
-    cached = cache.get(zmat_only)
-    if cached is not None and cached[0] >= abs(D):
-        return cached[1].get(D, empty)
-    return table(abs(D), zmat_only).get(D, empty)
-
-
-def _build_orbit_table(X, zmat_only):
+def orbit_table(X: int, zmat_only: bool = False):
+    """Mapping disc -> tuple of Orbit sorted by form, for all
+    0 < |disc| <= X, built afresh on every call."""
+    _check_bound(X)
     table = {}
     for D, f, sig, k in _scanned(X, zmat_only):
         size = len(BOUNDARY_MATRICES[sig])
@@ -289,12 +274,13 @@ def _build_orbit_table(X, zmat_only):
     return {D: tuple(sorted(orbs)) for D, orbs in table.items()}
 
 
-def _build_sixths_table(X, zmat_only):
+def _build_sixths_table(X, zmat_only, fields_only):
     # in 24ths a scanned form adds 24 k/|M| for its k sign variants, and an
     # orbit 24/|stabilizer|: four times its sixths
     table = {}
-    for D, _, sig, k in _scanned(X, zmat_only):
-        table[D] = table.get(D, 0) + 24 * k // len(BOUNDARY_MATRICES[sig])
+    for D, f, sig, k in _scanned(X, zmat_only):
+        if not fields_only or is_field_form(f):
+            table[D] = table.get(D, 0) + 24 * k // len(BOUNDARY_MATRICES[sig])
     for D, n in table.items():
         if n % 4:
             raise InvariantError("weights at disc %d sum to %d/24" % (D, n))
@@ -302,30 +288,19 @@ def _build_sixths_table(X, zmat_only):
     return table
 
 
-def orbit_table(X: int, zmat_only: bool = False):
-    """Read-only mapping disc -> tuple of Orbit sorted by form, for all
-    0 < |disc| <= X."""
-    return _cached_table(_ORBIT_CACHE, _build_orbit_table, X, zmat_only)
-
-
-def sixths_table(X: int, zmat_only: bool = False):
+def sixths_table(X: int, zmat_only: bool = False, fields_only: bool = False):
     """Read-only mapping disc -> the integer sum of 6/|stabilizer| over the
-    orbits of that disc (3 | b, c when zmat_only), for every disc with
-    0 < |disc| <= X that has an orbit: 6 h(disc), or 6 hhat(-disc/27) when
-    zmat_only.  Builds no Orbit and keeps no form."""
-    return _cached_table(_SIXTHS_CACHE, _build_sixths_table, X, zmat_only)
-
-
-def _orbits_at(D: int, zmat_only: bool = False):
-    """orbit_table(abs(D), zmat_only).get(D, ()), from the cache when it
-    reaches |D|."""
-    return _cached_at(_ORBIT_CACHE, orbit_table, D, zmat_only, ())
-
-
-def _sixths_at(D: int, zmat_only: bool = False) -> int:
-    """sixths_table(abs(D), zmat_only).get(D, 0), from the cache when it
-    reaches |D|."""
-    return _cached_at(_SIXTHS_CACHE, sixths_table, D, zmat_only, 0)
+    orbits of that disc (3 | b, c when zmat_only; of field forms only when
+    fields_only), for every disc with 0 < |disc| <= X that has one: 6 h(disc),
+    or 6 hhat(-disc/27) when zmat_only.  Builds no Orbit and keeps no form.
+    The table is cached, and returned for any X up to its own bound, so it
+    may hold discs beyond X."""
+    _check_bound(X)
+    key = zmat_only, fields_only
+    cached = _SIXTHS_CACHE.get(key)
+    if cached is None or cached[0] < X:
+        cached = _SIXTHS_CACHE[key] = X, MappingProxyType(_build_sixths_table(X, zmat_only, fields_only))
+    return cached[1]
 
 
 def enumerate_orbits(X: int, zmat_only: bool = False):
@@ -344,8 +319,8 @@ def h_value(D: int, zmat_variant: bool = False) -> Fraction:
     if not in_discs(D):
         return Fraction(0)
     if zmat_variant:
-        return Fraction(_sixths_at(-27 * D, True), 6)
-    return Fraction(_sixths_at(D, False), 6)
+        D *= -27
+    return Fraction(sixths_table(abs(D), zmat_variant).get(D, 0), 6)
 
 
 def class_numbers(X: int):
@@ -384,9 +359,7 @@ def box_reduced_forms(X: int, zmat_only: bool = False):
     and b > 0 when a = 0 (3 | b, c when zmat_only), by testing each form of
     a coefficient box guaranteed to contain them all.  ValueError when
     X < 0; the budget is checked before the first form."""
-    if X < 0:
-        raise ValueError("X must be >= 0, got %d" % X)
-    check_budget(X)
+    _check_bound(X)
     step = 3 if zmat_only else 1
     amax = max(_i4root((16 * X) // 27) + 1, isqrt((4 * isqrt(X)) // 27) + 2)
     T = _i4root(X // 3) + 1

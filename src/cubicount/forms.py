@@ -191,9 +191,18 @@ BUDGET_ENV = "CUBICOUNT_BUDGET"
 
 def disc_budget() -> int:
     """The cap on every enumerated |disc|: CUBICOUNT_BUDGET when set (the
-    CLI sets it from --budget for one run), else DEFAULT_MAX_DISC."""
+    CLI sets it from --budget for one run), else DEFAULT_MAX_DISC.
+    ValueError when the variable is set to anything but an integer >= 0."""
     raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_MAX_DISC
+    if not raw:
+        return DEFAULT_MAX_DISC
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError("%s must be an integer >= 0, got %r" % (BUDGET_ENV, raw))
+    return cap
 
 
 def check_budget(x: int) -> None:

@@ -2,9 +2,9 @@
 long-established in the literature, pinning the engine against data it
 had no hand in producing."""
 
-from cubicount.bridge import _is_field_form
 from cubicount.counting import orbit_table
 from cubicount.quad import picard_group
+from cubicount.rings import is_field_form
 
 
 def test_class_number_one_imaginary_fields():
@@ -37,7 +37,7 @@ def test_smallest_cubic_fields():
     expected = {-23: 1, -31: 1, -44: 1, 49: 3, 81: 3, 148: 1, 229: 1}
     for D, stab in expected.items():
         table = orbit_table(abs(D))
-        fields = [o for o in table.get(D, []) if _is_field_form(o.form)]
+        fields = [o for o in table.get(D, []) if is_field_form(o.form)]
         assert len(fields) == 1, D
         assert fields[0].stabilizer_order == stab, D
     # and none at all below |disc| 23
@@ -45,4 +45,4 @@ def test_smallest_cubic_fields():
         if D == 0:
             continue
         table = orbit_table(22)
-        assert not any(_is_field_form(o.form) for o in table.get(D, [])), D
+        assert not any(is_field_form(o.form) for o in table.get(D, [])), D

@@ -18,7 +18,6 @@ from cubicount.bridge import (
     gamma_cube,
     has_cubefree_conductor,
     int_lattice,
-    is_irreducible,
     k2_mul,
     lhs_count,
     lhs_identity_check,
@@ -43,6 +42,7 @@ from cubicount.quad import (
     picard_group,
     primitive_char,
 )
+from cubicount.rings import is_irreducible
 from reference import (
     chi_term_sum,
     extract_triple_by_ring,

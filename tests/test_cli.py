@@ -235,7 +235,6 @@ def test_non_prime_is_rejected_before_any_check(monkeypatch):
     # --primes 2 4 used to run every p = 2 check before p = 4 was rejected
     import cubicount.counting as counting
 
-    monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
     monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
     calls = []
     real = counting.h_value
@@ -244,8 +243,7 @@ def test_non_prime_is_rejected_before_any_check(monkeypatch):
         code, out, err = run_cli(["verify", which, "--D", "5", "--primes", "2", "4"])
         assert code == 2, err
         assert out == "" and "invalid input" in err and "4 is not a prime" in err
-    assert calls == [] and counting._ORBIT_CACHE == {}
-    assert counting._SIXTHS_CACHE == {}
+    assert calls == [] and counting._SIXTHS_CACHE == {}
 
 
 def test_verify_recursion_non_prime_exits_2():
@@ -407,6 +405,16 @@ def test_budget_binds_every_path(cmd, how, tmp_path, monkeypatch):
     code, out, err = run_cli(cmd + extra)
     assert code == 2, err
     assert out == "" and "budget" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e6", "-5"])
+def test_malformed_budget_variable_exits_2(raw, monkeypatch):
+    # int() used to reject abc and 1e6 with its own message, and -5
+    # passed as a budget that every size is over
+    monkeypatch.setenv("CUBICOUNT_BUDGET", raw)
+    code, out, err = run_cli(["table", "--max", "3"])
+    assert code == 2, err
+    assert out == "" and "invalid input: CUBICOUNT_BUDGET must be an integer >= 0, got %r" % raw in err
 
 
 def test_budget_flag_is_undone_after_the_call(monkeypatch):

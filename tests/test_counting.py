@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 
 from cubicount import counting
+from cubicount.bridge import check_fields_pic, weight_w
 from cubicount.cli import main
 from cubicount.counting import (
     _cut,
     _icbrt,
-    _orbits_at,
     _scan_neg,
     _scan_pos,
     box_orbit_counts,
@@ -42,7 +42,7 @@ from cubicount.forms import (
     reduced_orbit,
     reduced_stabilizer_order,
 )
-from cubicount.rings import ring_from_form, splitting_type, subrings_of_index
+from cubicount.rings import is_field_form, ring_from_form, splitting_type, subrings_of_index
 from reference import proper_stabilizer_order, scan_neg_filtered, scan_pos_filtered
 
 
@@ -85,21 +85,21 @@ def test_enumeration_matches_box_oracle_200():
         assert len(table[D]) == box[D], D
 
 
-def test_orbit_table_is_read_only(monkeypatch):
-    monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
+def test_orbit_table_is_fresh_per_call():
+    # every call builds its own dict, so mutating one leaves the next
+    # call's table as the first was; the Orbit entries are immutable
     X = 120
     table = orbit_table(X)
-    smaller = orbit_table(X // 2)  # filtered view of the cached table
-    before = {D: list(orbs) for D, orbs in table.items()}
-    for view in (table, smaller):
-        D = next(iter(view))
-        with pytest.raises(TypeError):
-            view[D] = ()
-        with pytest.raises(AttributeError):
-            view[D].append(view[D][0])
-        with pytest.raises(AttributeError):
-            view[D][0].stabilizer_order = 6
-    assert {D: list(orbs) for D, orbs in orbit_table(X).items()} == before
+    before = dict(table)
+    D = next(iter(table))
+    with pytest.raises(AttributeError):
+        table[D].append(table[D][0])
+    with pytest.raises(AttributeError):
+        table[D][0].stabilizer_order = 6
+    table[D] = ()
+    del table[-23]
+    again = orbit_table(X)
+    assert again is not table and again == before
     assert h_value(-23) == Fraction(3, 2)
 
 
@@ -110,10 +110,9 @@ def test_orbit_table_is_read_only(monkeypatch):
         (54000, True, 4764, "deb280110f2a530508f6abb3bc6d87f9ec0f8cb2ea8a6127ec68f75425d709f8"),
     ],
 )
-def test_orbit_table_digest(monkeypatch, X, zmat, lines, sha):
+def test_orbit_table_digest(X, zmat, lines, sha):
     # taken from the scan that still yielded two sign variants per form
     # and kept the largest; every representative and stabilizer must stay
-    monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
     table = orbit_table(X, zmat)
     text = [
         "%d %s %d %d\n" % (D, o.form, o.stabilizer_order, proper_stabilizer_order(o))
@@ -226,27 +225,8 @@ def test_a0_edge_forms_are_kept_with_stabilizer_2():
     assert ((-1, True), (True, 6, 3)) in arc_data
 
 
-def test_orbits_at_reads_the_cached_table(monkeypatch):
-    monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
-    table = orbit_table(300)
-    real = counting.orbit_table
-    calls = []
-    monkeypatch.setattr(
-        counting, "orbit_table", lambda *args: calls.append(args) or real(*args)
-    )
-    for D in range(-300, 301):
-        assert _orbits_at(D) == table.get(D, ())
-    assert calls == []
-    with monkeypatch.context() as m, pytest.raises(BudgetExceeded):
-        m.setenv("CUBICOUNT_BUDGET", "10")
-        _orbits_at(-23)  # the budget holds on a cached table too
-    assert _orbits_at(-307) == real(307).get(-307, ())
-    assert calls == [(307, False)]
-
-
 def test_orbit_table_rejects_out_of_range_scan(monkeypatch):
     # a scan yielding a form beyond the bound is an invariant breach
-    monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
     monkeypatch.setattr(counting, "_scan_pos", lambda X, zmat: [(1, 0, -40, 0)])
     with pytest.raises(InvariantError):
         orbit_table(100)
@@ -255,7 +235,6 @@ def test_orbit_table_rejects_out_of_range_scan(monkeypatch):
 def test_orbit_table_rejects_wrong_boundary_matrix(monkeypatch):
     # a matrix that maps reduced forms off the domain must raise, not
     # silently produce a wrong table
-    monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
     key = (0, True)
     bad = BOUNDARY_MATRICES[key] + (UnimodularMatrix(1, 0, 2, 1),)
     monkeypatch.setitem(BOUNDARY_MATRICES, key, bad)
@@ -267,7 +246,6 @@ def test_orbit_table_rejects_wrong_boundary_matrix(monkeypatch):
 def test_sixths_table_matches_orbit_table_weights(monkeypatch, zmat):
     # the counts path weighs every scanned form by its boundary-table size
     # and the Orbit tables look up each orbit: the same sums at every D
-    monkeypatch.setattr(counting, "_ORBIT_CACHE", {})
     monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
     X = 540000 if zmat else 20000
     want = {D: sum(6 // o.stabilizer_order for o in orbs) for D, orbs in orbit_table(X, zmat).items()}
@@ -278,19 +256,21 @@ def test_sixths_table_matches_orbit_table_weights(monkeypatch, zmat):
 
 def test_sixths_table_is_read_only_and_cached(monkeypatch):
     monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
+    small = sixths_table(100)
     table = sixths_table(300)
-    smaller = sixths_table(100)  # filtered view of the cached table
-    for view in (table, smaller):
-        with pytest.raises(TypeError):
-            view[-23] = 0
-    assert dict(smaller) == {D: n for D, n in table.items() if abs(D) <= 100}
-    assert sixths_table(300) is table
-    real = counting.sixths_table
+    assert small is not table  # a larger bound builds again
+    assert sixths_table(100) is table and sixths_table(300) is table
+    with pytest.raises(TypeError):
+        table[-23] = 0
+    assert dict(small) == {D: n for D, n in table.items() if abs(D) <= 100}
+    sixths_table(300, False, True)
+    real = counting._build_sixths_table
     calls = []
     monkeypatch.setattr(
-        counting, "sixths_table", lambda *args: calls.append(args) or real(*args)
+        counting, "_build_sixths_table", lambda *args: calls.append(args) or real(*args)
     )
     assert [h_value(D) for D in (1, -23, 49)] == [Fraction(n, 6) for n in (1, 9, 5)]
+    assert check_fields_pic(-23)["pass"]
     assert calls == []
     with monkeypatch.context() as m, pytest.raises(BudgetExceeded):
         m.setenv("CUBICOUNT_BUDGET", "10")
@@ -328,17 +308,47 @@ def test_counts_path_stabilizer_check_survives_optimize():
 
 def test_orbit_path_stabilizer_check_survives_optimize():
     # a reduced_orbit that drops one form of the orbit leaves |M| / N
-    # outside {1, 2, 3, 6} or inexact: verify fields-pic exits 3, also
-    # under python -O
+    # outside {1, 2, 3, 6} or inexact: verify oracle exits 3, also under
+    # python -O
     out = _run_optimized(
         "from cubicount import counting\n"
         "from cubicount.cli import main\n"
         "real = counting.reduced_orbit\n"
         "counting.reduced_orbit = lambda f: frozenset(sorted(real(f))[1:])\n"
-        "print(main(['verify', 'fields-pic', '--max', '50']))\n"
+        "print(main(['verify', 'oracle', '--max', '50']))\n"
     )
     assert out.stdout.split() == ["3"], out.stderr
     assert "stabilizer" in out.stderr
+
+
+def test_field_weight_check_survives_optimize():
+    # without the weight w the cyclic field at disc 49 (stabilizer 3)
+    # weighs 2/6: verify fields-pic exits 3, also under python -O
+    out = _run_optimized(
+        "from cubicount import bridge\n"
+        "from cubicount.cli import main\n"
+        "bridge.weight_w = lambda D: 1\n"
+        "print(main(['verify', 'fields-pic', '--D', '49']))\n"
+    )
+    assert out.stdout.split() == ["3"], out.stderr
+    assert "fields at disc 49" in out.stderr
+
+
+def test_fields_by_weight_match_the_orbit_table():
+    # w(D) times the field sixths at D is six times the number of field
+    # orbits at D; the range holds the cyclic (square) discs 49, 81, 169, ...
+    X = 30000
+    sixths = sixths_table(X, False, True)
+    table = orbit_table(X)
+    squares = 0
+    for D in range(-X, X + 1):
+        if D == 0:
+            continue
+        n = weight_w(D) * sixths.get(D, 0)
+        assert n % 6 == 0, D
+        assert n // 6 == sum(is_field_form(o.form) for o in table.get(D, ())), D
+        squares += n > 0 and weight_w(D) == 3
+    assert squares > 20
 
 
 def test_box_oracle_checks_the_budget(monkeypatch):

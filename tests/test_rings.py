@@ -12,6 +12,7 @@ from cubicount import rings
 from cubicount.forms import BudgetExceeded, act, disc, evaluate, is_zmat
 from cubicount.quad import xgcd
 from cubicount.rings import (
+    is_irreducible,
     is_maximal,
     is_maximal_at_p,
     max_zmat_subring,
@@ -20,7 +21,6 @@ from cubicount.rings import (
     splitting_type,
     subrings_of_index,
 )
-from cubicount.bridge import is_irreducible
 from cubicount.counting import _S1, _S2, enumerate_orbits
 from reference import (
     is_associative,

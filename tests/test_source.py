@@ -123,10 +123,20 @@ def test_counts_path_builds_no_orbit():
     # Orbit tables, and none acts on a form, looks up its orbit or counts
     # its stabilizer
     seen, bad = _reach("counting", ["class_numbers", "h_value"], {
-        "orbit_table", "_orbits_at", "_build_orbit_table", "_ORBIT_CACHE", "Orbit",
+        "orbit_table", "_build_orbit_table", "Orbit",
         "reduced_orbit", "reduced_stabilizer_order", "orbit_closure", "act"})
     assert not bad, bad
     assert {"sixths_table", "_build_sixths_table", "_scanned"} <= seen
+
+
+def test_fields_pic_builds_no_orbit():
+    # the field count reads the counts table by weight: check_fields_pic,
+    # and every bridge function it reaches, neither builds an Orbit table
+    # nor looks up an orbit or its stabilizer
+    seen, bad = _reach("bridge", ["check_fields_pic"], {
+        "orbit_table", "_build_orbit_table", "Orbit", "reduced_orbit", "reduced_stabilizer_order"})
+    assert not bad, bad
+    assert "weight_w" in seen
 
 
 def test_scan_d_loops_only_yield():
