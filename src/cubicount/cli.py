@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import bridge, counting, quad
 from .counting import frac_str
-from .forms import BUDGET_ENV, BudgetExceeded, InvariantError
+from .forms import BUDGET_ENV, BudgetExceeded, InvariantError, disc_budget
 from .quad import is_fundamental
 
 
@@ -80,10 +80,12 @@ def _verify_on(name, args):
 
 
 def _verify_oracle(name, args):
+    # h(D) from the counts table (which may reach past X) against the
+    # box's sum of 1/|stabilizer| over the orbits it closes
     X = _swept_max(name, args, 200)
-    table = counting.orbit_table(X, False)
-    box = counting.box_orbit_counts(X)
-    return [counting.report(name, D, Fraction(len(table.get(D, []))), Fraction(box.get(D, 0)))
+    table = {D: Fraction(n, 6) for D, n in counting.sixths_table(X).items() if abs(D) <= X}
+    box = {D: sum(Fraction(1, s) for s in orbits.values()) for D, orbits in counting.box_orbits(X).items()}
+    return [counting.report(name, D, table.get(D, Fraction(0)), box.get(D, Fraction(0)))
             for D in sorted(set(box) | set(table))]
 
 
@@ -125,7 +127,12 @@ CHECKS = {
 
 
 def cmd_verify(args) -> int:
+    # a p over the budget is refused before its (trial-division) primality
+    # test: the recursion's first term h(p^6 D) is out of reach anyway
+    cap = disc_budget()
     for p in args.primes:
+        if p > cap:
+            raise BudgetExceeded("--primes %d over budget %d" % (p, cap))
         quad.require_prime(p)
     reports = [r for name in args.which for r in CHECKS[name](name, args)]
     rows = [{k: bool(v) if k == "pass" else _jsonable(v) for k, v in r.items()} for r in reports]

@@ -19,18 +19,19 @@ number k of sign variants) feeds two tables:
                 variants and its matrices M in `forms.BOUNDARY_MATRICES`.
                 With fields_only it weighs only the field forms
                 (`rings.is_field_form`, a GL2(Z)-invariant test), for the
-                field count of `bridge.check_fields_pic`.  class_numbers
-                and h_value read only this, so no CLI command but verify
-                oracle builds an Orbit.  The one cached table of the
+                field count of `bridge.check_fields_pic`.  class_numbers,
+                h_value and verify oracle read only this, so no CLI
+                command builds an Orbit.  The one cached table of the
                 module, per (zmat_only, fields_only).
   orbit_table   disc -> tuple of Orbit (canonical form, stabilizer
                 order: |M|/k when the orbit is f's sign class, else from
-                reduced_orbit), built on every call, for verify oracle,
+                reduced_orbit), built on every call; it serves only
                 enumerate_orbits and the ring-side code.
 
-A secondary coefficient-box method (reduce everything in a box, close
-each form's orbit by breadth-first search, deduplicate) exists purely as
-a correctness oracle.
+A secondary coefficient-box method (`box_orbits`: reduce everything in a
+box, close each form's orbit by breadth-first search, keep each orbit's
+largest form and the closure's stabilizer count) exists purely as a
+correctness oracle: verify oracle checks sixths_table against it.
 Also here: the local subring-count sequence s_n with its seed table, closed
 form and three-term recursion, the induced subring counter for maximal
 forms, the discriminant recursions relating h(p^6 D) to h(p^4 D), h(D),
@@ -342,16 +343,18 @@ def class_numbers(X: int):
 # ---------------------------------------------------------------------------
 # Secondary enumeration oracle: coefficient box + orbit-closure dedup
 
-def box_orbit_counts(X: int):
-    """Independent re-enumeration for cross-checking: take the reduced forms
-    of `box_reduced_forms`, the largest form of each one's breadth-first
-    orbit closure (not the boundary-matrix table the primary scan uses),
-    deduplicate.  Returns dict disc -> orbit count.  The budget is
-    checked by `box_reduced_forms`, before the first form."""
+def box_orbits(X: int):
+    """Independent re-enumeration for cross-checking: close the orbit of
+    each reduced form of `box_reduced_forms` by breadth-first search (not
+    the boundary-matrix table the primary scan uses) and keep its largest
+    form with the closure's own stabilizer count.  Returns dict disc ->
+    {canonical form: stabilizer order}.  The budget is checked by
+    `box_reduced_forms`, before the first form."""
     reps = {}
     for D, f in box_reduced_forms(X):
-        reps.setdefault(D, set()).add(max(orbit_closure(f).forms))
-    return {D: len(s) for D, s in reps.items()}
+        closure = orbit_closure(f)
+        reps.setdefault(D, {})[max(closure.forms)] = closure.stabilizer_order
+    return reps
 
 
 def box_reduced_forms(X: int, zmat_only: bool = False):

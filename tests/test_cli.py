@@ -246,6 +246,45 @@ def test_non_prime_is_rejected_before_any_check(monkeypatch):
     assert calls == [] and counting._SIXTHS_CACHE == {}
 
 
+def test_prime_over_the_budget_exits_2_before_its_primality_test(monkeypatch):
+    # trial division of --primes 2^61 - 1 ran before any check or budget
+    # applied and had not finished after 10 s; a p over the budget is now
+    # refused first, as h(p^6 D) is out of reach.  The default primes 2
+    # and 3 need a budget >= 3.
+    from cubicount import quad
+
+    monkeypatch.delenv("CUBICOUNT_BUDGET", raising=False)
+    tested = []
+    monkeypatch.setattr(quad, "require_prime", tested.append)
+    code, out, err = run_cli(["verify", "on", "--max", "1", "--primes", str(2 ** 61 - 1)])
+    assert (code, out, tested) == (2, "", [])
+    assert "budget exceeded: --primes %d over budget %d" % (2 ** 61 - 1, DEFAULT_MAX_DISC) in err
+    code, out, err = run_cli(["verify", "on", "--max", "0", "--budget", "2"])
+    assert (code, out, tested) == (2, "", [2])
+    assert "budget exceeded: --primes 3 over budget 2" in err
+    assert run_cli(["verify", "on", "--max", "0", "--budget", "3"])[0] == 0
+
+
+def test_oracle_gates_the_counts_table(monkeypatch):
+    # every other command reads h(D) off the plain counts table; one sixth
+    # too many there at -23 is caught by the box oracle
+    from cubicount import counting
+
+    real = counting._build_sixths_table
+
+    def tampered(X, zmat_only, fields_only):
+        table = real(X, zmat_only, fields_only)
+        if not zmat_only and not fields_only:
+            table[-23] += 1
+        return table
+
+    monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
+    monkeypatch.setattr(counting, "_build_sixths_table", tampered)
+    code, out, err = run_cli(["verify", "oracle", "--max", "30"])
+    assert code == 1
+    assert "FAIL oracle at delta=-23: lhs=5/3 rhs=3/2" in err
+
+
 def test_verify_recursion_non_prime_exits_2():
     # p = 0 used to be dropped silently in favour of the default primes
     for flags in (["--p", "4"], ["--p", "0"], ["--p", "1"], ["--p", "-2"], ["--primes", "2", "4"]):

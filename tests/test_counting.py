@@ -15,7 +15,7 @@ from cubicount.counting import (
     _icbrt,
     _scan_neg,
     _scan_pos,
-    box_orbit_counts,
+    box_orbits,
     box_reduced_forms,
     check_recursion,
     class_numbers,
@@ -69,7 +69,7 @@ def test_enumerate_no_duplicates_and_canonical():
 def test_enumeration_matches_box_oracle():
     X = 60
     table = orbit_table(X)
-    box = box_orbit_counts(X)
+    box = {D: len(orbits) for D, orbits in box_orbits(X).items()}
     assert set(table) == set(box)
     for D in box:
         assert len(table[D]) == box[D], D
@@ -79,7 +79,7 @@ def test_enumeration_matches_box_oracle_200():
     # the slow dual-method check at the full documented range
     X = 200
     table = orbit_table(X)
-    box = box_orbit_counts(X)
+    box = {D: len(orbits) for D, orbits in box_orbits(X).items()}
     assert set(table) == set(box)
     for D in box:
         assert len(table[D]) == box[D], D
@@ -308,17 +308,19 @@ def test_counts_path_stabilizer_check_survives_optimize():
 
 def test_orbit_path_stabilizer_check_survives_optimize():
     # a reduced_orbit that drops one form of the orbit leaves |M| / N
-    # outside {1, 2, 3, 6} or inexact: verify oracle exits 3, also under
+    # outside {1, 2, 3, 6} or inexact: enumerate_orbits raises, also under
     # python -O
     out = _run_optimized(
-        "from cubicount import counting\n"
-        "from cubicount.cli import main\n"
+        "from cubicount import counting, forms\n"
         "real = counting.reduced_orbit\n"
         "counting.reduced_orbit = lambda f: frozenset(sorted(real(f))[1:])\n"
-        "print(main(['verify', 'oracle', '--max', '50']))\n"
+        "try:\n"
+        "    counting.enumerate_orbits(50)\n"
+        "except forms.InvariantError as exc:\n"
+        "    print('raised', exc)\n"
     )
-    assert out.stdout.split() == ["3"], out.stderr
-    assert "stabilizer" in out.stderr
+    assert out.stdout.split()[0] == "raised", out.stderr
+    assert "stabilizer" in out.stdout
 
 
 def test_field_weight_check_survives_optimize():
@@ -357,7 +359,7 @@ def test_box_oracle_checks_the_budget(monkeypatch):
     with pytest.raises(BudgetExceeded):
         next(forms)  # raised before the first form
     with pytest.raises(BudgetExceeded):
-        box_orbit_counts(200)
+        box_orbits(200)
 
 
 def test_invariant_checks_survive_optimize():

@@ -139,6 +139,27 @@ def test_fields_pic_builds_no_orbit():
     assert "weight_w" in seen
 
 
+def test_cli_builds_no_orbit():
+    # every cubic number the program prints or checks comes from the counts
+    # table: cli.py names no Orbit table, Orbit, orbit lookup or stabilizer
+    # count, not even in a string (getattr)
+    with open(os.path.join(SRC, "cli.py")) as fh:
+        refs = {name for name, _ in _refs(ast.parse(fh.read()), strings=True)}
+    bad = refs & {"orbit_table", "enumerate_orbits", "Orbit", "reduced_orbit", "reduced_stabilizer_order"}
+    assert not bad, sorted(bad)
+
+
+def test_box_oracle_is_independent_of_the_fast_path():
+    # the box oracle checks the counts table, so box_orbits and every
+    # counting function it reaches stay off the reduced-domain scan, the
+    # tables built on it and the boundary-matrix table
+    seen, bad = _reach("counting", ["box_orbits", "box_reduced_forms"], {
+        "_scanned", "_scan_pos", "_scan_neg", "sixths_table", "_build_sixths_table", "orbit_table",
+        "BOUNDARY_MATRICES", "boundary_signature", "reduced_orbit"})
+    assert not bad, bad
+    assert {"box_orbits", "box_reduced_forms", "_check_bound"} <= seen
+
+
 def test_scan_d_loops_only_yield():
     # the reduced-domain scans decide every condition on d before the d
     # loop: each `for d in range(...)` body is one yield, and no clamp
