@@ -41,10 +41,11 @@ from math import gcd
 from typing import NamedTuple
 
 from .forms import BinaryCubicForm, InvariantError, disc, evaluate, is_zmat
-from .counting import h_value, factorize, report, s_sequence, sixths_table
+from .counting import h_value, report, s_sequence, sixths_table
 from .quad import (
     Mu3Char,
     divisors,
+    factorize,
     fundamental_part,
     hnf2,
     ideal_from_generators,

@@ -7,10 +7,11 @@ integer-only, and the weights are added as integer sixths (every
 stabilizer order divides 6) and turned into fractions.Fraction at the end.
 
 The primary enumeration scans the reduced domains of `forms`, (a, b, c)
-within proven bounds and d over exact intervals, and yields each sign
-class once: of the four sign variants f, -f, (-a, b, -c, d), (a, -b, c, -d)
-of a reduced form only the lexicographically largest.  One per-form step
-(`_scanned`: the disc, its range check, the boundary signature, the
+within proven bounds, and yields the d-intervals (a, b, c, lo, hi) that
+hold each sign class once: of the four sign variants f, -f,
+(-a, b, -c, d), (a, -b, c, -d) of a reduced form only the
+lexicographically largest.  `_scanned` is the one loop over d, and its
+per-form step (the disc, its range check, the boundary signature, the
 number k of sign variants) feeds two tables:
 
   sixths_table  disc -> the integer sum of 6/|stabilizer|; the counts
@@ -85,13 +86,15 @@ def _ceil_div(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Reduced-domain scans.  Each yields every reduced form with the requested
-# discriminant sign and 0 < |disc| <= X that is the largest of its four sign
-# variants: b >= 0, and d >= 0 when b = 0, for a >= 1; b > 0 and c >= 0 for
-# a = 0.  (Negation, and the reflection diag(1, -1), map reduced forms to
-# reduced forms.)  Each condition on d is an interval, or an open band that
-# `_cut` takes out.  For a >= 1, D(d) = -27 a^2 d^2 + bq d + gq is the disc:
-# 108 a^2 D(d) = e - (54 a^2 d - bq)^2 with e = bq^2 + 108 a^2 gq.
+# Reduced-domain scans.  Each yields d-intervals (a, b, c, lo, hi), possibly
+# empty, whose forms (a, b, c, d), lo <= d <= hi, are every reduced form
+# with the requested discriminant sign and 0 < |disc| <= X that is the
+# largest of its four sign variants: b >= 0, and d >= 0 when b = 0, for
+# a >= 1; b > 0 and c >= 0 for a = 0.  (Negation, and the reflection
+# diag(1, -1), map reduced forms to reduced forms.)  Each condition on d is
+# an interval, or an open band that `_cut` takes out.  For a >= 1,
+# D(d) = -27 a^2 d^2 + bq d + gq is the disc: 108 a^2 D(d) =
+# e - (54 a^2 d - bq)^2 with e = bq^2 + 108 a^2 gq.
 
 def _cut(spans, m, k, r):
     """The inclusive d-intervals of spans, in order, without the open band
@@ -120,8 +123,7 @@ def _scan_pos(X, zmat):
             Rhi = (3 * X + P * c * c) // (4 * P)
             dl = _ceil_div(c * c - Rhi, 3 * b)
             dh = (c * c - P) // (3 * b)
-            for d in range(dl, dh + 1):
-                yield 0, b, c, d
+            yield 0, b, c, dl, dh
     amax = isqrt((4 * isqrt(X)) // 27) + 2
     for a in range(1, amax + 1):
         a2 = a * a
@@ -151,8 +153,7 @@ def _scan_pos(X, zmat):
                 bq = 18 * a * bc - 4 * b ** 3
                 e = bq * bq + 108 * a2 * (bc * bc - 4 * a * c ** 3)
                 for lo, hi in _cut([(dl, dh)], a54, bq, e - 108 * a2 * X):
-                    for d in range(lo, hi + 1):
-                        yield a, b, c, d
+                    yield a, b, c, lo, hi
 
 
 def _scan_neg(X, zmat):
@@ -164,8 +165,7 @@ def _scan_neg(X, zmat):
         bb = b * b
         for c in range(0, b + 1, step):
             dhi = (X // bb + c * c) // (4 * b)
-            for d in range(b, dhi + 1):
-                yield 0, b, c, d
+            yield 0, b, c, b, dhi
     # a >= 1.  Write f(x, 1) = a (x - theta)(x - w)(x - conj w) with
     # u = Re w, v = Im w > 0.  Then b/a = -theta - 2u,
     # c/a = -2u b/a - 3u^2 + v^2 and |disc| = 4 a^4 v^2 |theta - w|^4.
@@ -209,8 +209,7 @@ def _scan_neg(X, zmat):
                 # |w| >= 1 is (2d - b)^2 >= b^2 - 4a (c - a)
                 spans = _cut([(dl, dh)], a54, bq, e + 1)
                 for lo, hi in _cut(spans, 2, b, b * b - 4 * a * (c - a)):
-                    for d in range(lo, hi + 1):
-                        yield a, b, c, d
+                    yield a, b, c, lo, hi
 
 
 class Orbit(NamedTuple):
@@ -235,17 +234,19 @@ _A0_EDGE = (-1, False)
 
 
 def _scanned(X, zmat_only):
-    """(disc, form, boundary signature, k) of every scanned form, in scan
-    order, checking 0 < |disc| <= X: the per-form step of both tables.  k
-    is the number of distinct sign variants of the form: 2 when it equals
-    (-a, b, -c, d) (a = c = 0) or (a, -b, c, -d) (b = d = 0), else 4."""
-    for a, b, c, d in chain(_scan_pos(X, zmat_only), _scan_neg(X, zmat_only)):
-        f = a, b, c, d
-        D = disc(f)
-        if not 0 < abs(D) <= X:
-            raise InvariantError("scanned %r has disc %d outside 0 < |disc| <= %d" % (f, D, X))
-        k = 2 if a == c == 0 or b == d == 0 else 4
-        yield D, f, boundary_signature(f, D), k
+    """(disc, form, boundary signature, k) of every form of the scanned
+    d-intervals, in scan order, checking 0 < |disc| <= X: the one d loop,
+    and the per-form step of both tables.  k is the number of distinct
+    sign variants of the form: 2 when it equals (-a, b, -c, d) (a = c = 0)
+    or (a, -b, c, -d) (b = d = 0), else 4."""
+    for a, b, c, lo, hi in chain(_scan_pos(X, zmat_only), _scan_neg(X, zmat_only)):
+        for d in range(lo, hi + 1):
+            f = a, b, c, d
+            D = disc(f)
+            if not 0 < abs(D) <= X:
+                raise InvariantError("scanned %r has disc %d outside 0 < |disc| <= %d" % (f, D, X))
+            k = 2 if a == c == 0 or b == d == 0 else 4
+            yield D, f, boundary_signature(f, D), k
 
 
 def _check_bound(X):

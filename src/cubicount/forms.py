@@ -15,21 +15,25 @@ its Gauss-reduced domain |Q| <= P <= R.  For disc < 0 the form has one real
 root and a conjugate pair w, wbar; we call the form reduced when w lies in
 the classical fundamental domain |Re w| <= 1/2, |w| >= 1.  Both conditions
 are decided in exact integer arithmetic (the position of the real root
-against a rational is the sign of a single form evaluation).
+against a rational is the sign of a single form evaluation).  One loop,
+`reduce_form`, reduces both signs: `_step` names its next move, a
+translation into the strip, the swap off the unit circle or, for disc < 0,
+the negation to a > 0, until the form is reduced.
 
 The matrices carrying a reduced form to the reduced forms of its orbit
 depend only on its boundary signature: which of the edges Re = -1/2,
 Re = +1/2 and the arc |z| = 1 its point (the Hessian root for disc > 0,
 w for disc < 0) lies on, each read off one integer equality.  The constant
-table BOUNDARY_MATRICES lists them per signature, in blocks of four that
-differ by the four sign matrices, so the images of a block are the sign
-variants f, -f, (-a, b, -c, d), (a, -b, c, -d) of one image and one `act`
-per block finds them.  The largest is the canonical representative, and as
-the matrices split into one coset of the stabilizer per reduced form, the
-table size over their number is the stabilizer order.  `orbit_closure`, a
-breadth-first closure under the matrices with entries in {-1, 0, 1}, finds
-the same matrices independently and is kept as the oracle for that table.
-No floating point enters anywhere.
+table BOUNDARY_MATRICES lists them per signature, built from block heads:
+each head h gives the block of four mat_mul(s, h) over the sign matrices s,
+so the images of a block are the sign variants f, -f, (-a, b, -c, d),
+(a, -b, c, -d) of one image and one `act` per block finds them.  The
+largest is the canonical representative, and as the matrices split into
+one coset of the stabilizer per reduced form, the table size over their
+number is the stabilizer order.  `orbit_closure`, a breadth-first closure
+under the matrices with entries in {-1, 0, 1}, finds the same matrices
+independently and is kept as the oracle for that table.  No floating
+point enters anywhere.
 """
 
 from __future__ import annotations
@@ -212,43 +216,35 @@ def check_budget(x: int) -> None:
         raise BudgetExceeded("requested |disc| <= %d over budget %d" % (x, cap))
 
 
-# Building blocks of BOUNDARY_MATRICES, in +-pairs.  _SIGNS are the four
-# sign variants +-1, +-diag(1, -1); diag(1, -1) is the reflection
-# z -> -conj z, which fixes the line Re = 0 pointwise.  _ARC adds z -> -1/z
-# and the reflection in the arc |z| = 1; _LEFT and _RIGHT add z -> z + 1 and
-# z -> z - 1, which carry the edge Re = -1/2 or +1/2 onto its mirror edge.
+# The block heads of BOUNDARY_MATRICES.  _SIGNS are the four sign variants
+# +-1, +-diag(1, -1); diag(1, -1) is the reflection z -> -conj z, which
+# fixes the line Re = 0 pointwise, and the identity heads their block.
+# _ARC adds z -> -1/z; _LEFT and _RIGHT add z -> z + 1 and z -> z - 1,
+# which carry the edge Re = -1/2 or +1/2 onto its mirror edge.
 # _LEFT_CORNER and _RIGHT_CORNER complete the 24 matrices at the corner on
 # that edge: its stabilizer, of order 12, times its two reduced points.
 _SIGNS = ((1, 0, 0, 1), (-1, 0, 0, -1), (1, 0, 0, -1), (-1, 0, 0, 1))
-_ARC = ((0, 1, -1, 0), (0, -1, 1, 0), (0, 1, 1, 0), (0, -1, -1, 0))
-_LEFT = ((1, 0, -1, 1), (-1, 0, 1, -1), (1, 0, 1, -1), (-1, 0, -1, 1))
-_RIGHT = ((1, 0, -1, -1), (-1, 0, 1, 1), (1, 0, 1, 1), (-1, 0, -1, -1))
-_LEFT_CORNER = (
-    (1, -1, -1, 0), (-1, 1, 1, 0), (1, -1, 1, 0), (-1, 1, -1, 0),
-    (1, -1, 0, -1), (-1, 1, 0, 1), (1, -1, 0, 1), (-1, 1, 0, -1),
-    (0, 1, -1, 1), (0, -1, 1, -1), (0, 1, 1, -1), (0, -1, -1, 1),
-)
-_RIGHT_CORNER = (
-    (1, 1, -1, 0), (-1, -1, 1, 0), (1, 1, 1, 0), (-1, -1, -1, 0),
-    (1, 1, 0, -1), (-1, -1, 0, 1), (1, 1, 0, 1), (-1, -1, 0, -1),
-    (0, 1, -1, -1), (0, -1, 1, 1), (0, 1, 1, 1), (0, -1, -1, -1),
-)
+_ARC = ((0, 1, -1, 0),)
+_LEFT = ((1, 0, -1, 1),)
+_RIGHT = ((1, 0, -1, -1),)
+_LEFT_CORNER = ((1, -1, -1, 0), (1, -1, 0, -1), (0, 1, -1, 1))
+_RIGHT_CORNER = ((1, 1, -1, 0), (1, 1, 0, -1), (0, 1, -1, -1))
 
 # Boundary signature (half, unit) of a reduced form -> every matrix g with
 # act(g, f) reduced.  half: -1 or +1 on the edge Re = -1/2 or Re = +1/2,
 # else 0; unit: on the arc |z| = 1.  The point is the Hessian root for
 # disc > 0 and w for disc < 0, and one table serves both signs.  Each entry
-# is a run of blocks of four, and element j of a block is
-# mat_mul(_SIGNS[j], block[0]); reduced_orbit relies on that.
+# is a run of blocks of four, one per head h: mat_mul(s, h) for s in
+# _SIGNS, which reduced_orbit relies on.
 BOUNDARY_MATRICES = {
-    key: tuple(UnimodularMatrix(*m) for m in mats)
-    for key, mats in {
-        (0, False): _SIGNS,
-        (-1, False): _SIGNS + _LEFT,
-        (1, False): _SIGNS + _RIGHT,
-        (0, True): _SIGNS + _ARC,
-        (-1, True): _SIGNS + _ARC + _LEFT + _LEFT_CORNER,
-        (1, True): _SIGNS + _ARC + _RIGHT + _RIGHT_CORNER,
+    key: tuple(mat_mul(s, h) for h in (MAT_ID,) + heads for s in _SIGNS)
+    for key, heads in {
+        (0, False): (),
+        (-1, False): _LEFT,
+        (1, False): _RIGHT,
+        (0, True): _ARC,
+        (-1, True): _ARC + _LEFT + _LEFT_CORNER,
+        (1, True): _ARC + _RIGHT + _RIGHT_CORNER,
     }.items()
 }
 
@@ -276,66 +272,39 @@ def boundary_signature(form, D=None) -> tuple:
     return half, unit
 
 
-def _reduce_pos(form):
-    g = MAT_ID
-    f = tuple(form)
-    for _ in range(100000):
-        a, b, c, d = f
+def _step(f, D):
+    """The next move of the reduction of f, of disc D: a translation into
+    the strip |Re| <= 1/2, the swap off the unit circle, MAT_NEG to a > 0
+    (or a = 0 < b) when D < 0, or None once f is reduced.  The point is the
+    Hessian root for D > 0 and w for D < 0, as in boundary_signature."""
+    a, b, c, d = f
+    if D > 0:  # the Hessian (t, s, r)
         t = b * b - 3 * a * c
         s = b * c - 9 * a * d
-        r = c * c - 3 * b * d
         if abs(s) > t:
-            # translate: x -> x + k y with k the nearest integer to -s/(2t)
-            k = (-s + t) // (2 * t)
-            step = UnimodularMatrix(1, 0, k, 1)
-        elif r < t:
-            step = MAT_SWAP
+            k = (t - s) // (2 * t)  # the nearest integer to -s/(2t)
+        elif c * c - 3 * b * d < t:
+            return MAT_SWAP
         else:
-            if not is_reduced_pos(f):
-                raise InvariantError("reduction of %r stopped at unreduced %r" % (form, f))
-            return f, g
-        f = tuple(act(step, f))
-        g = mat_mul(step, g)
-    raise InvariantError("reduction did not terminate for %r" % (form,))
-
-
-def _reduce_neg(form):
-    g = MAT_ID
-    f = tuple(form)
-    for _ in range(100000):
-        a, b, c, d = f
-        if a < 0 or (a == 0 and b < 0):
-            f = tuple(neg(f))
-            g = mat_mul(MAT_NEG, g)
-            continue
-        if a == 0:
-            if abs(c) > b:
-                k = (-c + b) // (2 * b)  # nearest integer to -c/(2b) = Re w
-                step = UnimodularMatrix(1, 0, k, 1)
-            elif d < b:
-                step = MAT_SWAP
-            else:
-                if not is_reduced_neg(f):
-                    raise InvariantError("reduction of %r stopped at unreduced %r" % (form, f))
-                return f, g
-            f = tuple(act(step, f))
-            g = mat_mul(step, g)
-            continue
-        # translate Re w into [-1/2, 1/2]
-        if evaluate(f, -a - b, a) > 0 or evaluate(f, a - b, a) < 0:
-            k = _round_re_w(f)
-            if k == 0:
-                raise InvariantError("translation of %r by 0" % (f,))
-            step = UnimodularMatrix(1, 0, k, 1)
-        elif not _v_at_least_one(f):
-            step = MAT_SWAP
+            return None
+    elif a < 0 or (a == 0 and b < 0):
+        return MAT_NEG
+    elif a == 0:
+        if abs(c) > b:
+            k = (b - c) // (2 * b)  # the nearest integer to -c/(2b) = Re w
+        elif d < b:
+            return MAT_SWAP
         else:
-            if not is_reduced_neg(f):
-                raise InvariantError("reduction of %r stopped at unreduced %r" % (form, f))
-            return f, g
-        f = tuple(act(step, f))
-        g = mat_mul(step, g)
-    raise InvariantError("reduction did not terminate for %r" % (form,))
+            return None
+    elif evaluate(f, -a - b, a) > 0 or evaluate(f, a - b, a) < 0:
+        k = _round_re_w(f)
+    elif not _v_at_least_one(f):
+        return MAT_SWAP
+    else:
+        return None
+    if k == 0:
+        raise InvariantError("translation of %r by 0" % (tuple(f),))
+    return UnimodularMatrix(1, 0, k, 1)
 
 
 def _v_at_least_one(f) -> bool:
@@ -381,12 +350,22 @@ def _round_re_w(f) -> int:
 
 
 def reduce_form(form):
-    """Return (reduced_form, g) with act(g, form) == reduced_form."""
+    """Return (reduced_form, g) with act(g, form) == reduced_form: the
+    moves of _step until it finds f reduced, which is_reduced_pos or
+    is_reduced_neg then confirms."""
     D = disc(form)
     if D == 0:
         raise ValueError("degenerate form")
-    f, g = _reduce_pos(form) if D > 0 else _reduce_neg(form)
-    return BinaryCubicForm(*f), g
+    f, g = BinaryCubicForm(*form), MAT_ID
+    for _ in range(100000):
+        step = _step(f, D)
+        if step is None:
+            if not (is_reduced_pos(f) if D > 0 else is_reduced_neg(f)):
+                raise InvariantError("reduction of %r stopped at unreduced %r" % (tuple(form), tuple(f)))
+            return f, g
+        f = act(step, f)
+        g = mat_mul(step, g)
+    raise InvariantError("reduction did not terminate for %r" % (tuple(form),))
 
 
 class OrbitClosure(NamedTuple):

@@ -257,16 +257,14 @@ def ideal_form_coefficients(I: QuadIdeal):
     return I.a, 2 * I.b + r, (I.b * (I.b + r) + (r - I.D) // 4) // I.a
 
 
-# the largest norm ideals_of_norm enumerates
-MAX_IDEAL_NORM = 10 ** 7
-
-
 def ideals_of_norm(D: int, n: int, invertible_only: bool = False):
-    """All index-n sublattices of O_D stable under multiplication by xi."""
+    """All index-n sublattices of O_D stable under multiplication by xi.
+    BudgetExceeded when n is over disc_budget()."""
     if n < 1:
         raise ValueError("norm must be positive")
-    if n > MAX_IDEAL_NORM:
-        raise BudgetExceeded("ideal norm %d over budget" % n)
+    cap = disc_budget()
+    if n > cap:
+        raise BudgetExceeded("ideal norm %d over budget %d" % (n, cap))
     order(D)
     out = []
     g = 1
@@ -321,7 +319,7 @@ def fundamental_unit(D: int):
     raise InvariantError("unit expansion did not close for D=%d" % D)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=100000)
 def _unit_upper_bound(D: int):
     """Integer upper bound for the real embedding of the fundamental unit."""
     x, y = fundamental_unit(D)

@@ -123,6 +123,14 @@ def random_unimodular(rng, steps: int = 8) -> UnimodularMatrix:
     return g
 
 
+def scan_forms(scan, X, zmat):
+    """The forms (a, b, c, d) of the d-intervals (a, b, c, lo, hi) that the
+    reduced-domain scan counting._scan_pos or _scan_neg yields, in order."""
+    for a, b, c, lo, hi in scan(X, zmat):
+        for d in range(lo, hi + 1):
+            yield a, b, c, d
+
+
 # The reduced-domain scans with every condition on d tested per d: the d
 # windows carry slack, and the a >= 1 negative scan a clamp capd.  The
 # oracle for the exact d-intervals of counting._scan_pos and _scan_neg,

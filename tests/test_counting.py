@@ -43,7 +43,7 @@ from cubicount.forms import (
     reduced_stabilizer_order,
 )
 from cubicount.rings import is_field_form, ring_from_form, splitting_type, subrings_of_index
-from reference import proper_stabilizer_order, scan_neg_filtered, scan_pos_filtered
+from reference import proper_stabilizer_order, scan_forms, scan_neg_filtered, scan_pos_filtered
 
 
 def test_enumerate_x1():
@@ -138,7 +138,7 @@ def test_scans_match_brute_force(X, zmat):
             want[1 if D > 0 else -1].add(f)
     assert want[1] and want[-1]
     for sign, scan in ((1, _scan_pos), (-1, _scan_neg)):
-        got = [tuple(f) for f in scan(X, zmat)]
+        got = list(scan_forms(scan, X, zmat))
         assert len(got) == len(set(got))
         assert set(got) == want[sign]
 
@@ -149,7 +149,8 @@ def test_scans_match_brute_force(X, zmat):
 def test_scan_neg_window_matches_box(X, zmat):
     # the (b, c) window for a >= 1 drops no form the earlier box yielded,
     # and the forms come out in the same order
-    assert [f for f in _scan_neg(X, zmat) if f[0]] == [f for f in scan_neg_filtered(X, zmat, box=True) if f[0]]
+    assert [f for f in scan_forms(_scan_neg, X, zmat) if f[0]] == [
+        f for f in scan_neg_filtered(X, zmat, box=True) if f[0]]
 
 
 @pytest.mark.parametrize("zmat, bounds", [
@@ -160,8 +161,8 @@ def test_scans_match_the_per_d_filters(zmat, bounds):
     # the exact d-intervals yield the forms the per-d filters keep, in the
     # same order
     for X in bounds:
-        assert list(_scan_pos(X, zmat)) == list(scan_pos_filtered(X, zmat)), X
-        assert list(_scan_neg(X, zmat)) == list(scan_neg_filtered(X, zmat)), X
+        assert list(scan_forms(_scan_pos, X, zmat)) == list(scan_pos_filtered(X, zmat)), X
+        assert list(scan_forms(_scan_neg, X, zmat)) == list(scan_neg_filtered(X, zmat)), X
 
 
 def test_cut_matches_brute_force():
@@ -203,7 +204,7 @@ def test_a0_edge_forms_are_kept_with_stabilizer_2():
     arc_data = set()
     for X, zmat in ((20000, False), (540000, True)):
         for scan in (_scan_pos, _scan_neg):
-            for f in scan(X, zmat):
+            for f in scan_forms(scan, X, zmat):
                 if f[0] != 0:
                     continue
                 sig = boundary_signature(f)
@@ -227,7 +228,7 @@ def test_a0_edge_forms_are_kept_with_stabilizer_2():
 
 def test_orbit_table_rejects_out_of_range_scan(monkeypatch):
     # a scan yielding a form beyond the bound is an invariant breach
-    monkeypatch.setattr(counting, "_scan_pos", lambda X, zmat: [(1, 0, -40, 0)])
+    monkeypatch.setattr(counting, "_scan_pos", lambda X, zmat: [(1, 0, -40, 0, 0)])
     with pytest.raises(InvariantError):
         orbit_table(100)
 

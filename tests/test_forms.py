@@ -1,7 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubicount import forms
 from cubicount.counting import _scan_neg, _scan_pos
@@ -9,6 +12,7 @@ from cubicount.forms import (
     BOUNDARY_MATRICES,
     BinaryCubicForm,
     MAT_ID,
+    MAT_NEG,
     UnimodularMatrix,
     act,
     boundary_signature,
@@ -18,11 +22,12 @@ from cubicount.forms import (
     is_zmat,
     mat_mul,
     orbit_closure,
+    reduce_form,
     reduced_orbit,
     reduced_stabilizer_order,
     stabilizer_order,
 )
-from reference import is_reduced, parse_form, random_unimodular, stabilizer_matrices, trace_pairing_disc
+from reference import is_reduced, parse_form, random_unimodular, scan_forms, stabilizer_matrices, trace_pairing_disc
 
 coeff = st.integers(min_value=-8, max_value=8)
 form_st = st.tuples(coeff, coeff, coeff, coeff)
@@ -135,10 +140,41 @@ def test_stickelberger():
 # canonicalize
 
 
-@given(word, nondeg_form)
+def _with_long_inputs(test):
+    # seeded examples with g = random_unimodular(rng, steps=40): large
+    # coefficients, which take many reduction steps.  act(g, f) has
+    # a = f(p, q), which is 0 for f = (q x - p y) Q(x, y); the irreducible
+    # cubics are moved to a < 0.  Q and the cubics give both disc signs
+    rng = random.Random(31)
+
+    def long_word():
+        g = random_unimodular(rng, steps=40)
+        while max(map(abs, g)) < 100:
+            g = random_unimodular(rng, steps=40)
+        return g
+
+    for u, v, w in ((1, 1, 2), (1, 0, -2)):  # Q of disc -7 and 8
+        g = long_word()
+        p, q = g.p, g.q
+        test = example(g, (q * u, q * v - p * u, q * w - p * v, -p * w))(test)
+    for f in ((1, 0, 0, -2), (1, 0, -3, 1)):  # disc -108 and 81
+        g = long_word()
+        if act(g, f).a > 0:
+            g = mat_mul(MAT_NEG, g)
+        test = example(g, f)(test)
+    return test
+
+
+@given(word.map(mat_from_word), nondeg_form)
 @settings(max_examples=300, deadline=None)
-def test_canonicalize_orbit_invariant(w, f):
-    assert canonicalize(act(mat_from_word(w), f)) == canonicalize(f)
+@_with_long_inputs
+def test_canonicalize_orbit_invariant(g, f):
+    moved = act(g, f)
+    r, h = reduce_form(moved)
+    assert act(h, moved) == r
+    assert abs(h.det) == 1
+    assert is_reduced(r)
+    assert canonicalize(moved) == canonicalize(f)
 
 
 @given(nondeg_form)
@@ -151,6 +187,36 @@ def test_canonicalize_idempotent(f):
 def test_canonicalize_swap_example():
     f = (1, 0, 0, -1)
     assert canonicalize(f) == canonicalize(act((0, 1, 1, 0), f))
+
+
+def test_reduction_checks_survive_optimize():
+    # reduce_form confirms each verdict of _step with is_reduced_pos or
+    # is_reduced_neg, caps the number of steps and refuses a translation by
+    # 0: three InvariantErrors, also under python -O
+    code = (
+        "from cubicount import forms\n"
+        "def attempt(f):\n"
+        "    try:\n"
+        "        forms.reduce_form(f)\n"
+        "    except forms.InvariantError as exc:\n"
+        "        print(exc)\n"
+        "step = forms._step\n"
+        "forms._step = lambda f, D: None\n"
+        "attempt((0, 1, 5, 1))\n"
+        "forms._step = lambda f, D: forms.MAT_SWAP\n"
+        "attempt((1, 0, -1, 1))\n"
+        "forms._step = step\n"
+        "forms._round_re_w = lambda f: 0\n"
+        "attempt((1, 15, 77, 136))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.splitlines() == [
+        "reduction of (0, 1, 5, 1) stopped at unreduced (0, 1, 5, 1)",
+        "reduction did not terminate for (1, 0, -1, 1)",
+        "translation of (1, 15, 77, 136) by 0",
+    ], out.stderr
 
 
 def test_canonicalize_rejects_degenerate():
@@ -240,7 +306,7 @@ def _scanned_forms():
     # reduced, and each is checked
     for X, zmat in ((3000, False), (27 * 200, True)):
         for scan in (_scan_pos, _scan_neg):
-            for a, b, c, d in scan(X, zmat):
+            for a, b, c, d in scan_forms(scan, X, zmat):
                 yield from {(a, b, c, d), (-a, -b, -c, -d), (-a, b, -c, d), (a, -b, c, -d)}
 
 

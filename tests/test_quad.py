@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicount import quad
-from cubicount.forms import InvariantError
+from cubicount.forms import InvariantError, disc_budget
 from cubicount.quad import (
     BudgetExceeded,
     Mu3Char,
@@ -461,10 +461,14 @@ def test_picard_budget_checked_on_cached_groups(monkeypatch):
         picard_group(-23)
 
 
-def test_ideal_norm_budget():
-    assert quad.MAX_IDEAL_NORM == 10 ** 7
-    with pytest.raises(BudgetExceeded):
-        ideals_of_norm(-23, quad.MAX_IDEAL_NORM + 1)
+def test_ideal_norm_budget(monkeypatch):
+    # the one enumeration budget caps the norm, with a message of its own
+    with pytest.raises(BudgetExceeded, match="ideal norm %d over budget" % (disc_budget() + 1)):
+        ideals_of_norm(-23, disc_budget() + 1)
+    monkeypatch.setenv("CUBICOUNT_BUDGET", "10")
+    assert len(ideals_of_norm(-23, 2, invertible_only=True)) == 2
+    with pytest.raises(BudgetExceeded, match="ideal norm 11 over budget 10"):
+        ideals_of_norm(-23, 11)
 
 
 def test_quad_invariant_checks_survive_optimize():

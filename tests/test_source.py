@@ -6,9 +6,10 @@ forms.disc_budget is its only source, so no function takes a budget
 parameter that some caller could forget to pass on.  One writer: every
 command's output goes through cli._write.  One library surface: every name
 defined in src is reached from what the program runs, and every name a
-module imports is used in it.  One decision per condition: the d loops of
-the reduced-domain scans only yield.  Bounded memos: every cache in src has
-an integer maxsize, save a listed few."""
+module imports is used in it.  One decision per condition: the
+reduced-domain scans yield d-intervals, and one loop visits their d.
+Bounded memos: every cache in src has an integer maxsize, save a listed
+few."""
 
 import argparse
 import ast
@@ -161,33 +162,40 @@ def test_box_oracle_is_independent_of_the_fast_path():
 
 
 def test_scan_d_loops_only_yield():
-    # the reduced-domain scans decide every condition on d before the d
-    # loop: each `for d in range(...)` body is one yield, and no clamp
-    # named capd bounds d anywhere in src
+    # the reduced-domain scans decide every condition on d before any d is
+    # visited: neither scan has a d loop, and each yields only 5-tuples,
+    # the d-intervals (a, b, c, lo, hi); _scanned holds the one d loop,
+    # `for d in range(lo, hi + 1)`; and no clamp named capd bounds d
+    # anywhere in src
     with open(os.path.join(SRC, "counting.py")) as fh:
         tree = ast.parse(fh.read())
     funcs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-    loops, bad = 0, []
+
+    def d_loops(fn):
+        return [node for node in ast.walk(fn)
+                if isinstance(node, ast.For) and isinstance(node.target, ast.Name) and node.target.id == "d"]
+
+    bad = []
     for name in ("_scan_pos", "_scan_neg"):
-        for node in ast.walk(funcs[name]):
-            if not (isinstance(node, ast.For) and isinstance(node.target, ast.Name) and node.target.id == "d"):
-                continue
-            loops += 1
-            ranged = isinstance(node.iter, ast.Call) and getattr(node.iter.func, "id", None) == "range"
-            body = node.body
-            if not ranged or node.orelse or len(body) != 1 or not (
-                    isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Yield)):
-                bad.append("%s:%d" % (name, node.lineno))
+        bad += ["%s:%d d loop" % (name, node.lineno) for node in d_loops(funcs[name])]
+        yields = [node for node in ast.walk(funcs[name]) if isinstance(node, (ast.Yield, ast.YieldFrom))]
+        bad += ["%s:%d yield" % (name, node.lineno) for node in yields if not (
+            isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple) and len(node.value.elts) == 5)]
+        if not yields:
+            bad.append("%s yields nothing" % name)
+    loops = [ast.unparse(node.iter) for node in d_loops(funcs["_scanned"])]
+    if loops != ["range(lo, hi + 1)"]:
+        bad.append("_scanned d loops %r" % loops)
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path) as fh:
             if "capd" in fh.read():
                 bad.append("%s capd" % os.path.basename(path))
-    assert loops == 4 and not bad, bad
+    assert not bad, bad
 
 
 # the caches that may still grow without bound, as module.function; the
 # rule below fails when one of them is bounded, so the list shrinks with them
-_UNBOUNDED_CACHES = {"quad.fundamental_part", "quad._unit_upper_bound", "quad._picard_group", "quad._extension_map"}
+_UNBOUNDED_CACHES = {"quad.fundamental_part", "quad._picard_group", "quad._extension_map"}
 
 
 def test_every_cache_is_bounded():
