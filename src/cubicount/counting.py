@@ -18,9 +18,11 @@ number k of sign variants) feeds two tables:
                 path, which keeps no form and acts on none: by orbit-
                 stabilizer a scanned form weighs 6k/|M| for its k sign
                 variants and its matrices M in `forms.BOUNDARY_MATRICES`.
-                With fields_only it weighs only the field forms
-                (`rings.is_field_form`, a GL2(Z)-invariant test), for the
-                field count of `bridge.check_fields_pic`.  class_numbers,
+                With fields_only it weighs only the field forms, for the
+                field count of `bridge.check_fields_pic`: by the reduction
+                theory here a scanned form of disc D is one exactly when
+                a != 0, |D| > 4 and `rings.is_maximal` holds (proof at
+                _A0_EDGE), so no irreducibility test runs.  class_numbers,
                 h_value and verify oracle read only this, so no CLI
                 command builds an Orbit.  The one cached table of the
                 module, per (zmat_only, fields_only).
@@ -62,7 +64,7 @@ from .forms import (
     reduced_stabilizer_order,
 )
 from .quad import factorize, in_discs, require_prime
-from .rings import _local_type, is_field_form
+from .rings import _local_type, is_maximal
 
 def _i4root(n):
     return isqrt(isqrt(n)) if n > 0 else 0
@@ -230,6 +232,17 @@ _SIXTHS_CACHE = {}
 # Re = -1/2), off the arc.  The reflection in that edge, (1, 0, 1, -1),
 # fixes f, so every image under the signature's matrices is a sign variant
 # of f: f is its orbit's largest reduced form, with stabilizer order 2.
+#
+# So a scanned form f = (a, b, c, d) of disc D is a field form (its ring
+# is the maximal order of a cubic field) exactly when a != 0, |D| > 4 and
+# f is maximal.  A field form is irreducible, so a != 0, and no cubic
+# field has |disc| < 23.  Conversely a reducible maximal ring of disc D
+# is Z x O_D (D fundamental) or Z^3 (D = 1), and its orbit holds the
+# reduced form g = (0, 1, r, (r - D)/4), r = D mod 2: y times the
+# principal quadratic form of disc D.  Unless D is 1, -3 or -4, g's
+# boundary signature is (0, False) or _A0_EDGE, so every reduced form of
+# that orbit is a sign variant of g and has a = 0: a maximal f with
+# a != 0 and |D| > 4 is irreducible.
 _A0_EDGE = (-1, False)
 
 
@@ -281,7 +294,7 @@ def _build_sixths_table(X, zmat_only, fields_only):
     # orbit 24/|stabilizer|: four times its sixths
     table = {}
     for D, f, sig, k in _scanned(X, zmat_only):
-        if not fields_only or is_field_form(f):
+        if not fields_only or f[0] and abs(D) > 4 and is_maximal(f):
             table[D] = table.get(D, 0) + 24 * k // len(BOUNDARY_MATRICES[sig])
     for D, n in table.items():
         if n % 4:

@@ -138,7 +138,7 @@ def hnf2(vecs):
     return a, b, c
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=100000)
 def fundamental_part(D: int):
     """D = D0 * f^2 with D0 a fundamental discriminant; returns (D0, f).
     Cached: the checks and the extension maps ask for it at every delta."""

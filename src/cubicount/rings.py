@@ -17,25 +17,23 @@ each with its form F(e x, f x + g y)/(e g) read off its triangular basis
 maximality of a form at a prime p and its splitting type there, both in
 closed form (when p does not divide the discriminant the roots mod p are
 simple and their number gives the type; otherwise the one multiple root,
-where both partial derivatives vanish mod p, decides maximality); the
-field-form test (irreducible and maximal: the ring is the maximal order
-of a cubic field), which the field count of `counting.sixths_table`
-filters on; and the enumeration of finite-index subrings (which backs the counting recursions
-`counting.s_sequence`, and so reads no splitting type).  The enumeration
-covers every triangular sublattice basis Z*1 + Z*(e*alpha + f*beta) +
-Z*(g*beta) with e*g = n and 0 <= f < g, but tries only the f that are
-roots of F(e, x) mod g, as closure forces n | F(e, f), found by lifting
-the roots one prime of g at a time.  Every closure condition is a
-congruence modulo a divisor of n, so the index-n subrings depend only on
-the form mod n: they are computed once per residue (a, b, c, d) mod n,
-in a bounded memo, and the divisors of n with their lifting steps once
-per n.
+where both partial derivatives vanish mod p, decides maximality, and is
+all the field count of `counting.sixths_table` asks of a form); and the
+enumeration of finite-index subrings (which backs the counting
+recursions `counting.s_sequence`, and so reads no splitting type).  The
+enumeration covers every triangular sublattice basis Z*1 + Z*(e*alpha +
+f*beta) + Z*(g*beta) with e*g = n and 0 <= f < g, but tries only the f
+that are roots of F(e, x) mod g, as closure forces n | F(e, f), found by
+lifting the roots one prime of g at a time.  Every closure condition is
+a congruence modulo a divisor of n, so the index-n subrings depend only
+on the form mod n: they are computed once per residue (a, b, c, d) mod
+n, in a bounded memo, and the divisors of n with their lifting steps
+once per n.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import gcd
 
 from .forms import BinaryCubicForm, BudgetExceeded, InvariantError, disc, evaluate, is_zmat
 from .quad import divisors, factorize, require_prime
@@ -275,26 +273,6 @@ def is_maximal(form) -> bool:
     if D == 0:
         raise ValueError("degenerate form")
     return all(_local_type(form, p) is not None for p, e in factorize(D).items() if e > 1)
-
-
-def is_irreducible(form) -> bool:
-    """No rational projective root (degree 3: reducible iff a linear factor)."""
-    a, b, c, d = form
-    if a == 0 or d == 0:
-        return False
-    qs = divisors(abs(a))
-    for k in divisors(abs(d)):
-        for p in (k, -k):
-            for q in qs:
-                if gcd(p, q) == 1 and a * p ** 3 + b * p * p * q + c * p * q * q + d * q ** 3 == 0:
-                    return False
-    return True
-
-
-def is_field_form(form) -> bool:
-    """The form's ring is the maximal order of a cubic field: irreducible
-    and maximal.  Both are GL2(Z)-invariant."""
-    return is_irreducible(form) and is_maximal(form)
 
 
 def splitting_type(form, p: int) -> str:

@@ -5,7 +5,8 @@ subring and the self-balanced triple by ring arithmetic, ideal and
 lattice products, the Picard representatives from a norm scan, the
 Picard structure from ideal products, extension maps through
 conductor-coprime representatives, character sums over ideals, the
-Kronecker symbol) and small helpers that only tests call.  The library
+Kronecker symbol, the field-form test by a rational-root search, the
+reduced-domain predicate from its definitions) and small helpers that only tests call.  The library
 holds only what the program runs; test_source enforces that.
 
 Not collected by pytest (no test_ prefix); test files import it as
@@ -30,8 +31,6 @@ from cubicount.forms import (
     boundary_signature,
     disc,
     is_zmat,
-    is_reduced_neg,
-    is_reduced_pos,
     mat_mul,
     orbit_closure,
     reduce_form,
@@ -59,7 +58,7 @@ from cubicount.quad import (
     picard_group,
     xgcd,
 )
-from cubicount.rings import CubicRing
+from cubicount.rings import CubicRing, is_maximal
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +73,35 @@ def parse_form(text: str) -> BinaryCubicForm:
 
 
 def is_reduced(form) -> bool:
+    """Reduced, read off the definitions and no predicate of `forms`.
+    disc > 0: the Hessian (t, s, r) = (b^2 - 3ac, bc - 9ad, c^2 - 3bd) has
+    t >= 1 and |s| <= t <= r.  disc < 0, after replacing f by -f so that
+    a > 0, or a = 0 < b: for a = 0, |c| <= b <= d; for a > 0, with
+    f(x, 1) = a (x - theta)(x - w)(x - conj w), |Re w| <= 1/2 and |w| >= 1."""
+    a, b, c, d = form
     D = disc(form)
     if D == 0:
         raise ValueError("degenerate form")
-    return is_reduced_pos(form) if D > 0 else is_reduced_neg(form)
+    if D > 0:
+        t = b * b - 3 * a * c
+        return t >= 1 and abs(b * c - 9 * a * d) <= t <= c * c - 3 * b * d
+    if a < 0 or a == 0 and b < 0:
+        a, b, c, d = -a, -b, -c, -d
+    if a == 0:
+        return abs(c) <= b <= d
+    # theta + 2 Re w = -b/a, so |Re w| <= 1/2 is -1 - b/a <= theta <=
+    # 1 - b/a; f(x, 1) has the one simple real root theta and a > 0, so
+    # f(x, 1) <= 0 exactly for x <= theta: compare a^3 f(p/a, 1) at p/a
+    def cube(p):
+        return ((a * p + b * a) * p + c * a * a) * p + d * a ** 3
+
+    if cube(-a - b) > 0 or cube(a - b) < 0:
+        return False
+    # the pairwise products of the roots are the roots of
+    # y^3 - (c/a) y^2 + (b d/a^2) y - d^2/a^2, and |w|^2 = w conj w is its
+    # one real root (theta w is not real unless d = theta = 0, and then
+    # the others are 0): |w| >= 1 exactly when the cubic is <= 0 at y = 1
+    return a * a - a * c + b * d - d * d <= 0
 
 
 def stabilizer_matrices(form) -> list:
@@ -283,6 +307,27 @@ def ring_power(ring: CubicRing, x, n: int):
     for _ in range(n):
         out = ring.mul(out, x)
     return out
+
+
+def is_irreducible(form) -> bool:
+    """No rational projective root (degree 3: reducible iff a linear factor)."""
+    a, b, c, d = form
+    if a == 0 or d == 0:
+        return False
+    qs = divisors(abs(a))
+    for k in divisors(abs(d)):
+        for p in (k, -k):
+            for q in qs:
+                if gcd(p, q) == 1 and a * p ** 3 + b * p * p * q + c * p * q * q + d * q ** 3 == 0:
+                    return False
+    return True
+
+
+def is_field_form(form) -> bool:
+    """The form's ring is the maximal order of a cubic field: irreducible
+    and maximal.  Both are GL2(Z)-invariant.  The oracle for the field rule
+    of counting's fields-only sixths table, which tests no irreducibility."""
+    return is_irreducible(form) and is_maximal(form)
 
 
 def trace_pairing_disc(ring: CubicRing) -> int:

@@ -4,7 +4,7 @@ had no hand in producing."""
 
 from cubicount.counting import orbit_table
 from cubicount.quad import picard_group
-from cubicount.rings import is_field_form
+from reference import is_field_form
 
 
 def test_class_number_one_imaginary_fields():

@@ -42,11 +42,11 @@ from cubicount.quad import (
     picard_group,
     primitive_char,
 )
-from cubicount.rings import is_irreducible
 from reference import (
     chi_term_sum,
     extract_triple_by_ring,
     is_cube_class,
+    is_irreducible,
     k2_norm,
     kronecker,
     lat_contains,

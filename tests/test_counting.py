@@ -42,8 +42,8 @@ from cubicount.forms import (
     reduced_orbit,
     reduced_stabilizer_order,
 )
-from cubicount.rings import is_field_form, ring_from_form, splitting_type, subrings_of_index
-from reference import proper_stabilizer_order, scan_forms, scan_neg_filtered, scan_pos_filtered
+from cubicount.rings import ring_from_form, splitting_type, subrings_of_index
+from reference import is_field_form, proper_stabilizer_order, scan_forms, scan_neg_filtered, scan_pos_filtered
 
 
 def test_enumerate_x1():
@@ -335,6 +335,21 @@ def test_field_weight_check_survives_optimize():
     )
     assert out.stdout.split() == ["3"], out.stderr
     assert "fields at disc 49" in out.stderr
+
+
+def test_field_filter_check_survives_optimize():
+    # the orbit of (1, 0, -3, 0) at disc 108 (stabilizer 2) has two scanned
+    # forms of 6/24 each; a field filter that keeps one of them splits the
+    # orbit, so its weights sum to 6/24: verify fields-pic exits 3, also
+    # under python -O
+    out = _run_optimized(
+        "from cubicount import counting\n"
+        "from cubicount.cli import main\n"
+        "counting.is_maximal = lambda f: f == (1, 0, -3, 0)\n"
+        "print(main(['verify', 'fields-pic', '--D', '108']))\n"
+    )
+    assert out.stdout.split() == ["3"], out.stderr
+    assert "weights at disc 108" in out.stderr
 
 
 def test_fields_by_weight_match_the_orbit_table():

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -19,6 +20,8 @@ from cubicount.forms import (
     canonicalize,
     disc,
     hessian,
+    is_reduced_neg,
+    is_reduced_pos,
     is_zmat,
     mat_mul,
     orbit_closure,
@@ -386,6 +389,20 @@ def test_boundary_signature_reads_each_edge():
     for f, want in cases.items():
         assert is_reduced(f), f
         assert boundary_signature(f) == want, f
+
+
+def test_reduced_predicates_match_the_reference():
+    # the predicates reduce_form, orbit_closure and the box oracle accept a
+    # form by, against the definitions, on every nondegenerate form with
+    # coefficients in [-10, 10]; both verdicts occur for both disc signs
+    seen = set()
+    for f in itertools.product(range(-10, 11), repeat=4):
+        D = disc(f)
+        if D:
+            want = is_reduced(f)
+            assert (is_reduced_pos(f) if D > 0 else is_reduced_neg(f)) == want, f
+            seen.add((D > 0, want))
+    assert len(seen) == 4
 
 
 def test_reduced_orbit_rejects_unreduced():

@@ -12,7 +12,6 @@ from cubicount import rings
 from cubicount.forms import BudgetExceeded, act, disc, evaluate, is_zmat
 from cubicount.quad import xgcd
 from cubicount.rings import (
-    is_irreducible,
     is_maximal,
     is_maximal_at_p,
     max_zmat_subring,
@@ -24,6 +23,7 @@ from cubicount.rings import (
 from cubicount.counting import _S1, _S2, enumerate_orbits
 from reference import (
     is_associative,
+    is_irreducible,
     lattice_ring,
     max_zmat_subring_by_cubes,
     random_unimodular,
