@@ -8,10 +8,9 @@ bad arguments or config), 3 an internal invariant of the computation broke
 (forms.InvariantError: a bug, not a counterexample).
 
 verify runs the checks named in CHECKS, each a list of identity reports
-(counting.report), and writes them as one JSON list.  on and oracle sweep
-[-max, max], and say so on stderr when --D is given; every other check,
-and dump-pic, is per delta: it takes the deltas --D (--delta) names, else
-those in [-max, max] that it accepts.
+(counting.report), and writes them as one JSON list.  Every check, and
+dump-pic, takes the deltas --D (--delta) names, else those in [-max, max]
+that it accepts, max cut to its cap; only oracle's cap also binds --D.
 Every command writes its rows through _write.  --format (csv or json)
 belongs to table and zeta; verify and dump-pic always write JSON.
 
@@ -57,84 +56,73 @@ def cmd_dump_pic(args) -> int:
     return 0
 
 
-def _capped_max(name, args, cap):
-    """--max cut to the check's cap, saying so on stderr when it cuts."""
-    if cap is None or args.max <= cap:
-        return args.max
-    print("%s: checked for |delta| <= %d only (its cap), not up to --max %d" % (name, cap, args.max), file=sys.stderr)
-    return cap
-
-
-def _swept_max(name, args, cap=None):
-    """The --max a sweep check runs to: _capped_max, after one stderr line
-    saying that the check does not use --D when --D is given."""
-    if args.D:
-        print("%s: sweeps |delta| <= --max and does not use --D" % name, file=sys.stderr)
-    return _capped_max(name, args, cap)
-
-
-def _verify_on(name, args):
-    X = _swept_max(name, args)
-    return [counting.report(name, D, hh, 3 * h if D > 0 else h)
-            for D, (h, hh) in counting.class_numbers(X).items()]
-
-
-def _verify_oracle(name, args):
-    # h(D) from the counts table (which may reach past X) against the
-    # box's sum of 1/|stabilizer| over the orbits it closes
-    X = _swept_max(name, args, 200)
-    table = {D: Fraction(n, 6) for D, n in counting.sixths_table(X).items() if abs(D) <= X}
-    box = {D: sum(Fraction(1, s) for s in orbits.values()) for D, orbits in counting.box_orbits(X).items()}
-    return [counting.report(name, D, table.get(D, Fraction(0)), box.get(D, Fraction(0)))
-            for D in sorted(set(box) | set(table))]
-
-
 def _deltas(name, args, given, cap, wanted):
-    """The deltas a per-delta command runs at: those given, else those in
-    [-max, max] that wanted accepts, max cut to cap (None for no cap)."""
+    """The deltas a command runs at: those given, else those in
+    [-max, max] that wanted accepts, max cut to cap (None for no cap),
+    saying so on stderr when the cap cuts.  A sweep is lazy, so an
+    over-budget --max fails at its first delta, before the rest is made."""
     if given:
         return given
-    top = _capped_max(name, args, cap)
-    return [D for D in range(-top, top + 1) if wanted(D)]
+    top = args.max
+    if cap is not None and top > cap:
+        print("%s: checked for |delta| <= %d only (its cap), not up to --max %d" % (name, cap, top), file=sys.stderr)
+        top = cap
+    return filter(wanted, range(-top, top + 1))
 
 
-def _per_delta(cap, wanted, reports_at):
-    """The runner of a per-delta check: its reports at each delta of
-    _deltas (--D given).  reports_at(args, D) is a list of reports."""
-    def run(name, args):
-        return [r for D in _deltas(name, args, args.D, cap, wanted) for r in reports_at(args, D)]
-    return run
+# the largest |delta| oracle checks, given or swept: the budget cannot bound
+# the box, whose cost grows far faster than the |disc| it reaches
+_ORACLE_CAP = 200
 
 
-# check name -> runner(name, args), a list of reports.  on and oracle sweep
-# --max; the rest are per delta.  Module functions are looked up per call,
-# so a patched binding is the one used.  The caps keep the default budget:
-# the recursion reaches p^6 |D|, prop6 the orders of discriminant up to
-# 27 |D|, oracle the coefficient box.
+def _oracle_rows(args, deltas):
+    # h(D) from the counts table against the box's sum of 1/|stabilizer|
+    # over the orbits it closes, both built once every delta is accepted
+    deltas = list(deltas)
+    for D in deltas:
+        if not quad.in_discs(D):
+            raise ValueError("oracle: %d is not a discriminant" % D)
+        if abs(D) > _ORACLE_CAP:
+            raise BudgetExceeded("oracle checks |delta| <= %d only, got %d" % (_ORACLE_CAP, D))
+    X = max(map(abs, deltas), default=0)
+    table, box = counting.sixths_table(X), counting.box_orbits(X)
+    return [counting.report("oracle", D, Fraction(table.get(D, 0), 6),
+                            sum((Fraction(1, s) for s in box.get(D, {}).values()), Fraction(0)))
+            for D in deltas]
+
+
+# check name -> (cap, wanted, rows): rows(args, deltas) is the list of
+# reports at the deltas of _deltas.  Module functions are looked up per
+# call, so a patched binding is the one used.  The caps keep the default
+# budget: the recursion reaches p^6 |D|, prop6 the orders of discriminant
+# up to 27 |D|, oracle the coefficient box (the one cap that binds --D).
 CHECKS = {
-    "on": _verify_on,
-    "recursion": _per_delta(20, quad.in_discs, lambda args, D: [
-        r for p in args.primes
-        for r in counting.check_recursion(D, p, include_hhat=args.hhat)
-    ]),
-    "rhs": _per_delta(None, quad.in_discs, lambda args, D: [bridge.rhs_identity_check(D)]),
-    "lhs": _per_delta(None, bridge.has_cubefree_conductor, lambda args, D: [bridge.lhs_identity_check(D)]),
-    "fields-pic": _per_delta(None, quad.in_discs, lambda args, D: [bridge.check_fields_pic(D)]),
-    "prop6": _per_delta(40, lambda D: quad.in_discs(D) and D % 3 != 0, lambda args, D: [bridge.check_prop_3notdiv(D)]),
-    "scholz": _per_delta(None, lambda D: D != 1 and is_fundamental(D), lambda args, D: [bridge.check_scholz(D)]),
-    "oracle": _verify_oracle,
+    "on": (None, quad.in_discs, lambda args, deltas: [counting.check_on(D) for D in deltas]),
+    "recursion": (20, quad.in_discs, lambda args, deltas: [
+        r for D in deltas for p in args.primes for r in counting.check_recursion(D, p, include_hhat=args.hhat)]),
+    "rhs": (None, quad.in_discs, lambda args, deltas: [bridge.rhs_identity_check(D) for D in deltas]),
+    "lhs": (None, bridge.has_cubefree_conductor, lambda args, deltas: [bridge.lhs_identity_check(D) for D in deltas]),
+    "fields-pic": (None, quad.in_discs, lambda args, deltas: [bridge.check_fields_pic(D) for D in deltas]),
+    "prop6": (40, lambda D: quad.in_discs(D) and D % 3 != 0,
+              lambda args, deltas: [bridge.check_prop_3notdiv(D) for D in deltas]),
+    "scholz": (None, lambda D: D != 1 and is_fundamental(D),
+               lambda args, deltas: [bridge.check_scholz(D) for D in deltas]),
+    "oracle": (_ORACLE_CAP, quad.in_discs, _oracle_rows),
 }
 
 
 def cmd_verify(args) -> int:
     # a p over the budget is refused before its (trial-division) primality
     # test: the recursion's first term h(p^6 D) is out of reach anyway
-    cap = disc_budget()
+    budget = disc_budget()
     for p in args.primes:
-        if p > cap:
-            raise BudgetExceeded("--primes %d over budget %d" % (p, cap))
+        if p > budget:
+            raise BudgetExceeded("--primes %d over budget %d" % (p, budget))
         quad.require_prime(p)
-    reports = [r for name in args.which for r in CHECKS[name](name, args)]
+    reports = []
+    for name in args.which:
+        cap, wanted, run = CHECKS[name]
+        reports += run(args, _deltas(name, args, args.D, cap, wanted))
     rows = [{k: bool(v) if k == "pass" else _jsonable(v) for k, v in r.items()} for r in reports]
     _write(args.out, rows, "json")
     failures = [r for r in reports if not r["pass"]]
@@ -201,7 +189,7 @@ def build_parser():
     common(v)
     v.add_argument("which", nargs="+", choices=CHECKS, help="checks to run")
     v.add_argument("--primes", type=int, nargs="+", default=[2, 3])
-    v.add_argument("--D", type=int, nargs="+", default=None, help="the deltas of every per-delta check")
+    v.add_argument("--D", type=int, nargs="+", default=None, help="the deltas of every check")
     v.add_argument("--no-hhat", dest="hhat", action="store_false", help="skip the hhat recursion variant")
     v.set_defaults(func=cmd_verify, hhat=True)
 
@@ -215,11 +203,13 @@ def build_parser():
 def _apply_config(argv):
     """Optional JSON config file supplies defaults; explicit flags win."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if "--config" not in argv:
+    i = next((i for i, token in enumerate(argv) if token.partition("=")[0] == "--config"), None)
+    if i is None:
         return argv, None
-    i = argv.index("--config")
-    path = argv[i + 1]
-    del argv[i : i + 2]
+    # --config PATH or --config=PATH; a missing PATH is an IndexError
+    _, eq, path = argv.pop(i).partition("=")
+    if not eq:
+        path = argv.pop(i)
     with open(path) as fh:
         cfg = json.load(fh)
     _check_config(cfg)

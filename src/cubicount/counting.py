@@ -469,9 +469,18 @@ def report(check: str, delta: int, lhs, rhs, passed=None, **extra) -> dict:
             "pass": lhs == rhs if passed is None else passed}
 
 
+def check_on(D: int) -> dict:
+    """The pairing identity at D: hhat(D) against 3 h(D) for D > 0, h(D)
+    for D < 0.  ValueError unless D is a discriminant."""
+    if not in_discs(D):
+        raise ValueError("D must lie in Discs")
+    hh, h = h_value(D, True), h_value(D)  # hhat first: its budget check is at 27 |D|
+    return report("on", D, hh, 3 * h if D > 0 else h)
+
+
 def check_recursion(D: int, p: int, include_hhat: bool = True):
     """Evaluate h(p^6 D) = h(p^4 D) + p (h(D) - h(D/p^2)) and, optionally,
-    the same identity for hhat, from independent enumerations of all terms.
+    the same identity for hhat, every term read off one cached sixths_table.
     Returns a list of report dicts.  ValueError unless D is a discriminant
     and p a prime: the recursion is stated for primes only."""
     if not in_discs(D):

@@ -164,7 +164,7 @@ def test_flags_no_command_reads_are_rejected(argv):
 
 def test_verify_D_names_the_deltas_of_every_per_delta_check():
     # in the order given, and past prop6's cap of 40
-    which = ["rhs", "lhs", "fields-pic", "prop6", "scholz"]
+    which = ["on", "rhs", "lhs", "fields-pic", "prop6", "scholz"]
     code, out, err = run_cli(["verify"] + which + ["--D", "5", "-23", "41", "-4", "--max", "0"])
     assert code == 0 and "only" not in err, err
     got = [(r["check"], r["delta"]) for r in json.loads(out)]
@@ -173,6 +173,7 @@ def test_verify_D_names_the_deltas_of_every_per_delta_check():
 
 @pytest.mark.parametrize("check, delta", [
     ("lhs", "-256"), ("scholz", "-12"), ("scholz", "1"), ("rhs", "2"), ("fields-pic", "3"), ("prop6", "-3"),
+    ("on", "2"), ("oracle", "-1"),
 ])
 def test_verify_D_a_check_does_not_accept_exits_2(check, delta):
     code, out, err = run_cli(["verify", check, "--D", delta])
@@ -181,24 +182,23 @@ def test_verify_D_a_check_does_not_accept_exits_2(check, delta):
 
 
 def test_verify_exit_codes_on_fault(monkeypatch):
-    # perturbing one table entry must flip the exit code to 1
-    import cubicount.cli as cli
+    # one sixth too many at disc 5 in the plain counts table must flip the
+    # exit code to 1, and the FAIL line name on and that delta
     import cubicount.counting as counting
-    from fractions import Fraction
 
-    real = counting.class_numbers
+    real = counting._build_sixths_table
 
-    def tampered(X):
-        cn = dict(real(X))
-        D = max(cn)
-        h, hh = cn[D]
-        cn[D] = (h + 1, hh)
-        return cn
+    def tampered(X, zmat_only, fields_only):
+        table = real(X, zmat_only, fields_only)
+        if not zmat_only and not fields_only:
+            table[5] = table.get(5, 0) + 1
+        return table
 
-    monkeypatch.setattr(counting, "class_numbers", tampered)
+    monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
+    monkeypatch.setattr(counting, "_build_sixths_table", tampered)
     code, out, err = run_cli(["verify", "on", "--max", "10"])
     assert code == 1
-    assert "FAIL" in err
+    assert "FAIL on at delta=5: " in err
 
 
 def test_verify_budget_exit_2():
@@ -318,6 +318,16 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert code == 2
 
 
+def test_config_equals_spelling(tmp_path):
+    # --config=PATH used to exit 2 with "unrecognized arguments"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max": 5}))
+    code, out, err = run_cli(["table", "--config=%s" % cfg])
+    assert code == 0, err
+    assert (code, out, err) == run_cli(["table", "--config", str(cfg)])
+    assert out.splitlines()[1:] == run_cli(["table", "--max", "5"])[1].splitlines()[1:]
+
+
 def test_flag_beats_config_in_any_spelling(tmp_path):
     # the flag given as --max=1 or abbreviated used to lose to the config
     cfg = tmp_path / "cfg.json"
@@ -413,17 +423,37 @@ def test_oracle_cap_is_stated_on_stderr():
     assert "%d checks passed" % len(reports) in err
 
 
-def test_sweep_checks_say_they_do_not_use_D():
-    # on and oracle sweep --max: given --D, each says so in one stderr
-    # line, and stdout and the exit code are those of the run without --D;
-    # a per-delta check run beside them reads --D and says nothing
-    for which in ("on", "oracle"):
-        code, out, err = run_cli(["verify", which, "--D", "-23", "--max", "3"])
-        plain = run_cli(["verify", which, "--max", "3"])
-        assert (code, out) == plain[:2]
-        assert err == "%s: sweeps |delta| <= --max and does not use --D\n" % which + plain[2]
-    err = run_cli(["verify", "on", "rhs", "--D", "-23", "--max", "3"])[2]
-    assert err.count("does not use --D") == 1
+def test_on_and_oracle_at_D_match_their_sweeps(monkeypatch):
+    # on and oracle used to sweep --max and ignore --D; their rows at the
+    # deltas --D names are now the sweep's rows there, in the order given.
+    # 229 is over oracle's cap of 200, which binds --D too: -203 exits 2
+    # before any box is built
+    from cubicount import counting
+
+    deltas = [-23, -4, 1, 9, 229]
+    for which, cap in (("on", 229), ("oracle", 200)):
+        given = [D for D in deltas if abs(D) <= cap]
+        code, out, err = run_cli(["verify", which, "--D"] + [str(D) for D in given])
+        assert code == 0, err
+        top = max(abs(D) for D in given)
+        sweep = {r["delta"]: r for r in json.loads(run_cli(["verify", which, "--max", str(top)])[1])}
+        assert json.loads(out) == [sweep[D] for D in given]
+    boxes = []
+    monkeypatch.setattr(counting, "box_orbits", boxes.append)
+    monkeypatch.setattr(counting, "box_reduced_forms", boxes.append)
+    code, out, err = run_cli(["verify", "oracle", "--D", "-23", "-203"])
+    assert (code, out, boxes) == (2, "", [])
+    assert "budget exceeded" in err
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_every_check_reads_D(name):
+    # a check that swept --max whatever --D said would return rows away
+    # from -23
+    code, out, err = run_cli(["verify", name, "--D", "-23", "--primes", "2"])
+    assert code == 0, err
+    rows = json.loads(out)
+    assert rows and {r["delta"] for r in rows} == {-23}
 
 
 _BUDGET_RUNS = [["verify", name] for name in CHECKS] + [
