@@ -76,8 +76,8 @@ _ORACLE_CAP = 200
 
 
 def _oracle_rows(args, deltas):
-    # h(D) from the counts table against the box's sum of 1/|stabilizer|
-    # over the orbits it closes, both built once every delta is accepted
+    # h(D), read by counting.h_value like every check, against the sum of
+    # 1/|stabilizer| over the box's orbits, built once every delta passes
     deltas = list(deltas)
     for D in deltas:
         if not quad.in_discs(D):
@@ -85,8 +85,8 @@ def _oracle_rows(args, deltas):
         if abs(D) > _ORACLE_CAP:
             raise BudgetExceeded("oracle checks |delta| <= %d only, got %d" % (_ORACLE_CAP, D))
     X = max(map(abs, deltas), default=0)
-    table, box = counting.sixths_table(X), counting.box_orbits(X)
-    return [counting.report("oracle", D, Fraction(table.get(D, 0), 6),
+    box = counting.box_orbits(X)
+    return [counting.report("oracle", D, counting.h_value(D),
                             sum((Fraction(1, s) for s in box.get(D, {}).values()), Fraction(0)))
             for D in deltas]
 

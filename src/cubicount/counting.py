@@ -57,6 +57,7 @@ from .forms import (
     boundary_signature,
     check_budget,
     disc,
+    disc_budget,
     is_reduced_neg,
     is_reduced_pos,
     orbit_closure,
@@ -225,7 +226,7 @@ class Orbit(NamedTuple):
 
 
 # (zmat_only, fields_only) -> (X, read-only sixths table to X); a call
-# with a smaller X gets the cached table
+# with a smaller X gets the cached table, a larger one a grown rebuild
 _SIXTHS_CACHE = {}
 
 # The boundary signature of a scanned a = 0 form with c = b (the edge
@@ -308,12 +309,16 @@ def sixths_table(X: int, zmat_only: bool = False, fields_only: bool = False):
     orbits of that disc (3 | b, c when zmat_only; of field forms only when
     fields_only), for every disc with 0 < |disc| <= X that has one: 6 h(disc),
     or 6 hhat(-disc/27) when zmat_only.  Builds no Orbit and keeps no form.
-    The table is cached, and returned for any X up to its own bound, so it
-    may hold discs beyond X."""
+    The table is cached and returned for any X up to its bound, so it may
+    hold discs beyond X: a first build reaches X, a rebuild
+    min(max(X, 2 * cached bound), budget), so reads in any order cost at
+    most 1 + ceil(log2(largest X / first X)) builds."""
     _check_bound(X)
     key = zmat_only, fields_only
     cached = _SIXTHS_CACHE.get(key)
     if cached is None or cached[0] < X:
+        if cached is not None:
+            X = min(max(X, 2 * cached[0]), disc_budget())
         cached = _SIXTHS_CACHE[key] = X, MappingProxyType(_build_sixths_table(X, zmat_only, fields_only))
     return cached[1]
 
@@ -480,24 +485,19 @@ def check_on(D: int) -> dict:
 
 def check_recursion(D: int, p: int, include_hhat: bool = True):
     """Evaluate h(p^6 D) = h(p^4 D) + p (h(D) - h(D/p^2)) and, optionally,
-    the same identity for hhat, every term read off one cached sixths_table.
-    Returns a list of report dicts.  ValueError unless D is a discriminant
-    and p a prime: the recursion is stated for primes only."""
+    the same identity for hhat, every term read by h_value (0 off the
+    discriminants), h(p^6 D) first, so one sixths_table is built per
+    variant.  Returns a list of report dicts.  ValueError unless D is a
+    discriminant and p a prime: the recursion is stated for primes only."""
     if not in_discs(D):
         raise ValueError("D must lie in Discs")
     require_prime(p)
-    terms = [D * p ** 6, D * p ** 4, D]
-    if D % (p * p) == 0 and in_discs(D // (p * p)):
-        terms.append(D // (p * p))
     reports = []
-    variants = [("h", False)] + ([("hhat", True)] if include_hhat else [])
-    for name, zv in variants:
-        vals = {}
-        for t in sorted(set(terms), key=abs, reverse=True):  # warm the cache once
-            vals[t] = h_value(t, zv)
-        small_term = vals.get(D // (p * p), Fraction(0)) if D % (p * p) == 0 else Fraction(0)
-        lhs = vals[D * p ** 6]
-        rhs = vals[D * p ** 4] + p * (vals[D] - small_term)
+    for name, zv in [("h", False)] + ([("hhat", True)] if include_hhat else []):
+        lhs = h_value(D * p ** 6, zv)
+        rhs = h_value(D * p ** 4, zv) + p * h_value(D, zv)
+        if D % (p * p) == 0:
+            rhs -= p * h_value(D // (p * p), zv)
         reports.append(report("recursion-%s" % name, D, lhs, rhs, p=p))
     return reports
 

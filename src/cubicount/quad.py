@@ -811,7 +811,7 @@ def mu3_characters(D: int):
     return sorted(Mu3Char(D, vals) for vals in values)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _extension_map(Gf: PicGroup, Gt: PicGroup):
     """The extension map Gf -> Gt from the images of the generators of Gf
     (their representatives, extended), each checked to satisfy its

@@ -285,6 +285,46 @@ def test_oracle_gates_the_counts_table(monkeypatch):
     assert "FAIL oracle at delta=-23: lhs=5/3 rhs=3/2" in err
 
 
+def _count_builds(monkeypatch):
+    from cubicount import counting
+
+    real = counting._build_sixths_table
+    calls = []
+    monkeypatch.delenv("CUBICOUNT_BUDGET", raising=False)
+    monkeypatch.setattr(counting, "_build_sixths_table", lambda *args: calls.append(args) or real(*args))
+    return counting, calls
+
+
+def test_D_list_in_any_order_builds_few_tables(monkeypatch):
+    # an ascending --D list rebuilt both tables at every delta (8 builds for
+    # these four); a rebuild now reaches twice the cached bound, and the
+    # rows do not depend on the order
+    counting, calls = _count_builds(monkeypatch)
+    deltas = ["-19988", "-19992", "-19996", "-20000"]
+    rows = {}
+    for order in (deltas, deltas[::-1]):
+        monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
+        del calls[:]
+        code, out, err = run_cli(["verify", "on", "--D", *order])
+        assert code == 0, err
+        rows[order[0]] = {r["delta"]: r for r in json.loads(out)}
+        if order == deltas:
+            for variant in ((False, False), (True, False)):
+                assert sum(args[1:] == variant for args in calls) <= 2, calls
+    assert rows[deltas[0]] == rows[deltas[-1]]
+    assert len(calls) == 2  # descending: one exact build per variant
+
+
+def test_bridge_sweep_builds_each_table_once(monkeypatch):
+    # the bridge_sweep benchmark workload reads its largest |delta| first:
+    # each table is built once, exactly to the bound it needs
+    counting, calls = _count_builds(monkeypatch)
+    monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
+    code, _, err = run_cli(["verify", "on", "rhs", "lhs", "fields-pic", "prop6", "--max", "300"])
+    assert code == 0, err
+    assert calls == [(8100, True, False), (300, False, False), (300, False, True)]
+
+
 def test_verify_recursion_non_prime_exits_2():
     # p = 0 used to be dropped silently in favour of the default primes
     for flags in (["--p", "4"], ["--p", "0"], ["--p", "1"], ["--p", "-2"], ["--primes", "2", "4"]):

@@ -279,6 +279,19 @@ def test_sixths_table_is_read_only_and_cached(monkeypatch):
     with monkeypatch.context() as m, pytest.raises(BudgetExceeded):
         m.setenv("CUBICOUNT_BUDGET", "10")
         sixths_table(300)
+    # a first build reaches X exactly, a rebuild twice the cached bound,
+    # but never past the budget
+    monkeypatch.delenv("CUBICOUNT_BUDGET", raising=False)
+    for budget, reach in ((None, 200), ("170", 170)):
+        monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
+        sixths_table(100)
+        assert counting._SIXTHS_CACHE[False, False][0] == 100
+        with monkeypatch.context() as m:
+            if budget:
+                m.setenv("CUBICOUNT_BUDGET", budget)
+            grown = sixths_table(150)
+        assert counting._SIXTHS_CACHE[False, False][0] == reach
+        assert dict(grown) == {D: n for D, n in table.items() if abs(D) <= reach}
 
 
 def _run_optimized(code):
@@ -526,6 +539,16 @@ def test_recursion_d5_p2():
     assert r["pass"]
     assert r["lhs"] == h_value(320)
     assert r["rhs"] == h_value(80) + 2 * h_value(5)
+
+
+def test_recursion_builds_one_table_per_variant(monkeypatch):
+    # h(p^6 D) is read first, so its table serves the smaller terms
+    monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
+    real = counting._build_sixths_table
+    calls = []
+    monkeypatch.setattr(counting, "_build_sixths_table", lambda *args: calls.append(args) or real(*args))
+    assert all(r["pass"] for r in check_recursion(-20, 3))
+    assert calls == [(14580, False, False), (393660, True, False)]
 
 
 def test_recursion_zero_convention():

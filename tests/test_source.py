@@ -195,7 +195,7 @@ def test_scan_d_loops_only_yield():
 
 # the caches that may still grow without bound, as module.function; the
 # rule below fails when one of them is bounded, so the list shrinks with them
-_UNBOUNDED_CACHES = {"quad._picard_group", "quad._extension_map"}
+_UNBOUNDED_CACHES = {"quad._picard_group"}
 
 
 def test_every_cache_is_bounded():
