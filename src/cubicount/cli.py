@@ -52,22 +52,31 @@ def cmd_zeta(args) -> int:
 
 def cmd_dump_pic(args) -> int:
     deltas = _deltas("dump-pic", args, args.delta, None, quad.in_discs)
-    _write(args.out, [quad.picard_dump(D) for D in deltas], "json")
+    _write(args.out, _in_order(args.delta, [quad.picard_dump(D) for D in deltas]), "json")
     return 0
 
 
 def _deltas(name, args, given, cap, wanted):
-    """The deltas a command runs at: those given, else those in
-    [-max, max] that wanted accepts, max cut to cap (None for no cap),
-    saying so on stderr when the cap cuts.  A sweep is lazy, so an
-    over-budget --max fails at its first delta, before the rest is made."""
+    """The deltas a command runs at, largest |delta| first, so that each
+    counts table is built once: those given, else those in [-max, max] that
+    wanted accepts, max cut to cap (None for no cap), saying so on stderr
+    when the cap cuts.  A sweep is lazy, so an over-budget --max fails at
+    its first delta, before the rest is made."""
     if given:
-        return given
+        return sorted(set(given), key=abs, reverse=True)
     top = args.max
     if cap is not None and top > cap:
         print("%s: checked for |delta| <= %d only (its cap), not up to --max %d" % (name, cap, top), file=sys.stderr)
         top = cap
-    return filter(wanted, range(-top, top + 1))
+    return filter(wanted, (D for t in range(top, -1, -1) for D in ((-t, t) if t else (0,))))
+
+
+def _in_order(given, rows):
+    # the rows made at the deltas of _deltas, in the order given, else by delta
+    at = {}
+    for r in rows:
+        at.setdefault(r["delta"], []).append(r)
+    return [r for D in (given or sorted(at)) for r in at[D]]
 
 
 # the largest |delta| oracle checks, given or swept: the budget cannot bound
@@ -76,16 +85,14 @@ _ORACLE_CAP = 200
 
 
 def _oracle_rows(args, deltas):
-    # h(D), read by counting.h_value like every check, against the sum of
-    # 1/|stabilizer| over the box's orbits, built once every delta passes
+    # h(D) by counting.h_value against the box's sum of 1/|stabilizer|
     deltas = list(deltas)
     for D in deltas:
         if not quad.in_discs(D):
             raise ValueError("oracle: %d is not a discriminant" % D)
         if abs(D) > _ORACLE_CAP:
             raise BudgetExceeded("oracle checks |delta| <= %d only, got %d" % (_ORACLE_CAP, D))
-    X = max(map(abs, deltas), default=0)
-    box = counting.box_orbits(X)
+    box = counting.box_orbits(max(map(abs, deltas), default=0))
     return [counting.report("oracle", D, counting.h_value(D),
                             sum((Fraction(1, s) for s in box.get(D, {}).values()), Fraction(0)))
             for D in deltas]
@@ -122,7 +129,7 @@ def cmd_verify(args) -> int:
     reports = []
     for name in args.which:
         cap, wanted, run = CHECKS[name]
-        reports += run(args, _deltas(name, args, args.D, cap, wanted))
+        reports += _in_order(args.D, run(args, _deltas(name, args, args.D, cap, wanted)))
     rows = [{k: bool(v) if k == "pass" else _jsonable(v) for k, v in r.items()} for r in reports]
     _write(args.out, rows, "json")
     failures = [r for r in reports if not r["pass"]]

@@ -57,7 +57,6 @@ from .forms import (
     boundary_signature,
     check_budget,
     disc,
-    disc_budget,
     is_reduced_neg,
     is_reduced_pos,
     orbit_closure,
@@ -226,7 +225,7 @@ class Orbit(NamedTuple):
 
 
 # (zmat_only, fields_only) -> (X, read-only sixths table to X); a call
-# with a smaller X gets the cached table, a larger one a grown rebuild
+# with a smaller X gets the cached table
 _SIXTHS_CACHE = {}
 
 # The boundary signature of a scanned a = 0 form with c = b (the edge
@@ -309,16 +308,12 @@ def sixths_table(X: int, zmat_only: bool = False, fields_only: bool = False):
     orbits of that disc (3 | b, c when zmat_only; of field forms only when
     fields_only), for every disc with 0 < |disc| <= X that has one: 6 h(disc),
     or 6 hhat(-disc/27) when zmat_only.  Builds no Orbit and keeps no form.
-    The table is cached and returned for any X up to its bound, so it may
-    hold discs beyond X: a first build reaches X, a rebuild
-    min(max(X, 2 * cached bound), budget), so reads in any order cost at
-    most 1 + ceil(log2(largest X / first X)) builds."""
+    The table is cached, and returned for any X up to its own bound, so it
+    may hold discs beyond X; a larger X rebuilds it, to X."""
     _check_bound(X)
     key = zmat_only, fields_only
     cached = _SIXTHS_CACHE.get(key)
     if cached is None or cached[0] < X:
-        if cached is not None:
-            X = min(max(X, 2 * cached[0]), disc_budget())
         cached = _SIXTHS_CACHE[key] = X, MappingProxyType(_build_sixths_table(X, zmat_only, fields_only))
     return cached[1]
 
@@ -485,19 +480,17 @@ def check_on(D: int) -> dict:
 
 def check_recursion(D: int, p: int, include_hhat: bool = True):
     """Evaluate h(p^6 D) = h(p^4 D) + p (h(D) - h(D/p^2)) and, optionally,
-    the same identity for hhat, every term read by h_value (0 off the
-    discriminants), h(p^6 D) first, so one sixths_table is built per
-    variant.  Returns a list of report dicts.  ValueError unless D is a
-    discriminant and p a prime: the recursion is stated for primes only."""
+    the same identity for hhat, each term read by h_value (0 off Discs),
+    h(p^6 D) first so that one table per variant serves them all.  Returns
+    report dicts; ValueError unless D is in Discs and p is a prime."""
     if not in_discs(D):
         raise ValueError("D must lie in Discs")
     require_prime(p)
     reports = []
     for name, zv in [("h", False)] + ([("hhat", True)] if include_hhat else []):
         lhs = h_value(D * p ** 6, zv)
-        rhs = h_value(D * p ** 4, zv) + p * h_value(D, zv)
-        if D % (p * p) == 0:
-            rhs -= p * h_value(D // (p * p), zv)
+        small = h_value(D // (p * p), zv) if D % (p * p) == 0 else 0
+        rhs = h_value(D * p ** 4, zv) + p * (h_value(D, zv) - small)
         reports.append(report("recursion-%s" % name, D, lhs, rhs, p=p))
     return reports
 

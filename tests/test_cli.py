@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -295,34 +296,48 @@ def _count_builds(monkeypatch):
     return counting, calls
 
 
-def test_D_list_in_any_order_builds_few_tables(monkeypatch):
-    # an ascending --D list rebuilt both tables at every delta (8 builds for
-    # these four); a rebuild now reaches twice the cached bound, and the
-    # rows do not depend on the order
+def test_D_list_in_any_order_builds_each_table_once(monkeypatch):
+    # the deltas are read largest |delta| first, so an ascending --D list no
+    # longer rebuilds both tables at every delta (8 builds for these four);
+    # the rows keep the order given, a repeated delta repeating its row
     counting, calls = _count_builds(monkeypatch)
     deltas = ["-19988", "-19992", "-19996", "-20000"]
     rows = {}
-    for order in (deltas, deltas[::-1]):
+    for order in (deltas + deltas[:1], deltas[::-1]):
         monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
         del calls[:]
         code, out, err = run_cli(["verify", "on", "--D", *order])
         assert code == 0, err
-        rows[order[0]] = {r["delta"]: r for r in json.loads(out)}
-        if order == deltas:
-            for variant in ((False, False), (True, False)):
-                assert sum(args[1:] == variant for args in calls) <= 2, calls
+        assert calls == [(540000, True, False), (20000, False, False)]
+        got = json.loads(out)
+        assert [str(r["delta"]) for r in got] == order
+        rows[order[0]] = {r["delta"]: r for r in got}
     assert rows[deltas[0]] == rows[deltas[-1]]
-    assert len(calls) == 2  # descending: one exact build per variant
 
 
-def test_bridge_sweep_builds_each_table_once(monkeypatch):
-    # the bridge_sweep benchmark workload reads its largest |delta| first:
-    # each table is built once, exactly to the bound it needs
+def _bridge_sweep_bounds():
+    # the --max of every bridge_sweep benchmark variant, read off perfbench
+    # without importing it
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "run.py")) as fh:
+        tree = ast.parse(fh.read())
+    (value,) = [n.value for n in tree.body if isinstance(n, ast.Assign) and n.targets[0].id == "CLI_WORKLOADS"]
+    argv, top, offsets, _ = ast.literal_eval(value)["bridge_sweep"]
+    return argv, [top + k for k in offsets]
+
+
+@pytest.mark.parametrize("top", _bridge_sweep_bounds()[1])
+def test_bridge_sweep_builds_each_table_once(monkeypatch, top):
+    # every check of the bridge_sweep benchmark reads its largest |delta|
+    # first, so each table is built once, to exactly the bound it needs,
+    # also where -top is not a discriminant and the sweep begins nearer 0
+    from cubicount.quad import in_discs
+
     counting, calls = _count_builds(monkeypatch)
     monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
-    code, _, err = run_cli(["verify", "on", "rhs", "lhs", "fields-pic", "prop6", "--max", "300"])
+    code, _, err = run_cli(_bridge_sweep_bounds()[0] + ["--max", str(top)])
     assert code == 0, err
-    assert calls == [(8100, True, False), (300, False, False), (300, False, True)]
+    m = next(t for t in range(top, 0, -1) if in_discs(t) or in_discs(-t))
+    assert calls == [(27 * m, True, False), (m, False, False), (m, False, True)]
 
 
 def test_verify_recursion_non_prime_exits_2():
