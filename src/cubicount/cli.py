@@ -7,12 +7,13 @@ Exit codes: 0 all requested checks pass, 1 a mathematical identity failed
 bad arguments or config), 3 an internal invariant of the computation broke
 (forms.InvariantError: a bug, not a counterexample).
 
-verify runs the checks named in CHECKS, each a list of identity reports
-(counting.report), and writes them as one JSON list.  Every check, and
-dump-pic, takes the deltas --D (--delta) names, else those in [-max, max]
-that it accepts, max cut to its cap; only oracle's cap also binds --D.
-Every command writes its rows through _write.  --format (csv or json)
-belongs to table and zeta; verify and dump-pic always write JSON.
+verify runs the checks named in CHECKS and streams their identity reports
+(counting.report) as one JSON list, through _write, the one writer of
+every command.  Every check, and dump-pic, takes the deltas --D (--delta)
+names, in that order, else those in [-max, max] that it accepts, ascending,
+max cut to its cap (only oracle's cap binds --D); before any row, every
+delta is accepted and each counts table built once, to the largest |disc|
+read.  --format (csv or json) belongs to table and zeta.
 
 --budget N (or config "budget": N) caps the |disc| enumerated by every check
 and dump-pic: main sets CUBICOUNT_BUDGET=N for the call and restores it
@@ -26,10 +27,11 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import bridge, counting, quad
 from .counting import frac_str
-from .forms import BUDGET_ENV, BudgetExceeded, InvariantError, disc_budget
+from .forms import BUDGET_ENV, BudgetExceeded, InvariantError, check_budget, disc_budget
 from .quad import is_fundamental
 
 
@@ -51,32 +53,33 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_dump_pic(args) -> int:
-    deltas = _deltas("dump-pic", args, args.delta, None, quad.in_discs)
-    _write(args.out, _in_order(args.delta, [quad.picard_dump(D) for D in deltas]), "json")
+    deltas, X = _deltas("dump-pic", args, args.delta, None, quad.in_discs)
+    check_budget(X)
+    _write(args.out, (quad.picard_dump(D) for D in deltas), "json")
     return 0
 
 
 def _deltas(name, args, given, cap, wanted):
-    """The deltas a command runs at, largest |delta| first, so that each
-    counts table is built once: those given, else those in [-max, max] that
-    wanted accepts, max cut to cap (None for no cap), saying so on stderr
-    when the cap cuts.  A sweep is lazy, so an over-budget --max fails at
-    its first delta, before the rest is made."""
+    """(deltas, X), X their largest |delta| (0 for none): those given, in
+    order, ValueError unless wanted accepts each; else, ascending and lazily,
+    those in [-max, max] wanted accepts, max cut to cap (None: no cap),
+    saying so on stderr when the cap cuts."""
     if given:
-        return sorted(set(given), key=abs, reverse=True)
+        for D in given:
+            if not wanted(D):
+                raise ValueError("%s does not take delta %d" % (name, D))
+        return given, max(map(abs, given))
     top = args.max
     if cap is not None and top > cap:
         print("%s: checked for |delta| <= %d only (its cap), not up to --max %d" % (name, cap, top), file=sys.stderr)
         top = cap
-    return filter(wanted, (D for t in range(top, -1, -1) for D in ((-t, t) if t else (0,))))
+    X = next((t for t in range(top, 0, -1) if wanted(t) or wanted(-t)), 0)
+    return filter(wanted, range(-X, X + 1)), X
 
 
-def _in_order(given, rows):
-    # the rows made at the deltas of _deltas, in the order given, else by delta
-    at = {}
-    for r in rows:
-        at.setdefault(r["delta"], []).append(r)
-    return [r for D in (given or sorted(at)) for r in at[D]]
+def _recursion_reads(args, X):
+    # h(p^6 D), and hhat(p^6 D) at disc -27 p^6 D, at the largest p
+    return [(table, k * max(args.primes) ** 6 * X) for table, k in (("plain", 1), ("zmat", 27)) if k == 1 or args.hhat]
 
 
 # the largest |delta| oracle checks, given or swept: the budget cannot bound
@@ -84,37 +87,41 @@ def _in_order(given, rows):
 _ORACLE_CAP = 200
 
 
-def _oracle_rows(args, deltas):
+def _oracle_reads(args, X):
+    if X > _ORACLE_CAP:
+        raise BudgetExceeded("oracle checks |delta| <= %d only, got %d" % (_ORACLE_CAP, X))
+    return [("plain", X)]
+
+
+def _oracle_rows(args, deltas, X):
     # h(D) by counting.h_value against the box's sum of 1/|stabilizer|
-    deltas = list(deltas)
+    box = counting.box_orbits(X)
     for D in deltas:
-        if not quad.in_discs(D):
-            raise ValueError("oracle: %d is not a discriminant" % D)
-        if abs(D) > _ORACLE_CAP:
-            raise BudgetExceeded("oracle checks |delta| <= %d only, got %d" % (_ORACLE_CAP, D))
-    box = counting.box_orbits(max(map(abs, deltas), default=0))
-    return [counting.report("oracle", D, counting.h_value(D),
-                            sum((Fraction(1, s) for s in box.get(D, {}).values()), Fraction(0)))
-            for D in deltas]
+        yield counting.report("oracle", D, counting.h_value(D),
+                              sum((Fraction(1, s) for s in box.get(D, {}).values()), Fraction(0)))
 
 
-# check name -> (cap, wanted, rows): rows(args, deltas) is the list of
-# reports at the deltas of _deltas.  Module functions are looked up per
-# call, so a patched binding is the one used.  The caps keep the default
-# budget: the recursion reaches p^6 |D|, prop6 the orders of discriminant
-# up to 27 |D|, oracle the coefficient box (the one cap that binds --D).
+# check name -> (cap, wanted, reads, rows): reads(args, X) lists the
+# (table, |disc|) pairs the check reads at its largest |delta| X, and
+# rows(args, deltas, X) yields its reports, by module functions looked up
+# per call (so a patched one is used).  The caps keep the default budget.
+# scholz plans no read: its Picard groups reach 3 |D| only when 3 ∤ D.
 CHECKS = {
-    "on": (None, quad.in_discs, lambda args, deltas: [counting.check_on(D) for D in deltas]),
-    "recursion": (20, quad.in_discs, lambda args, deltas: [
-        r for D in deltas for p in args.primes for r in counting.check_recursion(D, p, include_hhat=args.hhat)]),
-    "rhs": (None, quad.in_discs, lambda args, deltas: [bridge.rhs_identity_check(D) for D in deltas]),
-    "lhs": (None, bridge.has_cubefree_conductor, lambda args, deltas: [bridge.lhs_identity_check(D) for D in deltas]),
-    "fields-pic": (None, quad.in_discs, lambda args, deltas: [bridge.check_fields_pic(D) for D in deltas]),
-    "prop6": (40, lambda D: quad.in_discs(D) and D % 3 != 0,
-              lambda args, deltas: [bridge.check_prop_3notdiv(D) for D in deltas]),
-    "scholz": (None, lambda D: D != 1 and is_fundamental(D),
-               lambda args, deltas: [bridge.check_scholz(D) for D in deltas]),
-    "oracle": (_ORACLE_CAP, quad.in_discs, _oracle_rows),
+    "on": (None, quad.in_discs, lambda args, X: [("zmat", 27 * X), ("plain", X)],
+           lambda args, deltas, X: map(counting.check_on, deltas)),
+    "recursion": (20, quad.in_discs, _recursion_reads, lambda args, deltas, X: (
+        r for D in deltas for p in args.primes for r in counting.check_recursion(D, p, include_hhat=args.hhat))),
+    "rhs": (None, quad.in_discs, lambda args, X: [("zmat", 27 * X)],
+            lambda args, deltas, X: map(bridge.rhs_identity_check, deltas)),
+    "lhs": (None, bridge.has_cubefree_conductor, lambda args, X: [("plain", X)],
+            lambda args, deltas, X: map(bridge.lhs_identity_check, deltas)),
+    "fields-pic": (None, quad.in_discs, lambda args, X: [("fields", X)],
+                   lambda args, deltas, X: map(bridge.check_fields_pic, deltas)),
+    "prop6": (40, lambda D: quad.in_discs(D) and D % 3 != 0, lambda args, X: [("picard", 27 * X), ("plain", X)],
+              lambda args, deltas, X: map(bridge.check_prop_3notdiv, deltas)),
+    "scholz": (None, lambda D: D != 1 and is_fundamental(D), lambda args, X: [],
+               lambda args, deltas, X: map(bridge.check_scholz, deltas)),
+    "oracle": (_ORACLE_CAP, quad.in_discs, _oracle_reads, _oracle_rows),
 }
 
 
@@ -126,50 +133,63 @@ def cmd_verify(args) -> int:
         if p > budget:
             raise BudgetExceeded("--primes %d over budget %d" % (p, budget))
         quad.require_prime(p)
-    reports = []
+    reach, reports = {}, []
     for name in args.which:
-        cap, wanted, run = CHECKS[name]
-        reports += _in_order(args.D, run(args, _deltas(name, args, args.D, cap, wanted)))
-    rows = [{k: bool(v) if k == "pass" else _jsonable(v) for k, v in r.items()} for r in reports]
-    _write(args.out, rows, "json")
-    failures = [r for r in reports if not r["pass"]]
-    if failures:
-        first = failures[0]
-        print(
-            "FAIL %s at delta=%s: lhs=%s rhs=%s"
-            % (first["check"], first["delta"], first["lhs"], first["rhs"]),
-            file=sys.stderr,
-        )
+        cap, wanted, reads, rows = CHECKS[name]
+        deltas, X = _deltas(name, args, args.D, cap, wanted)
+        for read, x in reads(args, X):
+            reach[read] = max(reach.get(read, 0), x)
+        reports.append(rows(args, deltas, X))
+    # the plan: every read within the budget, each table of sixths_table
+    # ("plain", "zmat", "fields") built once; Picard groups build as read
+    check_budget(max(reach.values(), default=0))
+    for read, x in reach.items():
+        if read != "picard":
+            counting.sixths_table(x, read == "zmat", read == "fields")
+    count, first = 0, None
+
+    def tallied():
+        nonlocal count, first
+        for count, r in enumerate(chain.from_iterable(reports), 1):
+            if first is None and not r["pass"]:
+                first = r
+            yield r
+
+    _write(args.out, tallied(), "json")
+    if first is not None:
+        lhs, rhs = ("(%s)" % ", ".join(map(frac_str, v)) if isinstance(v, tuple) else frac_str(v)
+                    for v in (first["lhs"], first["rhs"]))
+        print("FAIL %s at delta=%s: lhs=%s rhs=%s" % (first["check"], first["delta"], lhs, rhs), file=sys.stderr)
         return 1
-    print("%d checks passed" % len(reports), file=sys.stderr)
+    print("%d checks passed" % count, file=sys.stderr)
     return 0
 
 
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return frac_str(v)
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    return v
-
-
 def _write(out, rows, fmt, columns=()):
-    """The one writer of every command's output: the row dicts as one JSON
-    list (fmt "json"), else as CSV, a header of columns and one line of
-    those values per row."""
+    """The one writer of every command's output, rows as they come: one JSON
+    list of the row dicts (fmt "json"; a Fraction as its frac_str), else CSV,
+    a header of columns and one line of those values per row; then a newline.
+    out is opened when the first rows are ready."""
+    # 64 rows per json.dumps: a call per row took twice as long as one call
+    rows = iter(rows)
+    batches = iter(lambda: list(islice(rows, 64)), [])
     if fmt == "json":
-        text = json.dumps(rows, indent=0)
+        # with indent=0 a row's text is the same at any depth in the list
+        parts = (json.dumps(batch, indent=0, default=frac_str)[1:-2] for batch in batches)
+        first = next(parts, None)
+        texts = ["[]\n"] if first is None else chain(["[" + first], ("," + p for p in parts), ["\n]\n"])
     else:
-        text = "\n".join([",".join(columns)] + [",".join(str(row[c]) for c in columns) for row in rows])
-    _emit(out, text + "\n")
+        lines = ("".join(",".join(str(row[c]) for c in columns) + "\n" for row in batch) for batch in batches)
+        texts = chain([",".join(columns) + "\n"], lines)
+    _emit(out, texts)
 
 
-def _emit(path, text):
+def _emit(path, texts):
     if path and path != "-":
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def build_parser():

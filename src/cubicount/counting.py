@@ -474,7 +474,7 @@ def check_on(D: int) -> dict:
     for D < 0.  ValueError unless D is a discriminant."""
     if not in_discs(D):
         raise ValueError("D must lie in Discs")
-    hh, h = h_value(D, True), h_value(D)  # hhat first: its budget check is at 27 |D|
+    hh, h = h_value(D, True), h_value(D)  # hhat first: its 27 |D| budget check precedes any build
     return report("on", D, hh, 3 * h if D > 0 else h)
 
 

@@ -111,6 +111,7 @@ def test_command_output_digest(argv, sha):
 
 @pytest.mark.parametrize("argv", [
     "table --max 60", "table --max 60 --format json", "verify on --max 10", "dump-pic --delta -23",
+    "verify on --max 200", "verify on --max 0", "zeta --max 0", "zeta --max 100 --format json",
 ])
 def test_out_writes_the_stdout_bytes_to_the_file(argv, tmp_path):
     code, want, _ = run_cli(argv.split())
@@ -297,9 +298,10 @@ def _count_builds(monkeypatch):
 
 
 def test_D_list_in_any_order_builds_each_table_once(monkeypatch):
-    # the deltas are read largest |delta| first, so an ascending --D list no
-    # longer rebuilds both tables at every delta (8 builds for these four);
-    # the rows keep the order given, a repeated delta repeating its row
+    # each table is built once, before any row, to the largest |delta| of
+    # the list, so an ascending --D list no longer rebuilds both tables at
+    # every delta (8 builds for these four); the rows keep the order given,
+    # a repeated delta repeating its row
     counting, calls = _count_builds(monkeypatch)
     deltas = ["-19988", "-19992", "-19996", "-20000"]
     rows = {}
@@ -327,9 +329,9 @@ def _bridge_sweep_bounds():
 
 @pytest.mark.parametrize("top", _bridge_sweep_bounds()[1])
 def test_bridge_sweep_builds_each_table_once(monkeypatch, top):
-    # every check of the bridge_sweep benchmark reads its largest |delta|
-    # first, so each table is built once, to exactly the bound it needs,
-    # also where -top is not a discriminant and the sweep begins nearer 0
+    # the plan of the bridge_sweep benchmark's run builds each table once,
+    # to exactly the bound its checks read, also where -top is not a
+    # discriminant and the sweep begins nearer 0
     from cubicount.quad import in_discs
 
     counting, calls = _count_builds(monkeypatch)
@@ -439,7 +441,7 @@ def test_config_wrong_value_type_exits_2(tmp_path):
         assert "bad config" in err
 
 
-def test_invariant_error_exits_3(monkeypatch):
+def test_invariant_error_exits_3(monkeypatch, tmp_path):
     # an uncached Picard build whose composition doubles every product form
     import cubicount.quad as quad
 
@@ -449,6 +451,10 @@ def test_invariant_error_exits_3(monkeypatch):
     code, out, err = run_cli(["dump-pic", "--delta", "-23"])
     assert code == 3
     assert "internal invariant failed" in err and out == ""
+    # --out is opened only once the first rows are ready
+    path = tmp_path / "out"
+    assert run_cli(["dump-pic", "--delta", "-23", "--out", str(path)])[0] == 3
+    assert not path.exists()
 
 
 def test_recursion_cap_is_stated_on_stderr():
@@ -496,9 +502,12 @@ def test_on_and_oracle_at_D_match_their_sweeps(monkeypatch):
     boxes = []
     monkeypatch.setattr(counting, "box_orbits", boxes.append)
     monkeypatch.setattr(counting, "box_reduced_forms", boxes.append)
-    code, out, err = run_cli(["verify", "oracle", "--D", "-23", "-203"])
-    assert (code, out, boxes) == (2, "", [])
-    assert "budget exceeded" in err
+    monkeypatch.setattr(counting, "_build_sixths_table", boxes.append)
+    monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
+    for given in (["-23", "-203"], ["-23", "5000"]):
+        code, out, err = run_cli(["verify", "oracle", "--D"] + given)
+        assert (code, out, boxes) == (2, "", [])
+        assert "budget exceeded: oracle checks |delta| <= 200 only, got %s" % given[1].lstrip("-") in err
 
 
 @pytest.mark.parametrize("name", CHECKS)
@@ -553,3 +562,154 @@ def test_budget_flag_is_undone_after_the_call(monkeypatch):
     assert run_cli(["table", "--max", "1", "--budget", "27"])[0] == 0
     assert run_cli(["table", "--max", "1", "--budget", "26"])[0] == 2
     assert os.environ["CUBICOUNT_BUDGET"] == "5" and disc_budget() == 5
+
+
+def test_fail_line_shows_the_values_as_the_row_does(monkeypatch):
+    # a failing scholz row used to print rhs=(Fraction(1, 1), Fraction(1, 3));
+    # every row is written, then the FAIL line names the first failing one
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from cubicount import bridge
+
+    real = bridge.check_scholz
+    monkeypatch.setattr(bridge, "check_scholz", lambda D: dict(real(D), **{"pass": D not in (-23, 5)}))
+    both = io.StringIO()
+    with redirect_stdout(both), redirect_stderr(both):
+        code = main(["verify", "scholz", "--D", "-4", "-23", "5"])
+    assert code == 1
+    text, fail = both.getvalue().split("]\n")
+    assert [(r["delta"], r["pass"]) for r in json.loads(text + "]")] == [(-4, True), (-23, False), (5, False)]
+    assert fail == "FAIL scholz at delta=-23: lhs=1/3 rhs=(1/1, 1/3)\n"
+
+
+@pytest.mark.parametrize("given", [["2", "-23", "5"], ["-23", "2", "5"], ["-23", "5", "2"]])
+def test_a_refused_delta_leaves_stdout_and_out_untouched(given, tmp_path, monkeypatch):
+    # verify on rhs --D -23 2 used to make the -23 row before it refused 2;
+    # every delta is now accepted before any row is made
+    from cubicount import counting
+
+    made = []
+    real = counting.check_on
+    monkeypatch.setattr(counting, "check_on", lambda D: made.append(D) or real(D))
+    path = tmp_path / "out"
+    path.write_text("kept")
+    for out in ([], ["--out", str(path)]):
+        code, stdout, err = run_cli(["verify", "on", "rhs", "--D"] + given + out)
+        assert (code, stdout, made) == (2, "", [])
+        assert err == "invalid input: on does not take delta 2\n"
+    assert path.read_text() == "kept"
+
+
+def test_the_plan_budget_leaves_stdout_and_out_untouched(tmp_path, monkeypatch):
+    # hhat(-23) reads disc 621, so the plan refuses --budget 620 before it
+    # builds any table
+    counting, calls = _count_builds(monkeypatch)
+    monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
+    path = tmp_path / "out"
+    path.write_text("kept")
+    for out in ([], ["--out", str(path)]):
+        code, stdout, err = run_cli(["verify", "lhs", "on", "--D", "5", "-23", "--budget", "620"] + out)
+        assert (code, stdout, calls) == (2, "", [])
+        assert err == "budget exceeded: requested |disc| <= 621 over budget 620\n"
+    assert path.read_text() == "kept"
+    assert run_cli(["verify", "lhs", "on", "--D", "5", "-23", "--budget", "621"])[0] == 0
+
+
+# the tables a verify run of each check builds: the plain and zmat tables
+# for on and recursion, one table for rhs, lhs, fields-pic, prop6 and
+# oracle, none for scholz; all of them together build the plain, zmat and
+# fields-only tables
+_BUILDS = {"on": 2, "recursion": 2, "rhs": 1, "lhs": 1, "fields-pic": 1, "prop6": 1, "scholz": 0, "oracle": 1}
+
+
+@pytest.mark.parametrize("which", [[name] for name in CHECKS] + [list(CHECKS), ["on", "recursion"]], ids=" ".join)
+def test_no_table_is_built_twice(which, monkeypatch):
+    # verify recursion --max 20 built each table once per prime (4 builds),
+    # verify on recursion --max 300 6 tables, and all eight checks 7
+    counting, calls = _count_builds(monkeypatch)
+    monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
+    code, _, err = run_cli(["verify"] + which + ["--max", "300" if which == ["on", "recursion"] else "60"])
+    assert code == 0, err
+    builds = 3 if len(which) == len(CHECKS) else max(_BUILDS[name] for name in which)
+    assert len(calls) == len({args[1:] for args in calls}) == builds, calls
+
+
+def _largest_read(argv):
+    # the largest |disc| the rows of a verify run read with no plan: each
+    # read checks its own |disc| against the budget
+    from cubicount import cli, counting, quad
+
+    args = cli.build_parser().parse_args(argv)
+    seen = [0]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(counting, "_SIXTHS_CACHE", {})
+        for module in (counting, quad):
+            m.setattr(module, "check_budget", lambda x, real=module.check_budget: seen.append(x) or real(x))
+        for name in args.which:
+            cap, wanted, reads, rows = CHECKS[name]
+            deltas, X = cli._deltas(name, args, args.D, cap, wanted)
+            for _ in rows(args, deltas, X):
+                pass
+    return max(seen)
+
+
+@pytest.mark.parametrize("name", [name for name in CHECKS if name != "scholz"])
+def test_the_plan_reaches_exactly_what_the_rows_read(name, monkeypatch):
+    # with R the largest |disc| the rows read, --budget R runs, and R - 1 is
+    # refused by the plan, before any writing starts.  scholz plans no read:
+    # its Picard groups reach 3 |D| or |D| / 3
+    from cubicount import cli
+
+    wanted = CHECKS[name][1]
+    given = [str(D) for D in (5, -4, -23, 41, -107) if wanted(D) and (name != "recursion" or abs(D) < 30)]
+    argv = ["verify", name, "--primes", "3", "2", "--D"] + given
+    R = _largest_read(argv)
+    writes = []
+    monkeypatch.setattr(cli, "_write", lambda *a: writes.append(a))
+    monkeypatch.delenv("CUBICOUNT_BUDGET", raising=False)
+    assert run_cli(argv + ["--budget", str(R)])[0] == 0 and len(writes) == 1
+    code, out, err = run_cli(argv + ["--budget", str(R - 1)])
+    assert (code, out, len(writes)) == (2, "", 1)
+    assert "budget exceeded" in err
+
+
+def test_scholz_plans_no_read(monkeypatch):
+    # so the plan refuses no run that its rows' own budget checks accept
+    monkeypatch.delenv("CUBICOUNT_BUDGET", raising=False)
+    argv = ["verify", "scholz", "--D", "5", "-4", "-23"]
+    assert run_cli(argv + ["--budget", str(_largest_read(argv))])[0] == 0
+
+
+def test_rows_stream(monkeypatch):
+    # the first rows are written before the check of the last delta runs,
+    # and the texts written make the JSON of the whole run
+    from cubicount import cli, counting
+
+    made, written = [], []
+    real = counting.check_on
+    monkeypatch.setattr(counting, "check_on", lambda D: made.append(D) or real(D))
+    monkeypatch.setattr(cli, "_emit", lambda path, texts: written.extend((t, len(made)) for t in texts))
+    assert run_cli(["verify", "on", "--max", "300"])[0] == 0
+    assert written[0][1] < len(made) == 300
+    monkeypatch.undo()
+    assert "".join(t for t, _ in written) == run_cli(["verify", "on", "--max", "300"])[1]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 64, 65, 200])
+def test_write_makes_the_bytes_of_one_dumps(n):
+    # the rows go out a batch at a time; the bytes are those of one
+    # json.dumps over the list, or of the CSV lines joined, and a newline
+    import io
+    from contextlib import redirect_stdout
+
+    from cubicount.cli import _write
+
+    rows = [{"delta": D, "lhs": "%d/3" % D, "rhs": ["1/1", "1/3"], "pass": D % 3 == 0} for D in range(n)]
+    columns = ("delta", "lhs", "pass")
+    csv = "\n".join([",".join(columns)] + [",".join(str(r[c]) for c in columns) for r in rows])
+    for fmt, want in (("json", json.dumps(rows, indent=0)), ("csv", csv)):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            _write("-", iter(rows), fmt, columns)
+        assert buf.getvalue() == want + "\n", fmt
