@@ -30,8 +30,8 @@ count (invertible cube-class ideals weighted by 3-torsion) equals
 types read off ideal characters) equals 2 w h.  The remaining checks --
 the 3-torsion reflection between discriminants D and -3D, the restricted
 ideal count for 3 not dividing D, and the field count against
-(|Pic[3]|-1)/2 -- are small corollaries verified directly; the field
-count reads the fields-only counts table by weight and builds no orbit.
+(|Pic[3]|-1)/2 -- are small corollaries verified directly.  Each count
+is read by `counting.h_value(D, kind)`, the fields' by weight (no orbit).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .forms import BinaryCubicForm, InvariantError, disc, evaluate, is_zmat
-from .counting import h_value, report, s_sequence, sixths_table
+from .counting import h_value, report, s_sequence
 from .quad import (
     Mu3Char,
     divisors,
@@ -294,7 +294,7 @@ def _cube_ideal_sum(D: int, prime_to_3: bool = False) -> int:
 
 def rhs_identity_check(D: int) -> dict:
     lhs = Fraction(rhs_count(D))
-    rhs = 2 * weight_w(D) * weight_eta(D) * h_value(D, zmat_variant=True)
+    rhs = 2 * weight_w(D) * weight_eta(D) * h_value(D, "zmat")
     return report("rhs", D, lhs, rhs)
 
 
@@ -367,16 +367,16 @@ def check_fields_pic(D: int) -> dict:
     """Count cubic fields whose discriminant squarely divides D against
     (|Pic(O_D)[3]| - 1)/2.  A field's orbit has the stabilizer Aut of its
     ring, of order w(D') at its disc D' (3 for a cyclic field, whose disc
-    is a square), so the fields at D' are w(D') times their sixths, over 6."""
+    is a square), so the fields at D' are w(D') times their part of h(D')."""
     if not in_discs(D):
         raise ValueError("not a discriminant")
     fields = 0
     for k in divisors(fundamental_part(D)[1]):
         Dk = D // (k * k)
-        n = weight_w(Dk) * sixths_table(abs(Dk), False, True).get(Dk, 0)
-        if n % 6:
-            raise InvariantError("fields at disc %d weigh %d/6" % (Dk, n))
-        fields += n // 6
+        n = weight_w(Dk) * h_value(Dk, "fields")
+        if n.denominator != 1:
+            raise InvariantError("fields at disc %d weigh %d/6" % (Dk, 6 * n))
+        fields += n.numerator
     t3 = pic_3_torsion(D)
     if t3 % 2 == 0:
         raise InvariantError("|Pic(O_%d)[3]| = %d is even" % (D, t3))

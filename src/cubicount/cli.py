@@ -9,11 +9,11 @@ bad arguments or config), 3 an internal invariant of the computation broke
 
 verify runs the checks named in CHECKS and streams their identity reports
 (counting.report) as one JSON list, through _write, the one writer of
-every command.  Every check, and dump-pic, takes the deltas --D (--delta)
-names, in that order, else those in [-max, max] that it accepts, ascending,
-max cut to its cap (only oracle's cap binds --D); before any row, every
-delta is accepted and each counts table built once, to the largest |disc|
-read.  --format (csv or json) belongs to table and zeta.
+every command.  Every check takes the deltas --D names (dump-pic those
+--delta names), in that order, else those in [-max, max] that it accepts,
+ascending, max cut to its cap (only oracle's cap binds --D); before any
+row, every delta is accepted and each counts table built once, by kind,
+to the largest |disc| read.  --format (csv or json) belongs to table and zeta.
 
 --budget N (or config "budget": N) caps the |disc| enumerated by every check
 and dump-pic: main sets CUBICOUNT_BUDGET=N for the call and restores it
@@ -140,12 +140,12 @@ def cmd_verify(args) -> int:
         for read, x in reads(args, X):
             reach[read] = max(reach.get(read, 0), x)
         reports.append(rows(args, deltas, X))
-    # the plan: every read within the budget, each table of sixths_table
-    # ("plain", "zmat", "fields") built once; Picard groups build as read
+    # the plan: every read within the budget, each counts table built once
+    # (sixths_table by kind); Picard groups build as read
     check_budget(max(reach.values(), default=0))
     for read, x in reach.items():
         if read != "picard":
-            counting.sixths_table(x, read == "zmat", read == "fields")
+            counting.sixths_table(x, read)
     count, first = 0, None
 
     def tallied():

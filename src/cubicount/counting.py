@@ -14,18 +14,17 @@ lexicographically largest.  `_scanned` is the one loop over d, and its
 per-form step (the disc, its range check, the boundary signature, the
 number k of sign variants) feeds two tables:
 
-  sixths_table  disc -> the integer sum of 6/|stabilizer|; the counts
-                path, which keeps no form and acts on none: by orbit-
-                stabilizer a scanned form weighs 6k/|M| for its k sign
-                variants and its matrices M in `forms.BOUNDARY_MATRICES`.
-                With fields_only it weighs only the field forms, for the
-                field count of `bridge.check_fields_pic`: by the reduction
-                theory here a scanned form of disc D is one exactly when
-                a != 0, |D| > 4 and `rings.is_maximal` holds (proof at
-                _A0_EDGE), so no irreducibility test runs.  class_numbers,
-                h_value and verify oracle read only this, so no CLI
-                command builds an Orbit.  The one cached table of the
-                module, per (zmat_only, fields_only).
+  sixths_table  disc -> the integer sum of 6/|stabilizer|, one cached
+                table per kind: "plain" 6 h(disc), "zmat" (3 | b, c)
+                6 hhat(-disc/27), "fields" over the field forms, which are
+                the scanned forms with a != 0, |disc| > 4 and
+                `rings.is_maximal` (proof at _A0_EDGE), so no
+                irreducibility test runs.  The counts path keeps no form
+                and acts on none: by orbit-stabilizer a scanned form weighs
+                6k/|M| for its k sign variants and its matrices M in
+                `forms.BOUNDARY_MATRICES`.  Every count is read by h_value(D,
+                kind), and class_numbers reads two whole tables: no command
+                builds an Orbit, and no other module knows the sixths.
   orbit_table   disc -> tuple of Orbit (canonical form, stabilizer
                 order: |M|/k when the orbit is f's sign class, else from
                 reduced_orbit), built on every call; it serves only
@@ -224,8 +223,9 @@ class Orbit(NamedTuple):
         return "Orbit(%s, stab=%d)" % (self.form, self.stabilizer_order)
 
 
-# (zmat_only, fields_only) -> (X, read-only sixths table to X); a call
-# with a smaller X gets the cached table
+# the kinds of counts table, and kind -> (X, read-only sixths table to X);
+# a call with a smaller X gets the cached table
+_KINDS = ("plain", "zmat", "fields")
 _SIXTHS_CACHE = {}
 
 # The boundary signature of a scanned a = 0 form with c = b (the edge
@@ -289,12 +289,12 @@ def orbit_table(X: int, zmat_only: bool = False):
     return {D: tuple(sorted(orbs)) for D, orbs in table.items()}
 
 
-def _build_sixths_table(X, zmat_only, fields_only):
+def _build_sixths_table(X, kind):
     # in 24ths a scanned form adds 24 k/|M| for its k sign variants, and an
     # orbit 24/|stabilizer|: four times its sixths
     table = {}
-    for D, f, sig, k in _scanned(X, zmat_only):
-        if not fields_only or f[0] and abs(D) > 4 and is_maximal(f):
+    for D, f, sig, k in _scanned(X, kind == "zmat"):
+        if kind != "fields" or f[0] and abs(D) > 4 and is_maximal(f):
             table[D] = table.get(D, 0) + 24 * k // len(BOUNDARY_MATRICES[sig])
     for D, n in table.items():
         if n % 4:
@@ -303,18 +303,22 @@ def _build_sixths_table(X, zmat_only, fields_only):
     return table
 
 
-def sixths_table(X: int, zmat_only: bool = False, fields_only: bool = False):
+def _check_kind(kind):
+    if kind not in _KINDS:
+        raise ValueError("unknown counts table kind %r" % (kind,))
+
+
+def sixths_table(X: int, kind: str = "plain"):
     """Read-only mapping disc -> the integer sum of 6/|stabilizer| over the
-    orbits of that disc (3 | b, c when zmat_only; of field forms only when
-    fields_only), for every disc with 0 < |disc| <= X that has one: 6 h(disc),
-    or 6 hhat(-disc/27) when zmat_only.  Builds no Orbit and keeps no form.
-    The table is cached, and returned for any X up to its own bound, so it
-    may hold discs beyond X; a larger X rebuilds it, to X."""
+    orbits of that disc in the table of kind ("plain", "zmat" or "fields";
+    else ValueError), for every disc with 0 < |disc| <= X that has one.  No
+    Orbit is built and no form kept.  Cached, and returned for any X up to
+    its bound, so it may hold discs beyond X; a larger X rebuilds it to X."""
+    _check_kind(kind)
     _check_bound(X)
-    key = zmat_only, fields_only
-    cached = _SIXTHS_CACHE.get(key)
+    cached = _SIXTHS_CACHE.get(kind)
     if cached is None or cached[0] < X:
-        cached = _SIXTHS_CACHE[key] = X, MappingProxyType(_build_sixths_table(X, zmat_only, fields_only))
+        cached = _SIXTHS_CACHE[kind] = X, MappingProxyType(_build_sixths_table(X, kind))
     return cached[1]
 
 
@@ -329,13 +333,15 @@ def enumerate_orbits(X: int, zmat_only: bool = False):
     return out
 
 
-def h_value(D: int, zmat_variant: bool = False) -> Fraction:
-    """h(D) (or hhat(D) when zmat_variant), single value."""
+def h_value(D: int, kind: str = "plain") -> Fraction:
+    """The count of kind at D, 0 off Discs: h(D) ("plain"), hhat(D) ("zmat",
+    read at disc -27 D) or the field orbits' part of h(D) ("fields")."""
+    _check_kind(kind)
     if not in_discs(D):
         return Fraction(0)
-    if zmat_variant:
+    if kind == "zmat":
         D *= -27
-    return Fraction(sixths_table(abs(D), zmat_variant).get(D, 0), 6)
+    return Fraction(sixths_table(abs(D), kind).get(D, 0), 6)
 
 
 def class_numbers(X: int):
@@ -343,8 +349,8 @@ def class_numbers(X: int):
     ascending, exact rationals.  No other D has an orbit: a cubic form's
     disc is 0 or 1 mod 4, and -27 D = D mod 4."""
     check_budget(27 * X)
-    h6 = sixths_table(X, False)
-    hh6 = sixths_table(27 * X, True)
+    h6 = sixths_table(X)
+    hh6 = sixths_table(27 * X, "zmat")
     # one Fraction per distinct count, shared (a Fraction is immutable)
     frac = {n: Fraction(n, 6) for n in {0, *h6.values(), *hh6.values()}}
     return {
@@ -474,7 +480,7 @@ def check_on(D: int) -> dict:
     for D < 0.  ValueError unless D is a discriminant."""
     if not in_discs(D):
         raise ValueError("D must lie in Discs")
-    hh, h = h_value(D, True), h_value(D)  # hhat first: its 27 |D| budget check precedes any build
+    hh, h = h_value(D, "zmat"), h_value(D)  # hhat first: its 27 |D| budget check precedes any build
     return report("on", D, hh, 3 * h if D > 0 else h)
 
 
@@ -487,10 +493,10 @@ def check_recursion(D: int, p: int, include_hhat: bool = True):
         raise ValueError("D must lie in Discs")
     require_prime(p)
     reports = []
-    for name, zv in [("h", False)] + ([("hhat", True)] if include_hhat else []):
-        lhs = h_value(D * p ** 6, zv)
-        small = h_value(D // (p * p), zv) if D % (p * p) == 0 else 0
-        rhs = h_value(D * p ** 4, zv) + p * (h_value(D, zv) - small)
+    for name, kind in [("h", "plain")] + ([("hhat", "zmat")] if include_hhat else []):
+        lhs = h_value(D * p ** 6, kind)
+        small = h_value(D // (p * p), kind) if D % (p * p) == 0 else 0
+        rhs = h_value(D * p ** 4, kind) + p * (h_value(D, kind) - small)
         reports.append(report("recursion-%s" % name, D, lhs, rhs, p=p))
     return reports
 

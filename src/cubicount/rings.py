@@ -18,7 +18,7 @@ maximality of a form at a prime p and its splitting type there, both in
 closed form (when p does not divide the discriminant the roots mod p are
 simple and their number gives the type; otherwise the one multiple root,
 where both partial derivatives vanish mod p, decides maximality, and is
-all the field count of `counting.sixths_table` asks of a form); and the
+all the "fields" counts table of `counting` asks of a form); and the
 enumeration of finite-index subrings (which backs the counting
 recursions `counting.s_sequence`, and so reads no splitting type).  The
 enumeration covers every triangular sublattice basis Z*1 + Z*(e*alpha +

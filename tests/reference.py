@@ -16,9 +16,9 @@ Not collected by pytest (no test_ prefix); test files import it as
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 
-from cubicount.bridge import RatLattice, SelfBalancedTriple, gamma_cube, int_lattice, k2_mul
+from cubicount.bridge import RatLattice, SelfBalancedTriple
 from cubicount.counting import _ceil_div, _i4root, _icbrt
 from cubicount.forms import (
     BOUNDARY_MATRICES,
@@ -715,7 +715,15 @@ def order_change_map(D0: int, from_f: int, to_f: int):
 
 
 # ---------------------------------------------------------------------------
-# lattices in Q(sqrt D) and triples
+# lattices in Q(sqrt D) and triples, by a product and a Fraction Hermite
+# form of their own: the triple oracle takes only the data types RatLattice
+# and SelfBalancedTriple from bridge, none of its lattice code
+
+def k2_product(D, u, v):
+    """(x + y sqrt D)(x' + y' sqrt D) for u = (x, y) and v = (x', y')."""
+    (x, y), (xp, yp) = u, v
+    return x * xp + D * y * yp, x * yp + y * xp
+
 
 def k2_norm(D, u):
     return u[0] * u[0] - u[1] * u[1] * D
@@ -728,15 +736,56 @@ def _over_common_den(vec):
     return tuple(v.numerator * (den // v.denominator) for v in vec), den
 
 
+def _frac_gcd(x, y):
+    while y:
+        x, y = y, x % y
+    return abs(x)
+
+
+def fraction_hnf(gens):
+    """(x1, x2, y2): rows (x1, 0), (x2, y2) with x1, y2 > 0, 0 <= x2 < x1,
+    by Euclid on the Fraction generators."""
+    flat = [x for x, y in gens if y == 0]
+    tall = [(x, y) for x, y in gens if y != 0]
+    while len(tall) > 1:
+        tall.sort(key=lambda v: abs(v[1]))
+        (px, py), rest = tall[0], []
+        for x, y in tall[1:]:
+            q = floor(y / py)
+            if y - q * py:
+                rest.append((x - q * px, y - q * py))
+            else:
+                flat.append(x - q * px)
+        tall = [(px, py)] + rest
+    (x2, y2), = tall
+    if y2 < 0:
+        x2, y2 = -x2, -y2
+    x1 = Fraction(0)
+    for x in flat:
+        x1 = _frac_gcd(x1, x)
+    return x1, x2 % x1, y2
+
+
+def rat_lattice(D, gens) -> RatLattice:
+    """The lattice spanned by the rational pairs gens (ints or Fractions):
+    its `fraction_hnf` over the least common denominator, which leaves
+    gcd(den, a, b, c) = 1."""
+    nums, den = _over_common_den(fraction_hnf([(Fraction(x), Fraction(y)) for x, y in gens]))
+    return RatLattice(D, den, *nums)
+
+
+def lat_rows(L: RatLattice):
+    """The two rows of L as Fraction pairs."""
+    return [(Fraction(L.a, L.den), Fraction(0)), (Fraction(L.b, L.den), Fraction(L.c, L.den))]
+
+
 def lat_mul(L: RatLattice, M: RatLattice) -> RatLattice:
-    gens = [k2_mul(L.D, u, v) for u in L.rows() for v in M.rows()]
-    return int_lattice(L.D, L.den * M.den, gens)
+    return rat_lattice(L.D, [k2_product(L.D, u, v) for u in lat_rows(L) for v in lat_rows(M)])
 
 
 def lat_scale(L: RatLattice, el) -> RatLattice:
     """el * L for a rational pair el (ints or Fractions)."""
-    num, den = _over_common_den(el)
-    return int_lattice(L.D, L.den * den, [k2_mul(L.D, num, v) for v in L.rows()])
+    return rat_lattice(L.D, [k2_product(L.D, el, v) for v in lat_rows(L)])
 
 
 def lat_norm(L: RatLattice) -> Fraction:
@@ -832,7 +881,7 @@ def _triple_from_alpha(ring: CubicRing, D: int, alpha, tr2: int, det: int):
     w1, w2 = _trace_zero_basis(ring.form)
     x1, den = _solve_in_plane(alpha, vs, e, w1)
     x2, _ = _solve_in_plane(alpha, vs, e, w2)
-    I = int_lattice(D, den, [x1, x2])
+    I = rat_lattice(D, [(Fraction(x, den), Fraction(y, den)) for x, y in (x1, x2)])
     if I.a != I.den:
         raise InvariantError("1 must be a primitive vector of the extracted lattice")
     # tau = (b + c sqrt D)/den; choose its sign so that [1, alpha, c(tau)]
@@ -862,7 +911,9 @@ def _triple_from_alpha(ring: CubicRing, D: int, alpha, tr2: int, det: int):
     if num % (4 * t_att):
         raise InvariantError("4t does not divide s^2 - D")
     r = num // (4 * t_att)
-    trip = SelfBalancedTriple(D, I, t_att, s, r, u, e, tuple(alpha), gamma_cube(I, u, e))
+    # gamma I^3 as gamma (I I I), by the lattice products here
+    gamma_I3 = lat_scale(lat_mul(lat_mul(I, I), I), (Fraction(-u, 2), Fraction(e, 2)))
+    trip = SelfBalancedTriple(D, I, t_att, s, r, u, e, tuple(alpha), gamma_I3)
     if not trip.norm_condition():
         raise InvariantError("balance norm condition failed")
     if not trip.containment_condition():
@@ -902,8 +953,8 @@ def triples_equivalent(t1: SelfBalancedTriple, t2: SelfBalancedTriple, sqrt_num2
         return None
     if lat_scale(t1.I, lam) != t2.I:
         return None
-    lam3 = k2_mul(D, k2_mul(D, lam, lam), lam)
-    if k2_mul(D, lam3, t2.gamma) != tuple(t1.gamma):
+    lam3 = k2_product(D, k2_product(D, lam, lam), lam)
+    if k2_product(D, lam3, t2.gamma) != tuple(t1.gamma):
         return None
     return lam
 

@@ -45,6 +45,7 @@ from cubicount.quad import (
 from reference import (
     chi_term_sum,
     extract_triple_by_ring,
+    fraction_hnf,
     is_cube_class,
     is_irreducible,
     k2_norm,
@@ -314,36 +315,6 @@ def test_bridge_and_ring_invariants_survive_optimize():
 # integer lattices against a Fraction reference
 
 
-def _frac_gcd(x, y):
-    while y:
-        x, y = y, x % y
-    return abs(x)
-
-
-def _ref_hnf(gens):
-    """(x1, x2, y2): rows (x1, 0), (x2, y2) with x1, y2 > 0, 0 <= x2 < x1,
-    by Euclid on the Fraction generators."""
-    flat = [x for x, y in gens if y == 0]
-    tall = [(x, y) for x, y in gens if y != 0]
-    while len(tall) > 1:
-        tall.sort(key=lambda v: abs(v[1]))
-        (px, py), rest = tall[0], []
-        for x, y in tall[1:]:
-            q = math.floor(y / py)
-            if y - q * py:
-                rest.append((x - q * px, y - q * py))
-            else:
-                flat.append(x - q * px)
-        tall = [(px, py)] + rest
-    (x2, y2), = tall
-    if y2 < 0:
-        x2, y2 = -x2, -y2
-    x1 = Fraction(0)
-    for x in flat:
-        x1 = _frac_gcd(x1, x)
-    return x1, x2 % x1, y2
-
-
 def _ref_rows(h):
     x1, x2, y2 = h
     return [(x1, Fraction(0)), (x2, y2)]
@@ -370,16 +341,16 @@ def test_integer_lattices_match_fraction_reference():
         D = rng.choice((-23, -3, -4, 1, 4, 5, 12, 49, -108))
         L, gens = _random_lattice(rng, D)
         M, _ = _random_lattice(rng, D)
-        ref_L = _ref_hnf(gens)
+        ref_L = fraction_hnf(gens)
         assert _as_fractions(L) == ref_L
         assert math.gcd(math.gcd(L.den, L.a), math.gcd(L.b, L.c)) == 1
         ref_M = _as_fractions(M)
         prods = [k2_mul(D, u, v) for u in _ref_rows(ref_L) for v in _ref_rows(ref_M)]
-        assert _as_fractions(lat_mul(L, M)) == _ref_hnf(prods)
+        assert _as_fractions(lat_mul(L, M)) == fraction_hnf(prods)
         el = (Fraction(rng.randint(-9, 9), rng.randint(1, 6)), Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
         if k2_norm(D, el) != 0:
             scaled = [k2_mul(D, el, v) for v in _ref_rows(ref_L)]
-            assert _as_fractions(lat_scale(L, el)) == _ref_hnf(scaled)
+            assert _as_fractions(lat_scale(L, el)) == fraction_hnf(scaled)
         x1, x2, y2 = ref_L
         assert lat_norm(L) == 2 * x1 * y2
         i, j = rng.randint(-5, 5), rng.randint(-5, 5)
@@ -403,7 +374,7 @@ def test_rhs_delta_1():
 def test_rhs_delta_minus23():
     rep = rhs_identity_check(-23)
     assert rep["pass"]
-    assert rep["lhs"] == 2 * h_value(-23, zmat_variant=True)
+    assert rep["lhs"] == 2 * h_value(-23, "zmat")
 
 
 def test_rhs_formula_specialization():
@@ -412,7 +383,7 @@ def test_rhs_formula_specialization():
     for D in (-4, 5, -8, 13):
         if pic_3_torsion(D) == 1 and weight_w(D) == 1:
             assert rhs_count(D) == 1
-            assert h_value(D, zmat_variant=True) == Fraction(1, 2) / weight_eta(D)
+            assert h_value(D, "zmat") == Fraction(1, 2) / weight_eta(D)
 
 
 def test_rhs_range():

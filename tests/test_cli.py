@@ -190,9 +190,9 @@ def test_verify_exit_codes_on_fault(monkeypatch):
 
     real = counting._build_sixths_table
 
-    def tampered(X, zmat_only, fields_only):
-        table = real(X, zmat_only, fields_only)
-        if not zmat_only and not fields_only:
+    def tampered(X, kind):
+        table = real(X, kind)
+        if kind == "plain":
             table[5] = table.get(5, 0) + 1
         return table
 
@@ -274,9 +274,9 @@ def test_oracle_gates_the_counts_table(monkeypatch):
 
     real = counting._build_sixths_table
 
-    def tampered(X, zmat_only, fields_only):
-        table = real(X, zmat_only, fields_only)
-        if not zmat_only and not fields_only:
+    def tampered(X, kind):
+        table = real(X, kind)
+        if kind == "plain":
             table[-23] += 1
         return table
 
@@ -310,7 +310,7 @@ def test_D_list_in_any_order_builds_each_table_once(monkeypatch):
         del calls[:]
         code, out, err = run_cli(["verify", "on", "--D", *order])
         assert code == 0, err
-        assert calls == [(540000, True, False), (20000, False, False)]
+        assert calls == [(540000, "zmat"), (20000, "plain")]
         got = json.loads(out)
         assert [str(r["delta"]) for r in got] == order
         rows[order[0]] = {r["delta"]: r for r in got}
@@ -339,7 +339,7 @@ def test_bridge_sweep_builds_each_table_once(monkeypatch, top):
     code, _, err = run_cli(_bridge_sweep_bounds()[0] + ["--max", str(top)])
     assert code == 0, err
     m = next(t for t in range(top, 0, -1) if in_discs(t) or in_discs(-t))
-    assert calls == [(27 * m, True, False), (m, False, False), (m, False, True)]
+    assert calls == [(27 * m, "zmat"), (m, "plain"), (m, "fields")]
 
 
 def test_verify_recursion_non_prime_exits_2():
@@ -548,6 +548,17 @@ def test_malformed_budget_variable_exits_2(raw, monkeypatch):
     code, out, err = run_cli(["table", "--max", "3"])
     assert code == 2, err
     assert out == "" and "invalid input: CUBICOUNT_BUDGET must be an integer >= 0, got %r" % raw in err
+
+
+def test_empty_budget_variable_reads_as_unset(monkeypatch):
+    # CUBICOUNT_BUDGET= (empty) is not refused like abc: it reads as unset,
+    # so the default 10^6 binds
+    monkeypatch.setenv("CUBICOUNT_BUDGET", "")
+    assert disc_budget() == DEFAULT_MAX_DISC
+    code, out, err = run_cli(["verify", "on", "--D", "5"])
+    assert code == 0 and "1 checks passed" in err, err
+    code, out, err = run_cli(["verify", "on", "--D", "40001"])
+    assert (code, out) == (2, "") and "budget exceeded: requested |disc| <= 1080027 over budget 1000000" in err
 
 
 def test_budget_flag_is_undone_after_the_call(monkeypatch):

@@ -250,7 +250,7 @@ def test_sixths_table_matches_orbit_table_weights(monkeypatch, zmat):
     monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
     X = 540000 if zmat else 20000
     want = {D: sum(6 // o.stabilizer_order for o in orbs) for D, orbs in orbit_table(X, zmat).items()}
-    got = sixths_table(X, zmat)
+    got = sixths_table(X, "zmat" if zmat else "plain")
     assert dict(got) == want
     assert min(got) < 0 < max(got)
 
@@ -264,7 +264,7 @@ def test_sixths_table_is_read_only_and_cached(monkeypatch):
     with pytest.raises(TypeError):
         table[-23] = 0
     assert dict(small) == {D: n for D, n in table.items() if abs(D) <= 100}
-    sixths_table(300, False, True)
+    sixths_table(300, "fields")
     real = counting._build_sixths_table
     calls = []
     monkeypatch.setattr(
@@ -283,7 +283,7 @@ def test_sixths_table_is_read_only_and_cached(monkeypatch):
     monkeypatch.setattr(counting, "_SIXTHS_CACHE", {})
     sixths_table(100)
     assert dict(sixths_table(150)) == {D: n for D, n in table.items() if abs(D) <= 150}
-    assert counting._SIXTHS_CACHE[False, False][0] == 150
+    assert counting._SIXTHS_CACHE["plain"][0] == 150
 
 
 def _run_optimized(code):
@@ -357,11 +357,43 @@ def test_field_filter_check_survives_optimize():
     assert "weights at disc 108" in out.stderr
 
 
+def test_field_count_invariant_survives_optimize():
+    # the fields table holds 6 sixths at -23, its one cubic field; one more
+    # is not a whole field: verify fields-pic exits 3 and names the weight,
+    # also under python -O
+    out = _run_optimized(
+        "from cubicount import counting\n"
+        "from cubicount.cli import main\n"
+        "real = counting._build_sixths_table\n"
+        "def tampered(X, kind):\n"
+        "    table = real(X, kind)\n"
+        "    if kind == 'fields':\n"
+        "        print(table[-23])\n"
+        "        table[-23] += 1\n"
+        "    return table\n"
+        "counting._build_sixths_table = tampered\n"
+        "print(main(['verify', 'fields-pic', '--D', '-23']))\n"
+    )
+    assert out.stdout.split() == ["6", "3"], out.stderr
+    assert "fields at disc -23 weigh 7/6" in out.stderr
+
+
+def test_unknown_kind_is_a_value_error(monkeypatch):
+    # a kind that names no counts table is refused before the budget check,
+    # also off the discriminants and for the old boolean flag
+    monkeypatch.setenv("CUBICOUNT_BUDGET", "1")
+    for read in (lambda: sixths_table(10, "bogus"), lambda: h_value(-23, "bogus"), lambda: h_value(-2, "bogus")):
+        with pytest.raises(ValueError, match="unknown counts table kind 'bogus'"):
+            read()
+    with pytest.raises(ValueError, match="unknown counts table kind True"):
+        sixths_table(10, True)
+
+
 def test_fields_by_weight_match_the_orbit_table():
     # w(D) times the field sixths at D is six times the number of field
     # orbits at D; the range holds the cyclic (square) discs 49, 81, 169, ...
     X = 30000
-    sixths = sixths_table(X, False, True)
+    sixths = sixths_table(X, "fields")
     table = orbit_table(X)
     squares = 0
     for D in range(-X, X + 1):
@@ -427,7 +459,7 @@ def test_all_discs_are_discriminants():
 
 def test_class_number_examples():
     assert h_value(1) == Fraction(1, 6)
-    assert h_value(1, zmat_variant=True) == Fraction(1, 2)
+    assert h_value(1, "zmat") == Fraction(1, 2)
     assert h_value(-23) == Fraction(3, 2)
     assert h_value(-2) == 0  # not a discriminant
     assert h_value(49) == Fraction(5, 6)  # cyclic field + Z x O_49
@@ -521,8 +553,8 @@ def test_recursion_d1_p2():
     assert all(r["pass"] for r in reports)
     hh = [r for r in reports if r["check"] == "recursion-hhat"][0]
     # hhat(64) = hhat(16) + 2 hhat(1)
-    assert hh["lhs"] == h_value(64, True)
-    assert hh["rhs"] == h_value(16, True) + 2 * h_value(1, True)
+    assert hh["lhs"] == h_value(64, "zmat")
+    assert hh["rhs"] == h_value(16, "zmat") + 2 * h_value(1, "zmat")
 
 
 def test_recursion_d5_p2():
@@ -540,7 +572,7 @@ def test_recursion_builds_one_table_per_variant(monkeypatch):
     calls = []
     monkeypatch.setattr(counting, "_build_sixths_table", lambda *args: calls.append(args) or real(*args))
     assert all(r["pass"] for r in check_recursion(-20, 3))
-    assert calls == [(14580, False, False), (393660, True, False)]
+    assert calls == [(14580, "plain"), (393660, "zmat")]
 
 
 def test_recursion_zero_convention():

@@ -322,6 +322,34 @@ def test_output_has_one_writer():
     assert homes == {"dumps", "_emit", "sys.stdout"} and not bad, (homes, bad)
 
 
+def test_sixths_format_has_one_home():
+    # the counts tables hold integer sixths, and only counting knows it:
+    # only counting.py names _build_sixths_table and _SIXTHS_CACHE, and
+    # outside it only cli.cmd_verify names sixths_table, to build the
+    # plan's tables; every count is read through h_value(D, kind)
+    homes, bad = set(), []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        if name == "counting.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        where = {}
+        for top, node in _top_level(tree).items():
+            where.update((sub, top) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            ref = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                   else node.name if isinstance(node, ast.alias)
+                   else node.value if isinstance(node, ast.Constant) else None)
+            if ref not in ("sixths_table", "_build_sixths_table", "_SIXTHS_CACHE"):
+                continue
+            if (ref, name, where.get(node)) == ("sixths_table", "cli.py", "cmd_verify"):
+                homes.add((name, where.get(node)))
+            else:
+                bad.append("%s:%d %s in %s" % (name, node.lineno, ref, where.get(node)))
+    assert homes == {("cli.py", "cmd_verify")} and not bad, (homes, bad)
+
+
 def test_every_flag_is_read():
     # each subcommand's flags are read as args.<dest> by its handler (or
     # the cli code it reaches) or by main; build_parser declares them and
